@@ -162,8 +162,7 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
 
 # -- subcommands -----------------------------------------------------------------
 
-def _cmd_generate(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+def _cmd_generate(args, config: dict[str, str]) -> int:
     _fill_from_config(args, config, {"n": int, "seed": int, "schedule": str,
                                      "threads": int, "out": str})
     if args.seed is None:
@@ -229,8 +228,7 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
     return out
 
 
-def _cmd_evaluate(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+def _cmd_evaluate(args, config: dict[str, str]) -> int:
     _fill_from_config(args, config, {"mode": str, "out": str, "window": int, "scales": int})
     mode = args.mode or "intra"
     if mode not in ("intra", "inter"):
@@ -258,8 +256,7 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fit_adapter(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
     _fill_from_config(args, config, {"ridge": float, "out": str})
     ridge = args.ridge if args.ridge is not None else 1e-6
 
@@ -279,7 +276,8 @@ def _cmd_fit_adapter(args) -> int:
     return EXIT_OK
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args, config: dict[str, str]) -> int:
+    _fill_from_config(args, config, {"window": int, "scales": int, "peak": float})
     want_labels = args.metric == "dice"
     pred = _read_volume(args.pred, as_labels=want_labels)
     ref = _read_volume(args.ref, as_labels=want_labels)
@@ -292,9 +290,10 @@ def _cmd_metrics(args) -> int:
             print(f"label {lab} {val:.6f}")
         return EXIT_OK
 
+    peak = 1.0 if args.peak is None else args.peak
     fns = {
         "l1": lambda: metrics.l1(pred, ref),
-        "psnr": lambda: metrics.psnr(pred, ref, peak=args.peak),
+        "psnr": lambda: metrics.psnr(pred, ref, peak=peak),
         "ssim": lambda: metrics.ssim(pred, ref, window=args.window or 7),
         "msssim": lambda: metrics.ms_ssim(pred, ref, scales=args.scales or 3,
                                           window=args.window or 7),
@@ -310,8 +309,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="synthbrain",
                 description="Synthetic brain-image generation and evaluation")
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="KEY=VALUE config file")
 
-    g = sub.add_parser("generate", description="Generate one sample batch")
+    g = sub.add_parser("generate", parents=[common], description="Generate one sample batch")
     g.add_argument("labels", help="segmentation NIfTI (integer labels)")
     g.add_argument("mprage", help="structural anatomy target NIfTI")
     g.add_argument("--n", type=int, default=None, help="batch size (default 4)")
@@ -320,10 +321,9 @@ def _build_parser() -> _Parser:
                    help="comma-separated severity names, e.g. mild,medium,medium,severe")
     g.add_argument("--out", default=None, help="output directory")
     g.add_argument("--threads", type=int, default=None)
-    g.add_argument("--config", default=None, help="KEY=VALUE config file")
     g.set_defaults(func=_cmd_generate)
 
-    e = sub.add_parser("evaluate", description="Feature-robustness report")
+    e = sub.add_parser("evaluate", parents=[common], description="Feature-robustness report")
     e.add_argument("--mode", choices=["intra", "inter"], default=None)
     e.add_argument("--reference", required=True, help="reference stack (3D or 5D NIfTI)")
     e.add_argument("--candidates", required=True, help="candidates manifest JSON")
@@ -333,25 +333,25 @@ def _build_parser() -> _Parser:
     e.add_argument("--window", type=int, default=None)
     e.add_argument("--scales", type=int, default=None)
     e.add_argument("--out", default=None, help="report JSON path (default report.json)")
-    e.add_argument("--config", default=None)
     e.set_defaults(func=_cmd_evaluate)
 
-    f = sub.add_parser("fit-adapter", description="Closed-form one-layer adaptation")
+    f = sub.add_parser("fit-adapter", parents=[common],
+                       description="Closed-form one-layer adaptation")
     f.add_argument("--features", required=True)
     f.add_argument("--target", required=True)
     f.add_argument("--concat-input", default=None)
     f.add_argument("--ridge", type=float, default=None)
     f.add_argument("--softmax", action="store_true")
     f.add_argument("--out", default=None, help="adapter JSON path (default adapter.json)")
-    f.add_argument("--config", default=None)
     f.set_defaults(func=_cmd_fit_adapter)
 
-    m = sub.add_parser("metrics", description="Scalar metric between two volumes")
+    m = sub.add_parser("metrics", parents=[common],
+                       description="Scalar metric between two volumes")
     m.add_argument("--pred", required=True)
     m.add_argument("--ref", required=True)
     m.add_argument("--metric", required=True,
                    choices=["l1", "psnr", "ssim", "msssim", "dice", "norml2"])
-    m.add_argument("--peak", type=float, default=1.0)
+    m.add_argument("--peak", type=float, default=None, help="PSNR peak (default 1)")
     m.add_argument("--window", type=int, default=None)
     m.add_argument("--scales", type=int, default=None)
     m.set_defaults(func=_cmd_metrics)
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _load_config(args.config) if args.config else {})
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

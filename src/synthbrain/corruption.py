@@ -21,8 +21,6 @@ from .volume import (
     Volume,
     check_same_geometry,
     minmax_normalize,
-    sample_trilinear,
-    voxel_index_grid,
 )
 
 __all__ = [
@@ -132,16 +130,48 @@ class BiasField:
     @classmethod
     def from_coarse(cls, coarse_log: np.ndarray, like,
                     mu: float = 0.0, sigma: float = 0.0) -> "BiasField":
-        """Trilinear-upsample a coarse log grid onto ``like``'s grid and exponentiate."""
+        """Trilinear-upsample a coarse log grid onto ``like``'s grid and exponentiate.
+
+        The grid is stretched so coarse corners land exactly on volume corners.
+        """
         coarse = np.asarray(coarse_log, dtype=np.float64)
-        dims = tuple(like.dims)
-        idx = voxel_index_grid(dims)
-        # stretch so coarse corners land exactly on volume corners
-        scale = [(c - 1) / max(n - 1, 1) for c, n in zip(coarse.shape, dims)]
-        pts = idx * np.asarray(scale)
-        log_full = sample_trilinear(coarse, pts)
+        log_full = _per_axis(coarse, [
+            _linear_weights(np.arange(n) * ((c - 1) / max(n - 1, 1)), c)
+            for c, n in zip(coarse.shape, like.dims)
+        ])
         return cls(coarse, Volume(np.exp(log_full), like.spacing, like.grid_to_world),
                    float(mu), float(sigma))
+
+
+# Trilinear interpolation at the points of an axis-aligned grid is separable:
+# one 1-D interpolation matrix per axis, applied as a matrix product.
+
+def _linear_weights(x: np.ndarray, n: int) -> np.ndarray:
+    """(len(x), n) linear-interpolation weights at positions ``x``, edges replicated."""
+    x = np.clip(x, 0.0, n - 1.0)
+    i0 = np.floor(x).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n - 1)
+    rows = np.arange(len(x))
+    w = np.zeros((len(x), n))
+    w[rows, i0] = 1.0 - (x - i0)
+    w[rows, i1] += x - i0
+    return w
+
+
+def _per_axis(data: np.ndarray, matrices) -> np.ndarray:
+    """Apply ``matrices[axis]`` along each axis; ``None`` leaves an axis as is."""
+    for axis, m in enumerate(matrices):
+        if m is not None:
+            data = np.moveaxis(np.tensordot(m, data, axes=(1, axis)), 0, axis)
+    return data
+
+
+def _draw_bias(rng: np.random.Generator, cfg: SeverityConfig):
+    """mu_b, sigma_b, then the coarse log-grid N(mu_b, sigma_b)."""
+    mu_b = float(rng.uniform(*cfg.bias_mu))
+    sigma_b = float(rng.uniform(*cfg.bias_sigma))
+    g = cfg.bias_grid
+    return mu_b, sigma_b, rng.normal(mu_b, sigma_b, (g, g, g))
 
 
 def sample_bias_field(rng: np.random.Generator, cfg: SeverityConfig, like) -> BiasField:
@@ -150,10 +180,7 @@ def sample_bias_field(rng: np.random.Generator, cfg: SeverityConfig, like) -> Bi
     Coarse log-values are N(mu_b, sigma_b) with mu_b, sigma_b themselves
     uniform in the preset's ranges.
     """
-    mu_b = float(rng.uniform(*cfg.bias_mu))
-    sigma_b = float(rng.uniform(*cfg.bias_sigma))
-    g = cfg.bias_grid
-    coarse = rng.normal(mu_b, sigma_b, (g, g, g))
+    mu_b, sigma_b, coarse = _draw_bias(rng, cfg)
     return BiasField.from_coarse(coarse, like, mu_b, sigma_b)
 
 
@@ -163,20 +190,18 @@ def apply_bias(v: Volume, b: BiasField) -> Volume:
     return v.with_data(v.data * b.field.data)
 
 
-def _sample_clamped(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Trilinear with edge replication (resampling must not darken borders)."""
-    n = np.asarray(data.shape, dtype=np.float64) - 1.0
-    return sample_trilinear(data, np.clip(pts, 0.0, n))
-
-
 def _resample_through(data: np.ndarray, ratios) -> np.ndarray:
-    """Downsample by per-axis ratios (>= 1) then trilinear-upsample back."""
-    dims = data.shape
-    coarse_dims = tuple(int(np.floor((n - 1) / r)) + 1 for n, r in zip(dims, ratios))
-    down_pts = voxel_index_grid(coarse_dims) * np.asarray(ratios)
-    down = _sample_clamped(data, down_pts)
-    up_pts = voxel_index_grid(dims) / np.asarray(ratios)
-    return _sample_clamped(down, up_pts)
+    """Downsample by per-axis ratios (>= 1) then trilinear-upsample back.
+
+    Both passes replicate edges (resampling must not darken borders); per
+    axis they fold into one (n, n) down-then-up matrix.
+    """
+    def down_up(n, r):
+        coarse = np.arange(int(np.floor((n - 1) / r)) + 1)
+        return _linear_weights(np.arange(n) / r, len(coarse)) @ _linear_weights(coarse * r, n)
+
+    return _per_axis(data, [None if r == 1.0 else down_up(n, r)
+                            for n, r in zip(data.shape, ratios)])
 
 
 def _apply_resolution(v: Volume, target_spacing) -> Volume:
@@ -296,8 +321,8 @@ def sample_corruption_record(
     """Draw all corruption parameters for one sample without touching voxels."""
     bias = None
     if cfg.bias_mu != (0.0, 0.0) or cfg.bias_sigma != (0.0, 0.0):
-        b = sample_bias_field(rng, cfg, like)
-        bias = {"mu": b.mu, "sigma": b.sigma, "coarse": b.coarse_log.tolist()}
+        mu_b, sigma_b, coarse = _draw_bias(rng, cfg)
+        bias = {"mu": mu_b, "sigma": sigma_b, "coarse": coarse.tolist()}
 
     resolution = None
     if cfg.p_low_field > 0.0 or cfg.p_anisotropic > 0.0:

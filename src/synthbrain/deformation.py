@@ -29,7 +29,7 @@ from .volume import (
     same_geometry,
     sample_nearest,
     sample_trilinear,
-    sample_trilinear_channels,
+    voxel_index_grid,
     voxel_to_world,
     world_coordinate_grid,
     world_to_voxel,
@@ -219,12 +219,6 @@ class DeformationField:
         return voxel_to_world(self.grid_to_world, half)
 
 
-def _sample_displacement(fld: DeformationField, world_pts: np.ndarray) -> np.ndarray:
-    """Trilinear displacement lookup at world points (identity outside the grid)."""
-    p = world_to_voxel(fld.grid_to_world, world_pts)
-    return sample_trilinear_channels(fld.displacement, p)
-
-
 def identity_field(like) -> DeformationField:
     """Zero displacement on the grid of ``like`` (anything with dims/spacing/affine)."""
     return DeformationField(
@@ -297,36 +291,28 @@ def sample_svf(rng: np.random.Generator, cfg: DeformationConfig, like) -> SVF:
     )
 
 
-def _upsample_svf(svf: SVF) -> np.ndarray:
-    """Velocities resampled onto the full-resolution grid, in mm."""
-    xs = world_coordinate_grid(svf.grid_dims, svf.grid_to_world)
-    ctrl = (xs - np.asarray(svf.origin)) / svf.control_spacing
-    return np.stack(
-        [sample_trilinear(svf.velocities[..., c], ctrl) for c in range(3)], axis=-1
-    )
+def _world_to_voxel_linear(grid_to_world: np.ndarray) -> np.ndarray:
+    """Right-multiplier taking (..., 3) world-mm offsets to voxel offsets."""
+    return np.linalg.inv(grid_to_world)[:3, :3].T
 
 
 def integrate_svf(svf: SVF, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationField:
     """exp(v) by scaling and squaring on the SVF's full-resolution grid.
 
     The coarse velocities are trilinearly upsampled first; the halved field
-    is then self-composed ``steps`` times.
+    is then self-composed ``steps`` times. The squaring runs on plain arrays
+    in voxel units over one index grid; only the result is validated, which
+    still catches a NaN/Inf arising at any step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    v = _upsample_svf(svf)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteField("upsampled velocity field contains NaN/Inf")
-    disp = v / (2.0 ** steps)
-    fld = DeformationField(disp, svf.grid_spacing, svf.grid_to_world)
-    xs = world_coordinate_grid(svf.grid_dims, svf.grid_to_world)
+    idx = voxel_index_grid(svf.grid_dims)
+    ctrl = (voxel_to_world(svf.grid_to_world, idx) - np.asarray(svf.origin)) / svf.control_spacing
+    disp = sample_trilinear(svf.velocities, ctrl) / (2.0 ** steps)
+    to_voxel = _world_to_voxel_linear(svf.grid_to_world)
     for _ in range(steps):
-        fld = DeformationField(
-            fld.displacement + _sample_displacement(fld, xs + fld.displacement),
-            svf.grid_spacing,
-            svf.grid_to_world,
-        )
-    return fld
+        disp += sample_trilinear(disp, idx + disp @ to_voxel)
+    return DeformationField(disp, svf.grid_spacing, svf.grid_to_world)
 
 
 # -- algebra -------------------------------------------------------------------
@@ -346,10 +332,10 @@ def compose(
         inner = affine_to_field(inner.matrix(outer.grid_center_world()), outer)
     elif isinstance(inner, np.ndarray):
         inner = affine_to_field(inner, outer)
-    mapped = inner.mapped_points()
-    total = mapped + _sample_displacement(outer, mapped)
-    xs = world_coordinate_grid(inner.dims, inner.grid_to_world)
-    return DeformationField(total - xs, inner.spacing, inner.grid_to_world)
+    # trilinear lookup of outer's displacement; identity beyond its grid
+    p = world_to_voxel(outer.grid_to_world, inner.mapped_points())
+    sampled = sample_trilinear(outer.displacement, p)
+    return DeformationField(inner.displacement + sampled, inner.spacing, inner.grid_to_world)
 
 
 def build_deformation(
@@ -384,14 +370,15 @@ def invert(fld: DeformationField, iterations: int = 20, step: float = 1.0) -> De
         p = fld.provenance
         return build_deformation(p.affine, p.svf, p.steps, inverted=not p.inverted)
 
-    xs = world_coordinate_grid(fld.dims, fld.grid_to_world)
+    idx = voxel_index_grid(fld.dims)
+    to_voxel = _world_to_voxel_linear(fld.grid_to_world)
     inv = -fld.displacement
     delta = np.zeros_like(inv)
     for _ in range(iterations):
-        target = -_sample_displacement(fld, xs + inv)
+        target = -sample_trilinear(fld.displacement, idx + inv @ to_voxel)
         delta = target - inv
         inv = inv + step * delta
-    vox_pts = world_to_voxel(fld.grid_to_world, xs + inv)
+    vox_pts = idx + inv @ to_voxel
     on_grid = np.all(
         (vox_pts >= 0.0) & (vox_pts <= np.asarray(fld.dims, dtype=np.float64) - 1.0),
         axis=-1,

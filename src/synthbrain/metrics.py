@@ -307,18 +307,26 @@ def robustness_protocol(
     stack is first mapped into the reference frame — through the inverse of
     its own deformation (``mode="intra"``) or by the given atlas mapping
     (``mode="inter"``) — then every channel contributes one L1/SSIM/MS-SSIM
-    value against the matching reference channel.
+    value against the matching reference channel. Candidates sharing one
+    field object share one inverse.
     """
     if mode not in ("intra", "inter"):
         raise ValueError(f"mode must be 'intra' or 'inter', got {mode!r}")
     vals: dict[str, list[float]] = {"l1": [], "ssim": [], "ms_ssim": []}
+    # id(field) -> (field, inverse); holding the field keeps its id from reuse
+    inverses: dict[int, tuple[DeformationField, DeformationField]] = {}
     for stack, fld in candidates:
         if stack.channel_count != reference.channel_count:
             raise ChannelMismatch(
                 f"candidate has {stack.channel_count} channels, "
                 f"reference has {reference.channel_count}"
             )
-        warped = canonical_features(stack, fld) if mode == "intra" else atlas_features(stack, fld)
+        if mode == "intra":
+            if id(fld) not in inverses:
+                inverses[id(fld)] = (fld, invert(fld))
+            warped = warp_stack(stack, inverses[id(fld)][1])
+        else:
+            warped = atlas_features(stack, fld)
         for c in range(reference.channel_count):
             ref_c, cand_c = reference.channels[c], warped.channels[c]
             vals["l1"].append(l1(ref_c, cand_c, mask))

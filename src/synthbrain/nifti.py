@@ -14,6 +14,7 @@ transparently at the byte-stream boundary.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -68,6 +69,12 @@ class NiftiHeader:
     magic: bytes
     intent_code: int
     byte_order: str  # "<" or ">"
+
+    @property
+    def slope(self) -> float:
+        """Effective ``scl_slope``: 0 and non-finite values mean unset (1), as in nibabel."""
+        s = self.scl_slope
+        return s if math.isfinite(s) and s != 0.0 else 1.0
 
     @property
     def spacing(self) -> tuple[float, float, float]:
@@ -161,10 +168,9 @@ def _read_raw(stream: bytes, hdr: NiftiHeader, nvals: int) -> np.ndarray:
             f"stream holds {len(stream)}"
         )
     raw = np.frombuffer(stream, dtype=dtype, count=nvals, offset=hdr.vox_offset)
-    slope = hdr.scl_slope if hdr.scl_slope != 0.0 else 1.0  # slope 0 means unset
     values = raw.astype(np.float64)
-    if slope != 1.0 or hdr.scl_inter != 0.0:
-        values = values * slope + hdr.scl_inter
+    if hdr.slope != 1.0 or hdr.scl_inter != 0.0:
+        values = values * hdr.slope + hdr.scl_inter
     return values
 
 
@@ -183,7 +189,7 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
     values = _read_raw(stream, hdr, nx * ny * nz)
     data = values.reshape((nx, ny, nz), order="F")
 
-    unscaled = hdr.scl_slope in (0.0, 1.0) and hdr.scl_inter == 0.0
+    unscaled = hdr.slope == 1.0 and hdr.scl_inter == 0.0
     integral = hdr.datatype in (2, 4)
     if as_labels is None:
         as_labels = integral and unscaled and (data.size == 0 or data.min() >= 0)

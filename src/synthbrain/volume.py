@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 
 from .errors import DegenerateGrid, GeometryMismatch
 
@@ -27,7 +28,6 @@ __all__ = [
     "trilinear_sample",
     "nearest_sample",
     "sample_trilinear",
-    "sample_trilinear_channels",
     "sample_nearest",
     "spatial_gradient",
     "minmax_normalize",
@@ -226,105 +226,34 @@ def world_coordinate_grid(dims, affine: np.ndarray) -> np.ndarray:
 # -- sampling -----------------------------------------------------------------
 
 def sample_trilinear(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized trilinear interpolation at (..., 3) voxel coordinates.
+    """Trilinear interpolation at (..., 3) voxel coordinates.
 
+    ``data`` is scalar ``(nx, ny, nz)`` or channel-last ``(nx, ny, nz, c)``;
+    the result has shape ``pts.shape[:-1]``, plus ``(c,)`` for channel data.
     Points outside ``[0, n-1]`` on any axis evaluate to 0 (zero padding).
     """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    nx, ny, nz = data.shape
+    data = np.asarray(data, dtype=np.float64)
     p = np.asarray(pts, dtype=np.float64)
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-
-    inside = (
-        (x >= 0.0) & (x <= nx - 1.0)
-        & (y >= 0.0) & (y <= ny - 1.0)
-        & (z >= 0.0) & (z <= nz - 1.0)
-    )
-    # clamp so corner indexing is safe for the (masked-out) outside points
-    xc = np.clip(x, 0.0, nx - 1.0)
-    yc = np.clip(y, 0.0, ny - 1.0)
-    zc = np.clip(z, 0.0, nz - 1.0)
-
-    ix0 = np.floor(xc).astype(np.int64)
-    iy0 = np.floor(yc).astype(np.int64)
-    iz0 = np.floor(zc).astype(np.int64)
-    ix1 = np.minimum(ix0 + 1, nx - 1)
-    iy1 = np.minimum(iy0 + 1, ny - 1)
-    iz1 = np.minimum(iz0 + 1, nz - 1)
-
-    fx = xc - ix0
-    fy = yc - iy0
-    fz = zc - iz0
-    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-
-    flat = data.ravel()
-    syx, sy = ny * nz, nz
-
-    def corner(ix, iy, iz):
-        return flat[ix * syx + iy * sy + iz]
-
-    out = (
-        corner(ix0, iy0, iz0) * gx * gy * gz
-        + corner(ix1, iy0, iz0) * fx * gy * gz
-        + corner(ix0, iy1, iz0) * gx * fy * gz
-        + corner(ix0, iy0, iz1) * gx * gy * fz
-        + corner(ix1, iy1, iz0) * fx * fy * gz
-        + corner(ix1, iy0, iz1) * fx * gy * fz
-        + corner(ix0, iy1, iz1) * gx * fy * fz
-        + corner(ix1, iy1, iz1) * fx * fy * fz
-    )
-    return np.where(inside, out, 0.0)
-
-
-def sample_trilinear_channels(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of a channel-stacked ``(nx, ny, nz, c)`` array.
-
-    One index/weight computation shared by all channels; per channel this
-    matches :func:`sample_trilinear` (zero outside ``[0, n-1]`` per axis).
-    """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    nx, ny, nz, nc = data.shape
-    p = np.asarray(pts, dtype=np.float64)
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-
-    inside = (
-        (x >= 0.0) & (x <= nx - 1.0)
-        & (y >= 0.0) & (y <= ny - 1.0)
-        & (z >= 0.0) & (z <= nz - 1.0)
-    )
-    xc = np.clip(x, 0.0, nx - 1.0)
-    yc = np.clip(y, 0.0, ny - 1.0)
-    zc = np.clip(z, 0.0, nz - 1.0)
-
-    ix0 = np.floor(xc).astype(np.int64)
-    iy0 = np.floor(yc).astype(np.int64)
-    iz0 = np.floor(zc).astype(np.int64)
-    ix1 = np.minimum(ix0 + 1, nx - 1)
-    iy1 = np.minimum(iy0 + 1, ny - 1)
-    iz1 = np.minimum(iz0 + 1, nz - 1)
-
-    fx = xc - ix0
-    fy = yc - iy0
-    fz = zc - iz0
-    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-
-    flat = data.reshape(-1, nc)
-    syx, sy = ny * nz, nz
-
-    def corner(ix, iy, iz, w):
-        return flat[ix * syx + iy * sy + iz] * w[..., None]
-
-    out = (
-        corner(ix0, iy0, iz0, gx * gy * gz)
-        + corner(ix1, iy0, iz0, fx * gy * gz)
-        + corner(ix0, iy1, iz0, gx * fy * gz)
-        + corner(ix0, iy0, iz1, gx * gy * fz)
-        + corner(ix1, iy1, iz0, fx * fy * gz)
-        + corner(ix1, iy0, iz1, fx * gy * fz)
-        + corner(ix0, iy1, iz1, gx * fy * fz)
-        + corner(ix1, iy1, iz1, fx * fy * fz)
-    )
-    return np.where(inside[..., None], out, 0.0)
+    # map_coordinates wants (3, npts) and rejects a lone 0-d point
+    coords = np.array(p.reshape(-1, 3).T, order="C")
+    inside = np.ones(coords.shape[1], dtype=bool)
+    for axis in range(3):
+        inside &= (coords[axis] >= 0.0) & (coords[axis] <= data.shape[axis] - 1.0)
+    # an explicit mask, not mode="constant", which fades to zero over the
+    # last half voxel; outside (and NaN) points are parked on voxel 0
+    outside = None if inside.all() else ~inside
+    if outside is not None:
+        coords[:, outside] = 0.0
+    channels = data[None] if data.ndim == 3 else np.moveaxis(data, -1, 0)
+    out = np.empty((channels.shape[0], coords.shape[1]))
+    for c, channel in enumerate(channels):
+        map_coordinates(channel, coords, output=out[c], order=1, mode="nearest",
+                        prefilter=False)
+    if outside is not None:
+        out[:, outside] = 0.0
+    if data.ndim == 3:
+        return out[0].reshape(p.shape[:-1])
+    return out.T.reshape(p.shape[:-1] + data.shape[3:])
 
 
 def sample_nearest(data: np.ndarray, pts: np.ndarray) -> np.ndarray:

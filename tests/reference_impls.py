@@ -12,6 +12,51 @@ import numpy as np
 _FULL_MS_WEIGHTS = [0.0448, 0.2856, 0.3001, 0.2363, 0.1333]
 
 
+def gather_trilinear(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation as an explicit weighted sum of 8 gathered corners.
+
+    ``data`` is (nx, ny, nz) or channel-last (nx, ny, nz, c); points outside
+    ``[0, n-1]`` on any axis give 0.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim == 4:
+        return np.stack(
+            [gather_trilinear(data[..., c], pts) for c in range(data.shape[3])], axis=-1
+        )
+    data = np.ascontiguousarray(data)
+    nx, ny, nz = data.shape
+    p = np.asarray(pts, dtype=np.float64)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    inside = (
+        (x >= 0.0) & (x <= nx - 1.0)
+        & (y >= 0.0) & (y <= ny - 1.0)
+        & (z >= 0.0) & (z <= nz - 1.0)
+    )
+    xc, yc, zc = np.clip(x, 0.0, nx - 1.0), np.clip(y, 0.0, ny - 1.0), np.clip(z, 0.0, nz - 1.0)
+    ix0, iy0, iz0 = (np.floor(c).astype(np.int64) for c in (xc, yc, zc))
+    ix1 = np.minimum(ix0 + 1, nx - 1)
+    iy1 = np.minimum(iy0 + 1, ny - 1)
+    iz1 = np.minimum(iz0 + 1, nz - 1)
+    fx, fy, fz = xc - ix0, yc - iy0, zc - iz0
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    flat = data.ravel()
+
+    def corner(ix, iy, iz):
+        return flat[ix * ny * nz + iy * nz + iz]
+
+    out = (
+        corner(ix0, iy0, iz0) * gx * gy * gz
+        + corner(ix1, iy0, iz0) * fx * gy * gz
+        + corner(ix0, iy1, iz0) * gx * fy * gz
+        + corner(ix0, iy0, iz1) * gx * gy * fz
+        + corner(ix1, iy1, iz0) * fx * fy * gz
+        + corner(ix1, iy0, iz1) * fx * gy * fz
+        + corner(ix0, iy1, iz1) * gx * fy * fz
+        + corner(ix1, iy1, iz1) * fx * fy * fz
+    )
+    return np.where(inside, out, 0.0)
+
+
 def brute_ssim_cs(a: np.ndarray, b: np.ndarray, window=7, k1=0.01, k2=0.03, rng=1.0):
     """Per-window SSIM by explicit window slicing; returns (ssim_vals, cs_vals)."""
     c1, c2 = (k1 * rng) ** 2, (k2 * rng) ** 2

@@ -215,6 +215,25 @@ def test_metrics_l1_value(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.500000"
 
 
+def test_metrics_config_file_fills_defaults(tmp_path, capsys):
+    a = sb.Volume(np.zeros((8, 8, 8)))
+    b = sb.Volume(np.full((8, 8, 8), 0.5))
+    pa, pb = tmp_path / "a.nii", tmp_path / "b.nii"
+    sb.write_nifti_file(pa, a, "float32")
+    sb.write_nifti_file(pb, b, "float32")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("peak = 2.0\n")
+    base = ["metrics", "--pred", str(pa), "--ref", str(pb), "--metric", "psnr"]
+    assert main(base + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.strip() == f"{10 * np.log10(4.0 / 0.25):.6f}"
+    assert main(base + ["--config", str(cfg), "--peak", "1"]) == 0  # flag beats config
+    assert capsys.readouterr().out.strip() == f"{10 * np.log10(1.0 / 0.25):.6f}"
+    cfg.write_text("window = 9\n")  # 8^3 volume cannot host a 9-voxel window
+    ssim_args = ["metrics", "--pred", str(pa), "--ref", str(pb), "--metric", "ssim"]
+    assert main(ssim_args + ["--config", str(cfg)]) == 2
+    assert main(ssim_args + ["--config", str(tmp_path / "missing.cfg")]) == 2
+
+
 # -- evaluate ---------------------------------------------------------------------
 
 def test_evaluate_consumes_generate_manifest(tmp_path, subject_files, capsys):

@@ -1,12 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 import synthbrain as sb
-from synthbrain.corruption import SeverityConfig
+from synthbrain.corruption import SeverityConfig, sample_corruption_record
 
 from conftest import smooth_volume, sphere_labels
+from reference_impls import gather_trilinear
 
 
 def _painted(n=32, seed=0):
@@ -71,6 +74,47 @@ def test_bias_log_spread_matches_request():
     assert abs(logs.std() - 0.3) < 0.01
 
 
+@pytest.mark.parametrize("coarse_shape, dims", [
+    ((4, 4, 4), (7, 5, 9)),
+    ((2, 3, 4), (1, 6, 4)),
+    # (n-1) * ((c-1)/(n-1)) rounds just past c-1 for c=8, n=26 and c=4, n=188;
+    # the end face must still take the end coarse value
+    ((8, 3, 4), (26, 5, 188)),
+])
+def test_bias_field_matches_trilinear_oracle(coarse_shape, dims):
+    coarse = np.random.default_rng(7).normal(0.0, 0.4, coarse_shape)
+    b = sb.BiasField.from_coarse(coarse, sb.Volume(np.zeros(dims)))
+    idx = np.stack(np.meshgrid(*[np.arange(n, dtype=float) for n in dims], indexing="ij"), -1)
+    scale = [(c - 1) / max(n - 1, 1) for c, n in zip(coarse_shape, dims)]
+    pts = np.minimum(idx * scale, np.asarray(coarse_shape, dtype=float) - 1.0)
+    assert np.max(np.abs(b.field.data - np.exp(gather_trilinear(coarse, pts)))) <= 1e-12
+    corner = tuple(-1 if n > 1 else 0 for n in dims)
+    assert np.allclose(np.log(b.field.data[-1, -1, -1]), coarse[corner], atol=1e-12)
+
+
+# sha256 of four successive records' JSON, as drawn by the earlier path that
+# built (and discarded) the full-resolution bias field at record time
+_RECORD_DIGESTS = {
+    ("mild", 0): "16c9028b80f59a5c149a69fc1852a6b3cad2c47de31ce9e85792f01cb9e004e3",
+    ("mild", 1): "485498e43e34be845d0d2a326e0b22fa210aba2b4d345b6f9eadda9d184161aa",
+    ("medium", 0): "5f71d2a5a0189cab4bdb9f41288d5b7141800d9677b6bbd15299a35eae328ed1",
+    ("medium", 1): "49cc7aac5ffd6b40abdf208f09690545bc60ed9809e527896632b84fba44b965",
+    ("severe", 0): "cf1d58109b5f35bf7f5534bbe23cade3cb70493f91781bc2508e5c6fc8020e25",
+    ("severe", 1): "e4d31b661277cfd57267ee34b12de46f1ec52947fc67383a7fdec94528712abe",
+}
+
+
+@pytest.mark.parametrize("level, seed", sorted(_RECORD_DIGESTS))
+def test_corruption_records_are_byte_stable(level, seed):
+    like = sb.Volume(np.zeros((20, 18, 16)), spacing=(1.0, 1.2, 0.9))
+    rng = np.random.default_rng(seed)
+    text = "".join(
+        sample_corruption_record(rng, SeverityConfig.by_name(level), like).to_json()
+        for _ in range(4)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == _RECORD_DIGESTS[level, seed]
+
+
 def test_apply_bias_multiplies():
     v = smooth_volume(16, 1)
     rng = np.random.default_rng(3)
@@ -89,6 +133,36 @@ def test_bias_geometry_checked():
 
 
 # -- resolution degradation ----------------------------------------------------------
+
+def _oracle_resolution(data, spacing, target):
+    """Blur, then clamped 3D gathers down to the target grid and back up."""
+    ratios = np.array([t / c if t > c else 1.0 for t, c in zip(target, spacing)])
+    blurred = gaussian_filter(data, [r / 2.354820045030949 if r > 1 else 0.0 for r in ratios],
+                              mode="nearest")
+
+    def grid(dims, scale):
+        idx = np.stack(np.meshgrid(*[np.arange(n, dtype=float) for n in dims], indexing="ij"), -1)
+        return idx * scale
+
+    def clamped(vol, pts):
+        return gather_trilinear(vol, np.clip(pts, 0.0, np.asarray(vol.shape, dtype=float) - 1.0))
+
+    coarse = tuple(int(np.floor((n - 1) / r)) + 1 for n, r in zip(data.shape, ratios))
+    down = clamped(blurred, grid(coarse, ratios))
+    return clamped(down, grid(data.shape, 1.0 / ratios))
+
+
+@pytest.mark.parametrize("target, kind", [
+    ((3.3, 3.3, 3.3), "low-field"),
+    ((1.0, 5.5, 0.9), "anisotropic"),
+    ((2.0, 1.2, 0.9), "anisotropic"),
+])
+def test_resolution_matches_3d_gather_oracle(target, kind):
+    v = sb.Volume(smooth_volume(17, 4).data[:, :15, :13], spacing=(1.0, 1.2, 0.9))
+    rec = sb.CorruptionRecord("custom", resolution={"target_spacing": list(target), "kind": kind})
+    got = sb.apply_corruption(v, rec).data
+    assert np.max(np.abs(got - _oracle_resolution(v.data, v.spacing, target))) <= 1e-12
+
 
 def _res_cfg(p_low=0.0, p_aniso=0.0, low=(1.5, 4.0), thick=(2.5, 7.0)):
     return SeverityConfig(

@@ -70,6 +70,17 @@ def test_scl_slope_and_inter_are_applied():
     assert (back.data == 3.0).all()
 
 
+@pytest.mark.parametrize("slope", [float("nan"), float("inf")])
+def test_non_finite_slope_means_unset(slope):
+    data = np.arange(8, dtype=np.int32).reshape(2, 2, 2)
+    blob = _patch(write_nifti(LabelMap(data), "int16"), 112, "<f", slope)
+    back = read_nifti(blob)
+    assert isinstance(back, LabelMap)  # unscaled integers still auto-detect as labels
+    assert np.array_equal(back.data, data)
+    forced = read_nifti(blob, as_labels=False)
+    assert np.array_equal(forced.data, data.astype(np.float64))
+
+
 def test_stack_round_trip(rng):
     stack = VolumeStack(tuple(Volume(rng.random((4, 4, 4))) for _ in range(3)))
     back = read_volume_stack(write_volume_stack(stack, "float32"))

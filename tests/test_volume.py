@@ -17,6 +17,8 @@ from synthbrain import (
 )
 from synthbrain.volume import sample_trilinear, voxel_to_world, world_to_voxel
 
+from reference_impls import gather_trilinear
+
 
 def test_volume_freezes_data(rng):
     v = Volume(rng.random((4, 4, 4)))
@@ -110,6 +112,46 @@ def test_trilinear_stays_within_data_range(x, y, z):
     data = np.random.default_rng(0).random((4, 4, 4))
     out = sample_trilinear(data, np.array([x, y, z]))
     assert data.min() - 1e-12 <= out <= data.max() + 1e-12
+
+
+_dims = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dims, st.integers(0, 3), st.integers(0, 2), st.integers(0, 10_000))
+def test_trilinear_matches_corner_gather(dims, channels, batch_ndim, seed):
+    # scalar (channels == 0) or channel-last data; 0-d, 1-d or 2-d batches of
+    # points mixing random interior points, exact 0 / n-1 faces and points
+    # a hair outside them
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(dims + ((channels,) if channels else ()))
+    hi = np.asarray(dims, dtype=float) - 1.0
+    shape = (4, 5)[:batch_ndim] + (3,)
+    pts = rng.uniform(-1.0, hi + 1.0, shape)
+    snap = rng.integers(0, 5, shape)
+    pts = np.where(snap == 1, 0.0, pts)
+    pts = np.where(snap == 2, hi, pts)
+    pts = np.where(snap == 3, np.where(rng.random(shape) < 0.5, -1e-12, hi + 1e-12), pts)
+    got = sample_trilinear(data, pts)
+    want = gather_trilinear(data, pts)
+    assert got.shape == want.shape == shape[:-1] + data.shape[3:]
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+
+def test_trilinear_accepts_non_contiguous_inputs(rng):
+    base = rng.standard_normal((9, 8, 7, 4))
+    data = base[::2, :, ::-1, 1:3]  # strided, reversed channel-last view
+    pts = rng.uniform(-0.5, 4.5, (6, 2, 3)).transpose(1, 0, 2)[..., ::-1]
+    assert not data.flags.c_contiguous and not pts.flags.c_contiguous
+    assert np.max(np.abs(sample_trilinear(data, pts) - gather_trilinear(data, pts))) <= 1e-12
+    scalar = data[..., 0]
+    assert np.max(np.abs(sample_trilinear(scalar, pts) - gather_trilinear(scalar, pts))) <= 1e-12
+
+
+def test_trilinear_nan_point_is_zero():
+    data = np.ones((3, 3, 3))
+    out = sample_trilinear(data, np.array([[np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+    assert out.tolist() == [0.0, 1.0]
 
 
 def test_nearest_ties_toward_lower_index():
