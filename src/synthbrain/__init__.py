@@ -24,12 +24,10 @@ from .corruption import (
     BiasField,
     CorruptionRecord,
     SeverityConfig,
-    add_noise,
     apply_bias,
     apply_corruption,
     corrupt,
-    sample_bias_field,
-    simulate_resolution,
+    sample_corruption_record,
 )
 from .deformation import (
     SVF,
@@ -110,10 +108,8 @@ from .volume import (
     Volume,
     VolumeStack,
     minmax_normalize,
-    nearest_sample,
     same_geometry,
     spatial_gradient,
-    trilinear_sample,
 )
 
 __version__ = "0.1.0"

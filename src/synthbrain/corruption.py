@@ -27,12 +27,10 @@ __all__ = [
     "SeverityConfig",
     "BiasField",
     "CorruptionRecord",
-    "sample_bias_field",
     "apply_bias",
-    "simulate_resolution",
-    "add_noise",
-    "corrupt",
+    "sample_corruption_record",
     "apply_corruption",
+    "corrupt",
     "SEVERITY_LEVELS",
 ]
 
@@ -166,24 +164,6 @@ def _per_axis(data: np.ndarray, matrices) -> np.ndarray:
     return data
 
 
-def _draw_bias(rng: np.random.Generator, cfg: SeverityConfig):
-    """mu_b, sigma_b, then the coarse log-grid N(mu_b, sigma_b)."""
-    mu_b = float(rng.uniform(*cfg.bias_mu))
-    sigma_b = float(rng.uniform(*cfg.bias_sigma))
-    g = cfg.bias_grid
-    return mu_b, sigma_b, rng.normal(mu_b, sigma_b, (g, g, g))
-
-
-def sample_bias_field(rng: np.random.Generator, cfg: SeverityConfig, like) -> BiasField:
-    """Draw a random bias field for ``like``'s grid at the given severity.
-
-    Coarse log-values are N(mu_b, sigma_b) with mu_b, sigma_b themselves
-    uniform in the preset's ranges.
-    """
-    mu_b, sigma_b, coarse = _draw_bias(rng, cfg)
-    return BiasField.from_coarse(coarse, like, mu_b, sigma_b)
-
-
 def apply_bias(v: Volume, b: BiasField) -> Volume:
     """Voxelwise product with the multiplicative field."""
     check_same_geometry(v, b.field)
@@ -205,6 +185,12 @@ def _resample_through(data: np.ndarray, ratios) -> np.ndarray:
 
 
 def _apply_resolution(v: Volume, target_spacing) -> Volume:
+    """Acquisition at ``target_spacing``, back on the input grid.
+
+    Each degraded axis is blurred (slice-profile FWHM = target spacing),
+    subsampled at the target spacing and trilinearly upsampled back, so the
+    output dims always equal the input dims.
+    """
     ratios = [t / c if t > c else 1.0 for t, c in zip(target_spacing, v.spacing)]
     if all(r == 1.0 for r in ratios):
         return v
@@ -213,50 +199,11 @@ def _apply_resolution(v: Volume, target_spacing) -> Volume:
     return v.with_data(_resample_through(blurred, ratios))
 
 
-def simulate_resolution(
-    v: Volume, rng: np.random.Generator, cfg: SeverityConfig
-) -> tuple[Volume, tuple[float, float, float]]:
-    """Simulate acquisition at a random lower resolution, back on the input grid.
-
-    With probability ``p_low_field`` an isotropic target spacing is drawn;
-    with probability ``p_anisotropic`` a single random axis gets thick
-    slices; otherwise the volume passes through untouched. The degraded
-    axis is blurred (slice-profile FWHM = target spacing), subsampled at
-    the target spacing, and trilinearly upsampled back, so output dims
-    always equal input dims. Returns the simulated spacing as metadata.
-    """
-    target, _ = _draw_resolution_target(rng, cfg, v.spacing)
-    return _apply_resolution(v, target), target
-
-
-def _draw_resolution_target(rng, cfg: SeverityConfig, current):
-    u = float(rng.uniform())
-    if u < cfg.p_low_field:
-        iso = float(rng.uniform(*cfg.low_field_spacing))
-        return (iso, iso, iso), "low-field"
-    if u < cfg.p_low_field + cfg.p_anisotropic:
-        axis = int(rng.integers(3))
-        thick = float(rng.uniform(*cfg.anisotropic_spacing))
-        target = list(current)
-        target[axis] = thick
-        return tuple(target), "anisotropic"
-    return tuple(float(c) for c in current), "native"
-
-
 # -- noise ---------------------------------------------------------------------
 
 def _apply_noise(v: Volume, sigma: float, seed: int) -> Volume:
     noise = np.random.default_rng(seed).normal(0.0, sigma, v.dims)
     return v.with_data(np.clip(v.data + noise, 0.0, 1.0))
-
-
-def add_noise(v: Volume, rng: np.random.Generator, cfg: SeverityConfig) -> Volume:
-    """Additive white Gaussian noise, std uniform in the preset range, clamp to [0,1]."""
-    sigma = float(rng.uniform(*cfg.noise_sigma)) / 255.0
-    if sigma == 0.0:
-        return v
-    seed = int(rng.integers(np.iinfo(np.int64).max))
-    return _apply_noise(v, sigma, seed)
 
 
 # -- full pipeline with replayable records --------------------------------------
@@ -318,17 +265,35 @@ class CorruptionRecord:
 def sample_corruption_record(
     rng: np.random.Generator, cfg: SeverityConfig, like
 ) -> CorruptionRecord:
-    """Draw all corruption parameters for one sample without touching voxels."""
+    """Draw all corruption parameters for one sample without touching voxels.
+
+    This is the only place corruption is drawn; a stage whose ranges are all
+    zero draws nothing. Bias: mu_b and sigma_b uniform in the preset ranges,
+    then a coarse log-grid of N(mu_b, sigma_b) values. Resolution: with
+    probability ``p_low_field`` an isotropic target spacing, with probability
+    ``p_anisotropic`` thick slices along one random axis, otherwise native
+    (no entry). Noise: a std uniform in the preset range (0-255 scale) and a
+    seed for the white-noise stream.
+    """
     bias = None
     if cfg.bias_mu != (0.0, 0.0) or cfg.bias_sigma != (0.0, 0.0):
-        mu_b, sigma_b, coarse = _draw_bias(rng, cfg)
+        mu_b = float(rng.uniform(*cfg.bias_mu))
+        sigma_b = float(rng.uniform(*cfg.bias_sigma))
+        g = cfg.bias_grid
+        coarse = rng.normal(mu_b, sigma_b, (g, g, g))
         bias = {"mu": mu_b, "sigma": sigma_b, "coarse": coarse.tolist()}
 
     resolution = None
     if cfg.p_low_field > 0.0 or cfg.p_anisotropic > 0.0:
-        target, kind = _draw_resolution_target(rng, cfg, like.spacing)
-        if kind != "native":
-            resolution = {"target_spacing": list(target), "kind": kind}
+        u = float(rng.uniform())
+        if u < cfg.p_low_field:
+            iso = float(rng.uniform(*cfg.low_field_spacing))
+            resolution = {"target_spacing": [iso, iso, iso], "kind": "low-field"}
+        elif u < cfg.p_low_field + cfg.p_anisotropic:
+            axis = int(rng.integers(3))
+            target = [float(c) for c in like.spacing]
+            target[axis] = float(rng.uniform(*cfg.anisotropic_spacing))
+            resolution = {"target_spacing": target, "kind": "anisotropic"}
 
     noise = None
     if cfg.noise_sigma != (0.0, 0.0):

@@ -46,11 +46,11 @@ class NotInvertible(SynthBrainError):
 
 
 class MissingLabelParams(SynthBrainError):
-    """Contrast parameters missing for a label present in the map."""
+    """Contrast parameters missing for labels present in the map."""
 
-    def __init__(self, label: int):
-        super().__init__(f"no contrast parameters for label {label}")
-        self.label = label
+    def __init__(self, labels):
+        self.labels = tuple(int(lab) for lab in labels)
+        super().__init__(f"no contrast parameters for labels {list(self.labels)}")
 
 
 class EmptyLabelSet(SynthBrainError):

@@ -71,10 +71,19 @@ class NiftiHeader:
     byte_order: str  # "<" or ">"
 
     @property
-    def slope(self) -> float:
-        """Effective ``scl_slope``: 0 and non-finite values mean unset (1), as in nibabel."""
-        s = self.scl_slope
-        return s if math.isfinite(s) and s != 0.0 else 1.0
+    def scaling(self) -> tuple[float, float] | None:
+        """``(slope, inter)`` to apply to the stored values, or None if unscaled.
+
+        nibabel's rule: a zero or non-finite ``scl_slope`` means unset, and
+        the intercept is ignored with it; a valid slope with a non-finite
+        ``scl_inter`` is an error.
+        """
+        slope, inter = self.scl_slope, self.scl_inter
+        if not math.isfinite(slope) or slope == 0.0:
+            return None
+        if not math.isfinite(inter):
+            raise ValueError(f"scl_inter is {inter} with scl_slope {slope}")
+        return None if (slope, inter) == (1.0, 0.0) else (slope, inter)
 
     @property
     def spacing(self) -> tuple[float, float, float]:
@@ -169,8 +178,9 @@ def _read_raw(stream: bytes, hdr: NiftiHeader, nvals: int) -> np.ndarray:
         )
     raw = np.frombuffer(stream, dtype=dtype, count=nvals, offset=hdr.vox_offset)
     values = raw.astype(np.float64)
-    if hdr.slope != 1.0 or hdr.scl_inter != 0.0:
-        values = values * hdr.slope + hdr.scl_inter
+    scaling = hdr.scaling
+    if scaling is not None:
+        values = values * scaling[0] + scaling[1]
     return values
 
 
@@ -189,10 +199,9 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
     values = _read_raw(stream, hdr, nx * ny * nz)
     data = values.reshape((nx, ny, nz), order="F")
 
-    unscaled = hdr.slope == 1.0 and hdr.scl_inter == 0.0
-    integral = hdr.datatype in (2, 4)
     if as_labels is None:
-        as_labels = integral and unscaled and (data.size == 0 or data.min() >= 0)
+        integral = hdr.datatype in (2, 4)
+        as_labels = integral and hdr.scaling is None and (data.size == 0 or data.min() >= 0)
     if as_labels:
         return LabelMap(data, hdr.spacing, hdr.affine)
     return Volume(data, hdr.spacing, hdr.affine)

@@ -115,7 +115,7 @@ def paint(
     present = lm.label_set
     missing = [lab for lab in present if lab not in params.table]
     if missing:
-        raise MissingLabelParams(f"no contrast parameters for labels {missing}")
+        raise MissingLabelParams(missing)
 
     lut_size = max(params.table) + 1
     mu_lut = np.zeros(lut_size)

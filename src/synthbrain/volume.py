@@ -25,8 +25,6 @@ __all__ = [
     "Volume",
     "LabelMap",
     "VolumeStack",
-    "trilinear_sample",
-    "nearest_sample",
     "sample_trilinear",
     "sample_nearest",
     "spatial_gradient",
@@ -40,29 +38,34 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.setflags(write=False)
-    return out
+def _init_grid(obj, name: str, data: np.ndarray, vector: bool = False) -> None:
+    """Shared constructor tail of the grid types: validate the grid, then freeze.
 
-
-def _default_affine(spacing) -> np.ndarray:
-    m = np.eye(4)
-    m[0, 0], m[1, 1], m[2, 2] = spacing
-    return m
-
-
-def _validate_grid(data: np.ndarray, spacing, affine: np.ndarray) -> None:
-    if data.ndim != 3:
-        raise ValueError(f"expected 3D data, got shape {data.shape}")
+    ``data`` is the caller's one converted copy, stored read-only as attribute
+    ``name`` without another copy; it is ``(nx, ny, nz)``, or ``(nx, ny, nz, 3)``
+    when ``vector``. ``grid_to_world`` defaults to ``diag(spacing)``.
+    """
+    if data.ndim != 3 + vector or (vector and data.shape[3] != 3):
+        want = "(nx, ny, nz, 3)" if vector else "(nx, ny, nz)"
+        raise ValueError(f"{name} must have shape {want}, got {data.shape}")
     if min(data.shape) < 1:
         raise ValueError(f"voxel counts must be positive, got {data.shape}")
+    spacing = tuple(float(s) for s in obj.spacing)
     if len(spacing) != 3 or any(s <= 0 for s in spacing):
         raise ValueError(f"spacing components must be > 0, got {spacing}")
+    if obj.grid_to_world is None:
+        affine = np.diag(spacing + (1.0,))
+    else:
+        affine = np.array(obj.grid_to_world, dtype=np.float64)
     if affine.shape != (4, 4) or not np.allclose(affine[3], [0, 0, 0, 1]):
         raise ValueError("grid_to_world must be a 4x4 homogeneous affine")
     if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
         raise ValueError("grid_to_world upper-left 3x3 block is singular")
+    data.setflags(write=False)
+    affine.setflags(write=False)
+    object.__setattr__(obj, name, data)
+    object.__setattr__(obj, "spacing", spacing)
+    object.__setattr__(obj, "grid_to_world", affine)
 
 
 @dataclass(frozen=True)
@@ -84,17 +87,7 @@ class Volume:
     grid_to_world: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        spacing = tuple(float(s) for s in self.spacing)
-        affine = (
-            _default_affine(spacing)
-            if self.grid_to_world is None
-            else np.asarray(self.grid_to_world, dtype=np.float64)
-        )
-        _validate_grid(data, spacing, affine)
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "grid_to_world", _freeze(affine))
+        _init_grid(self, "data", np.array(self.data, dtype=np.float64))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -123,16 +116,7 @@ class LabelMap:
         data = data.astype(np.int32)
         if data.size and data.min() < 0:
             raise ValueError("labels must be non-negative")
-        spacing = tuple(float(s) for s in self.spacing)
-        affine = (
-            _default_affine(spacing)
-            if self.grid_to_world is None
-            else np.asarray(self.grid_to_world, dtype=np.float64)
-        )
-        _validate_grid(data, spacing, affine)
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "grid_to_world", _freeze(affine))
+        _init_grid(self, "data", data)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -278,16 +262,6 @@ def sample_nearest(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
     out = data.ravel()[ix * (ny * nz) + iy * nz + iz]
     return np.where(inside, out, np.zeros((), dtype=data.dtype))
-
-
-def trilinear_sample(v: Volume, p) -> float:
-    """Trilinear interpolation of ``v`` at one continuous voxel coordinate."""
-    return float(sample_trilinear(v.data, np.asarray(p, dtype=np.float64)))
-
-
-def nearest_sample(lm: LabelMap, p) -> int:
-    """Label of the voxel nearest to ``p``; 0 outside the grid."""
-    return int(sample_nearest(lm.data, np.asarray(p, dtype=np.float64)))
 
 
 # -- elementwise / differential ops -------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ def test_missing_input_exits_2(tmp_path, capsys):
                "--seed", "1", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "nope.nii" in capsys.readouterr().err
+
+
+def test_non_finite_intercept_exits_2(tmp_path, capsys):
+    blob = bytearray(sb.write_nifti(make_subject(n=8).mprage, "int16"))
+    struct.pack_into("<2f", blob, 112, 2.0, float("nan"))  # scl_slope, scl_inter
+    path = tmp_path / "scaled.nii"
+    path.write_bytes(bytes(blob))
+    rc = main(["metrics", "--pred", str(path), "--ref", str(path), "--metric", "l1"])
+    assert rc == 2
+    assert "scaled.nii" in capsys.readouterr().err
 
 
 def test_geometry_mismatch_exits_3(tmp_path, capsys):

@@ -12,6 +12,16 @@ from conftest import smooth_volume, sphere_labels
 from reference_impls import gather_trilinear
 
 
+def _draw_bias(rng, cfg, like):
+    return sample_corruption_record(rng, cfg, like).bias_field(like)
+
+
+def _draw_stage(stage, v, rng, cfg):
+    """Draw a record and replay only ``stage`` (no renormalization)."""
+    params = getattr(sample_corruption_record(rng, cfg, v), stage)
+    return sb.apply_corruption(v, sb.CorruptionRecord(cfg.level, **{stage: params})), params
+
+
 def _painted(n=32, seed=0):
     lm = sphere_labels(n, (0.42 * n, 0.3 * n, 0.17 * n))
     rng = np.random.default_rng(seed)
@@ -54,7 +64,7 @@ def test_bias_field_positive_and_smooth():
     v = smooth_volume(24, 0)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        b = sb.sample_bias_field(rng, SeverityConfig.severe(), v)
+        b = _draw_bias(rng, SeverityConfig.severe(), v)
         assert b.field.data.min() > 0.0
     assert b.coarse_log.shape == (4, 4, 4)
 
@@ -68,7 +78,7 @@ def test_bias_log_spread_matches_request():
     v = smooth_volume(8, 0)
     rng = np.random.default_rng(42)
     logs = np.concatenate(
-        [sb.sample_bias_field(rng, cfg, v).coarse_log.ravel() for _ in range(400)]
+        [_draw_bias(rng, cfg, v).coarse_log.ravel() for _ in range(400)]
     )
     assert abs(logs.mean() - 0.1) < 0.01
     assert abs(logs.std() - 0.3) < 0.01
@@ -118,7 +128,7 @@ def test_corruption_records_are_byte_stable(level, seed):
 def test_apply_bias_multiplies():
     v = smooth_volume(16, 1)
     rng = np.random.default_rng(3)
-    b = sb.sample_bias_field(rng, SeverityConfig.severe(), v)
+    b = _draw_bias(rng, SeverityConfig.severe(), v)
     out = sb.apply_bias(v, b)
     assert np.allclose(out.data, v.data * b.field.data, atol=1e-12)
     assert np.allclose(out.data / np.maximum(b.field.data, 1e-12), v.data, atol=1e-9)
@@ -126,7 +136,7 @@ def test_apply_bias_multiplies():
 
 def test_bias_geometry_checked():
     v = smooth_volume(16, 1)
-    b = sb.sample_bias_field(np.random.default_rng(0), SeverityConfig.severe(), v)
+    b = _draw_bias(np.random.default_rng(0), SeverityConfig.severe(), v)
     other = smooth_volume(12, 0)
     with pytest.raises(sb.GeometryMismatch):
         sb.apply_bias(other, b)
@@ -174,18 +184,21 @@ def _res_cfg(p_low=0.0, p_aniso=0.0, low=(1.5, 4.0), thick=(2.5, 7.0)):
 
 def test_native_resolution_is_identity():
     v = smooth_volume(16, 2)
-    out, target = sb.simulate_resolution(v, np.random.default_rng(0), _res_cfg())
-    assert out is v
-    assert target == v.spacing
+    rng = np.random.default_rng(0)
+    record = sample_corruption_record(rng, _res_cfg(), v)
+    assert record.resolution is None and record.empty
+    assert sb.apply_corruption(v, record) is v
+    # both probabilities 0: the resolution stage draws nothing
+    assert rng.uniform() == np.random.default_rng(0).uniform()
 
 
 def test_resolution_keeps_grid():
     v = smooth_volume(24, 2)
     cfg = _res_cfg(p_low=1.0, low=(3.0, 3.0))  # always 3 mm isotropic
-    out, target = sb.simulate_resolution(v, np.random.default_rng(0), cfg)
+    out, res = _draw_stage("resolution", v, np.random.default_rng(0), cfg)
     assert out.dims == v.dims
     assert sb.same_geometry(out, v)
-    assert target == (3.0, 3.0, 3.0)
+    assert res == {"target_spacing": [3.0, 3.0, 3.0], "kind": "low-field"}
     # detail is lost: high-frequency residual shrinks
     assert out.data.std() < v.data.std()
 
@@ -194,8 +207,8 @@ def test_thicker_slices_destroy_more_detail():
     worse = []
     for seed in range(20):
         v = smooth_volume(32, seed)
-        a, _ = sb.simulate_resolution(v, np.random.default_rng(0), _res_cfg(p_low=1.0, low=(3.0, 3.0)))
-        b, _ = sb.simulate_resolution(v, np.random.default_rng(0), _res_cfg(p_low=1.0, low=(7.0, 7.0)))
+        a, _ = _draw_stage("resolution", v, np.random.default_rng(0), _res_cfg(p_low=1.0, low=(3.0, 3.0)))
+        b, _ = _draw_stage("resolution", v, np.random.default_rng(0), _res_cfg(p_low=1.0, low=(7.0, 7.0)))
         worse.append(sb.psnr(v, b) < sb.psnr(v, a))
     assert all(worse)
 
@@ -203,7 +216,9 @@ def test_thicker_slices_destroy_more_detail():
 def test_anisotropic_thickens_exactly_one_axis():
     v = smooth_volume(32, 5)
     cfg = _res_cfg(p_aniso=1.0, thick=(6.0, 6.0))
-    out, target = sb.simulate_resolution(v, np.random.default_rng(4), cfg)
+    out, res = _draw_stage("resolution", v, np.random.default_rng(4), cfg)
+    assert res["kind"] == "anisotropic"
+    target = res["target_spacing"]
     thick_axes = [i for i, t in enumerate(target) if t != v.spacing[i]]
     assert len(thick_axes) == 1
     assert target[thick_axes[0]] == 6.0
@@ -230,12 +245,17 @@ def _noise_cfg(lo, hi):
 
 def test_zero_sigma_noise_is_identity():
     v = smooth_volume(12, 0)
-    assert sb.add_noise(v, np.random.default_rng(3), _noise_cfg(0.0, 0.0)) is v
+    rng = np.random.default_rng(3)
+    record = sample_corruption_record(rng, _noise_cfg(0.0, 0.0), v)
+    assert record.noise is None and record.empty
+    assert sb.apply_corruption(v, record) is v
+    # a (0, 0) noise range draws nothing
+    assert rng.uniform() == np.random.default_rng(3).uniform()
 
 
 def test_mild_noise_is_small():
     v = smooth_volume(24, 0)
-    out = sb.add_noise(v, np.random.default_rng(0), _noise_cfg(1.0, 1.0))
+    out, _ = _draw_stage("noise", v, np.random.default_rng(0), _noise_cfg(1.0, 1.0))
     delta = np.abs(out.data - v.data)
     assert delta.max() <= 6.0 / 255.0  # ~5 sigma of 1/255
     assert delta.max() > 0.0
@@ -243,16 +263,17 @@ def test_mild_noise_is_small():
 
 def test_noise_spread_matches_sigma():
     flat = sb.Volume(np.full((32, 32, 32), 0.5))
-    out = sb.add_noise(flat, np.random.default_rng(11), _noise_cfg(10.0, 10.0))
+    out, noise = _draw_stage("noise", flat, np.random.default_rng(11), _noise_cfg(10.0, 10.0))
+    assert noise["sigma"] == 10.0 / 255.0
     assert abs(out.data.std() - 10.0 / 255.0) < 0.001
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
 def test_noise_reproducible_by_seed():
     v = smooth_volume(16, 4)
-    a = sb.add_noise(v, np.random.default_rng(123), _noise_cfg(5.0, 5.0))
-    b = sb.add_noise(v, np.random.default_rng(123), _noise_cfg(5.0, 5.0))
-    c = sb.add_noise(v, np.random.default_rng(124), _noise_cfg(5.0, 5.0))
+    a, _ = _draw_stage("noise", v, np.random.default_rng(123), _noise_cfg(5.0, 5.0))
+    b, _ = _draw_stage("noise", v, np.random.default_rng(123), _noise_cfg(5.0, 5.0))
+    c, _ = _draw_stage("noise", v, np.random.default_rng(124), _noise_cfg(5.0, 5.0))
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 

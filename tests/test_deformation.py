@@ -169,6 +169,25 @@ def test_provenance_inversion_round_trip():
     assert mag.max() <= 1.0
 
 
+def test_provenance_inverse_is_closed_form_on_every_voxel():
+    # anisotropic, sheared grid; default ranges push some T^-1 images off the grid
+    m = np.array([[1.0, 0.1, 0.0, -5.0], [0.0, 1.2, 0.05, 3.0], [0.0, 0.0, 0.9, 1.0], [0, 0, 0, 1]])
+    like = sb.Volume(np.zeros((20, 18, 16)), spacing=(1.0, 1.2, 0.9), grid_to_world=m)
+    cfg = DeformationConfig()
+    rng = np.random.default_rng(4)
+    affine, svf = sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, like)
+    inv = sb.invert(sb.build_deformation(affine, svf))
+
+    t_inv = sb.integrate_svf(svf.negated())
+    xs = np.indices(like.dims).reshape(3, -1).T @ m[:3, :3].T + m[:3, 3]
+    ys = xs + t_inv.displacement.reshape(-1, 3)
+    a_inv = np.linalg.inv(affine.matrix(t_inv.grid_center_world()))
+    closed = ys @ a_inv[:3, :3].T + a_inv[:3, 3] - xs
+    y_vox = (ys - m[:3, 3]) @ np.linalg.inv(m[:3, :3]).T
+    assert ((y_vox < 0) | (y_vox > np.asarray(like.dims) - 1.0)).any()
+    assert np.abs(inv.displacement.reshape(-1, 3) - closed).max() <= 1e-9
+
+
 def test_double_inversion_returns_to_start():
     fld = _mild_field(5, n=24)
     twice = sb.invert(sb.invert(fld))

@@ -200,7 +200,7 @@ def test_norm_l2_bias_matches_bruteforce(rng):
 def test_norm_l2_bias_accepts_bias_field_objects():
     v = smooth_volume(8, 0)
     cfg = sb.SeverityConfig.severe()
-    b = sb.sample_bias_field(np.random.default_rng(1), cfg, v)
+    b = sb.sample_corruption_record(np.random.default_rng(1), cfg, v).bias_field(v)
     assert sb.norm_l2_bias(b, b) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -68,17 +68,25 @@ def test_scl_slope_and_inter_are_applied():
     back = read_nifti(blob)
     assert isinstance(back, Volume)  # scaled data is not a label map
     assert (back.data == 3.0).all()
+    # a valid slope with a non-finite intercept is an error, as in nibabel
+    for inter in (float("nan"), float("inf")):
+        bad = _patch(blob, 116, "<f", inter)
+        for as_labels in (None, False, True):
+            with pytest.raises(ValueError, match="scl_inter"):
+                read_nifti(bad, as_labels=as_labels)
 
 
-@pytest.mark.parametrize("slope", [float("nan"), float("inf")])
+@pytest.mark.parametrize("slope", [float("nan"), float("inf"), 0.0])
 def test_non_finite_slope_means_unset(slope):
+    # a zero or non-finite slope means unset, and the intercept goes with it
     data = np.arange(8, dtype=np.int32).reshape(2, 2, 2)
-    blob = _patch(write_nifti(LabelMap(data), "int16"), 112, "<f", slope)
+    blob = _patch(write_nifti(LabelMap(data), "int16"), 112, "<2f", slope, 5.0)
     back = read_nifti(blob)
     assert isinstance(back, LabelMap)  # unscaled integers still auto-detect as labels
     assert np.array_equal(back.data, data)
     forced = read_nifti(blob, as_labels=False)
     assert np.array_equal(forced.data, data.astype(np.float64))
+    assert read_header(blob).scaling is None
 
 
 def test_stack_round_trip(rng):

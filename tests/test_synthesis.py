@@ -94,8 +94,10 @@ def test_painting_commutes_with_label_renaming(perm):
 def test_missing_label_params_is_an_error():
     lm = sphere_labels(8, (3.0, 1.5))
     params = sb.ContrastParams({0: (0.0, 0.0), 1: (0.5, 0.1)})
-    with pytest.raises(sb.MissingLabelParams, match="2"):
+    with pytest.raises(sb.MissingLabelParams, match="2") as info:
         sb.paint(lm, params, np.random.default_rng(0))
+    assert str(info.value) == "no contrast parameters for labels [2]"
+    assert info.value.labels == (2,)
 
 
 def test_params_round_trip_json():

@@ -4,18 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthbrain import (
+    DeformationField,
     DegenerateGrid,
     GeometryMismatch,
     LabelMap,
     Volume,
     VolumeStack,
     minmax_normalize,
-    nearest_sample,
     same_geometry,
     spatial_gradient,
-    trilinear_sample,
 )
-from synthbrain.volume import sample_trilinear, voxel_to_world, world_to_voxel
+from synthbrain.volume import sample_nearest, sample_trilinear, voxel_to_world, world_to_voxel
 
 from reference_impls import gather_trilinear
 
@@ -50,6 +49,39 @@ def test_labelmap_rejects_negative_and_fractional():
     lm = LabelMap(np.array([[[2.0]]]))  # integral floats are fine
     assert lm.data.dtype == np.int32
     assert lm.label_set == (2,)
+
+
+_GRID_TYPES = {
+    "Volume": lambda data, **kw: Volume(data, **kw),
+    "LabelMap": lambda data, **kw: LabelMap(data.astype(np.int32), **kw),
+    "DeformationField": lambda data, **kw: DeformationField(np.stack([data] * 3, -1), **kw),
+}
+
+_BAD_GRIDS = {
+    "zero spacing": {"spacing": (1.0, 0.0, 1.0)},
+    "negative spacing": {"spacing": (1.0, 1.0, -2.0)},
+    "singular affine": {"grid_to_world": np.diag([1.0, 2.0, 0.0, 1.0])},
+    "non-homogeneous last row": {"grid_to_world": np.vstack([np.eye(4)[:3], [0.0, 0.0, 1.0, 1.0]])},
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_BAD_GRIDS))
+@pytest.mark.parametrize("kind", sorted(_GRID_TYPES))
+def test_grid_types_share_validation(kind, grid):
+    with pytest.raises(ValueError):
+        _GRID_TYPES[kind](np.zeros((3, 3, 3)), **_BAD_GRIDS[grid])
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_TYPES))
+def test_grid_types_own_a_frozen_copy(kind):
+    data = np.arange(27.0).reshape(3, 3, 3)
+    obj = _GRID_TYPES[kind](data, spacing=(1.0, 2.0, 3.5))
+    stored = obj.displacement if kind == "DeformationField" else obj.data
+    before = stored.copy()
+    data[...] = -1.0
+    assert np.array_equal(stored, before)
+    assert not stored.flags.writeable and not obj.grid_to_world.flags.writeable
+    assert np.array_equal(obj.grid_to_world, np.diag([1.0, 2.0, 3.5, 1.0]))
 
 
 def test_stack_requires_identical_geometry(rng):
@@ -88,7 +120,7 @@ def test_world_round_trip(rng):
 def test_trilinear_exact_at_voxel_centers(i, j, k):
     data = np.arange(6 * 6 * 6, dtype=float).reshape(6, 6, 6)
     v = Volume(data)
-    assert trilinear_sample(v, (i, j, k)) == data[i, j, k]
+    assert sample_trilinear(v.data, np.array([i, j, k])) == data[i, j, k]
 
 
 def test_trilinear_midpoint_is_average():
@@ -96,14 +128,14 @@ def test_trilinear_midpoint_is_average():
     data[1, 1, 1] = 2.0
     data[2, 1, 1] = 4.0
     v = Volume(data)
-    assert trilinear_sample(v, (1.5, 1, 1)) == pytest.approx(3.0)
+    assert sample_trilinear(v.data, np.array([1.5, 1, 1])) == pytest.approx(3.0)
 
 
 def test_trilinear_outside_is_zero(rng):
     v = Volume(rng.random((4, 4, 4)) + 1.0)
-    assert trilinear_sample(v, (-0.01, 1, 1)) == 0.0
-    assert trilinear_sample(v, (3.01, 1, 1)) == 0.0
-    assert trilinear_sample(v, (3.0, 3.0, 3.0)) != 0.0  # boundary itself is inside
+    assert sample_trilinear(v.data, np.array([-0.01, 1, 1])) == 0.0
+    assert sample_trilinear(v.data, np.array([3.01, 1, 1])) == 0.0
+    assert sample_trilinear(v.data, np.array([3.0, 3.0, 3.0])) != 0.0  # boundary itself is inside
 
 
 @settings(max_examples=25, deadline=None)
@@ -156,9 +188,9 @@ def test_trilinear_nan_point_is_zero():
 
 def test_nearest_ties_toward_lower_index():
     lm = LabelMap(np.arange(8, dtype=np.int32).reshape(2, 2, 2))
-    assert nearest_sample(lm, (0.5, 0.0, 0.0)) == lm.data[0, 0, 0]
-    assert nearest_sample(lm, (0.51, 0.0, 0.0)) == lm.data[1, 0, 0]
-    assert nearest_sample(lm, (-0.2, 0, 0)) == 0
+    assert sample_nearest(lm.data, np.array([0.5, 0.0, 0.0])) == lm.data[0, 0, 0]
+    assert sample_nearest(lm.data, np.array([0.51, 0.0, 0.0])) == lm.data[1, 0, 0]
+    assert sample_nearest(lm.data, np.array([-0.2, 0, 0])) == 0
 
 
 # -- gradient / normalization ---------------------------------------------------
