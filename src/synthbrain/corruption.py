@@ -19,6 +19,8 @@ from scipy.ndimage import gaussian_filter
 from .deformation import DeformationConfig
 from .volume import (
     Volume,
+    _linear_weights,
+    _per_axis,
     check_same_geometry,
     minmax_normalize,
 )
@@ -139,29 +141,6 @@ class BiasField:
         ])
         return cls(coarse, Volume(np.exp(log_full), like.spacing, like.grid_to_world),
                    float(mu), float(sigma))
-
-
-# Trilinear interpolation at the points of an axis-aligned grid is separable:
-# one 1-D interpolation matrix per axis, applied as a matrix product.
-
-def _linear_weights(x: np.ndarray, n: int) -> np.ndarray:
-    """(len(x), n) linear-interpolation weights at positions ``x``, edges replicated."""
-    x = np.clip(x, 0.0, n - 1.0)
-    i0 = np.floor(x).astype(np.int64)
-    i1 = np.minimum(i0 + 1, n - 1)
-    rows = np.arange(len(x))
-    w = np.zeros((len(x), n))
-    w[rows, i0] = 1.0 - (x - i0)
-    w[rows, i1] += x - i0
-    return w
-
-
-def _per_axis(data: np.ndarray, matrices) -> np.ndarray:
-    """Apply ``matrices[axis]`` along each axis; ``None`` leaves an axis as is."""
-    for axis, m in enumerate(matrices):
-        if m is not None:
-            data = np.moveaxis(np.tensordot(m, data, axes=(1, axis)), 0, axis)
-    return data
 
 
 def apply_bias(v: Volume, b: BiasField) -> Volume:

@@ -264,6 +264,32 @@ def sample_nearest(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.where(inside, out, np.zeros((), dtype=data.dtype))
 
 
+# Trilinear interpolation at the points of an axis-aligned grid is separable:
+# one 1-D interpolation matrix per axis, applied as a matrix product.
+
+def _linear_weights(x: np.ndarray, n: int) -> np.ndarray:
+    """(len(x), n) linear-interpolation weights at positions ``x``, edges replicated."""
+    x = np.clip(x, 0.0, n - 1.0)
+    i0 = np.floor(x).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n - 1)
+    rows = np.arange(len(x))
+    w = np.zeros((len(x), n))
+    w[rows, i0] = 1.0 - (x - i0)
+    w[rows, i1] += x - i0
+    return w
+
+
+def _per_axis(data: np.ndarray, matrices) -> np.ndarray:
+    """Apply ``matrices[axis]`` along each of the first axes; ``None`` leaves one as is.
+
+    Trailing axes (e.g. vector components) are carried along untouched.
+    """
+    for axis, m in enumerate(matrices):
+        if m is not None:
+            data = np.moveaxis(np.tensordot(m, data, axes=(1, axis)), 0, axis)
+    return data
+
+
 # -- elementwise / differential ops -------------------------------------------
 
 def spatial_gradient(v: Volume) -> VolumeStack:

@@ -57,6 +57,24 @@ def gather_trilinear(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.where(inside, out, 0.0)
 
 
+def integrate_svf_full(svf, steps: int) -> np.ndarray:
+    """Scaling and squaring on the SVF's full-resolution grid, world-mm displacement.
+
+    The control velocities are trilinearly sampled at every voxel, divided by
+    ``2**steps``, and the field is self-composed ``steps`` times in voxel
+    units, with the identity beyond the grid.
+    """
+    g2w = np.asarray(svf.grid_to_world, dtype=np.float64)
+    axes = [np.arange(n, dtype=np.float64) for n in svf.grid_dims]
+    idx = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    ctrl = (idx @ g2w[:3, :3].T + g2w[:3, 3] - np.asarray(svf.origin)) / svf.control_spacing
+    disp = gather_trilinear(svf.velocities, ctrl) / 2.0 ** steps
+    to_voxel = np.linalg.inv(g2w[:3, :3]).T
+    for _ in range(steps):
+        disp = disp + gather_trilinear(disp, idx + disp @ to_voxel)
+    return disp
+
+
 def brute_ssim_cs(a: np.ndarray, b: np.ndarray, window=7, k1=0.01, k2=0.03, rng=1.0):
     """Per-window SSIM by explicit window slicing; returns (ssim_vals, cs_vals)."""
     c1, c2 = (k1 * rng) ** 2, (k2 * rng) ** 2

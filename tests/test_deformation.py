@@ -9,6 +9,7 @@ import synthbrain as sb
 from synthbrain.deformation import DeformationConfig
 
 from conftest import make_subject, smooth_volume
+from reference_impls import integrate_svf_full
 
 
 def _mild_field(seed, n=32, cfg=None):
@@ -25,6 +26,12 @@ def _translation_field(t, n=16, spacing=(1.0, 1.0, 1.0)):
     disp = np.zeros((n, n, n, 3))
     disp[...] = t
     return sb.DeformationField(disp, like.spacing, like.grid_to_world)
+
+
+def _sheared_grid(dims):
+    """Zero volume on an anisotropic grid whose voxel axes are sheared in world."""
+    m = np.array([[1.0, 0.1, 0.0, -5.0], [0.0, 1.2, 0.05, 3.0], [0.0, 0.0, 0.9, 1.0], [0, 0, 0, 1]])
+    return sb.Volume(np.zeros(dims), spacing=(1.0, 1.2, 0.9), grid_to_world=m)
 
 
 def _interior(arr, margin):
@@ -68,6 +75,30 @@ def test_zero_velocity_integrates_to_exact_identity():
     svf = sb.sample_svf(np.random.default_rng(0), DeformationConfig.all_off(), like)
     fld = sb.integrate_svf(svf)
     assert not fld.displacement.any()
+
+
+@pytest.mark.parametrize("dims", [(1, 9, 10), (2, 9, 10), (3, 9, 10), (1, 2, 3)])
+def test_short_axes_integrate(dims):
+    like = sb.Volume(np.zeros(dims))
+    fld = sb.integrate_svf(sb.sample_svf(np.random.default_rng(0), DeformationConfig(), like))
+    assert fld.dims == dims
+    off = sb.sample_svf(np.random.default_rng(0), DeformationConfig.all_off(), like)
+    assert not sb.integrate_svf(off).displacement.any()
+
+
+@pytest.mark.parametrize("sheared", [False, True], ids=["iso64", "sheared64x60x56"])
+def test_half_grid_integration_matches_full_resolution(sheared):
+    like = _sheared_grid((64, 60, 56)) if sheared else sb.Volume(np.zeros((64, 64, 64)))
+    cfg = DeformationConfig()
+    to_voxel = np.linalg.inv(like.grid_to_world[:3, :3]).T
+    box = tuple(slice(n // 4, n - n // 4) for n in like.dims)
+    for seed in range(10):
+        svf = sb.sample_svf(np.random.default_rng(seed), cfg, like)
+        full = integrate_svf_full(svf, cfg.squaring_steps)
+        diff = (sb.integrate_svf(svf, cfg.squaring_steps).displacement - full) @ to_voxel
+        mag = np.sqrt((diff ** 2).sum(-1))
+        assert mag[box].max() <= 0.05
+        assert mag.mean() <= 0.1
 
 
 def test_constant_velocity_integrates_to_translation():
@@ -132,6 +163,16 @@ def test_translation_composition_associative(vals):
     assert np.abs(_interior(a.displacement, 7) - _interior(b.displacement, 7)).max() <= 1e-6
 
 
+def test_affine_inner_matches_its_dense_field():
+    like = _sheared_grid((20, 18, 16))
+    rng = np.random.default_rng(3)
+    affine = sb.sample_affine(rng, DeformationConfig())
+    outer = sb.integrate_svf(sb.sample_svf(rng, DeformationConfig(), like))
+    dense = sb.affine_to_field(affine.matrix(outer.grid_center_world()), outer)
+    got = sb.compose(outer, affine).displacement
+    assert np.abs(got - sb.compose(outer, dense).displacement).max() <= 1e-12
+
+
 def test_scale_then_translate_matches_hand_computed_map():
     n = 16
     like = sb.Volume(np.zeros((n, n, n)))
@@ -157,8 +198,12 @@ def test_invert_identity_is_identity():
 
 def test_invert_translation_flips_sign():
     t = np.array([2.0, -1.0, 0.5])
-    inv = sb.invert(_translation_field(t, n=20))
-    assert np.allclose(_interior(inv.displacement, 5), -t, atol=1e-9)
+    fld = _translation_field(t, n=20)
+    # every voxel, faces included, whatever the parity of the iteration
+    # count: an iterate past a face reads the face value
+    for iterations in (19, 20):
+        inv = sb.invert(fld, iterations=iterations)
+        assert np.abs(inv.displacement - (-t)).max() <= 1e-9
 
 
 def test_provenance_inversion_round_trip():
@@ -171,8 +216,8 @@ def test_provenance_inversion_round_trip():
 
 def test_provenance_inverse_is_closed_form_on_every_voxel():
     # anisotropic, sheared grid; default ranges push some T^-1 images off the grid
-    m = np.array([[1.0, 0.1, 0.0, -5.0], [0.0, 1.2, 0.05, 3.0], [0.0, 0.0, 0.9, 1.0], [0, 0, 0, 1]])
-    like = sb.Volume(np.zeros((20, 18, 16)), spacing=(1.0, 1.2, 0.9), grid_to_world=m)
+    like = _sheared_grid((20, 18, 16))
+    m = like.grid_to_world
     cfg = DeformationConfig()
     rng = np.random.default_rng(4)
     affine, svf = sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, like)
