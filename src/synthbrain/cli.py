@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import adaptation, metrics
@@ -30,8 +31,8 @@ from .errors import (
     SynthBrainError,
 )
 from .generator import SubjectRecord, export_batch, generate_batch, severity_ladder
-from .nifti import read_header, read_nifti, read_nifti_file, read_volume_stack
-from .volume import LabelMap, Volume, VolumeStack
+from .nifti import read_header, read_nifti, read_volume_stack
+from .volume import VolumeStack
 
 __all__ = ["main"]
 
@@ -53,45 +54,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _check_exists(path) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"no such file: {p}")
-    return p
-
-
-def _read_bytes(path) -> bytes:
-    return _check_exists(path).read_bytes()
-
-
-def _tag_file(path, exc: Exception) -> Exception:
-    exc.args = (f"{path}: {exc}",)
-    return exc
-
-
-def _read_volume(path, as_labels: bool | None = None):
-    _check_exists(path)
+def _read(path, as_labels: bool | None = None, stack: bool = False):
+    """One NIfTI file: a volume, or with ``stack`` a channel stack (a 3D file
+    becomes one channel). A missing file or a directory raises the OS error,
+    which names the path; a decoding error is re-raised with the path added."""
+    blob = Path(path).read_bytes()
     try:
-        return read_nifti_file(path, as_labels=as_labels)
-    except (SynthBrainError, ValueError) as exc:
-        raise _tag_file(path, exc)
-
-
-def _read_stack(path) -> VolumeStack:
-    """A 5D vector file becomes a stack; a plain 3D file a single channel."""
-    blob = _read_bytes(path)
-    try:
-        hdr = read_header(blob)
-        if hdr.dim[0] == 5:
+        if not stack:
+            return read_nifti(blob, as_labels=as_labels)
+        if read_header(blob).dim[0] == 5:
             return read_volume_stack(blob)
-        v = read_nifti(blob, as_labels=False)
-        return VolumeStack((v,))
+        return VolumeStack((read_nifti(blob, as_labels=False),))
     except (SynthBrainError, ValueError) as exc:
-        raise _tag_file(path, exc)
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _read_field(path) -> DeformationField:
-    stack = _read_stack(path)
+    stack = _read(path, stack=True)
     if stack.channel_count != 3:
         raise ChannelMismatch(f"{path}: a deformation needs 3 channels, found {stack.channel_count}")
     return DeformationField(stack.as_array(), stack.spacing, stack.grid_to_world)
@@ -99,10 +79,20 @@ def _read_field(path) -> DeformationField:
 
 # -- config file -----------------------------------------------------------------
 
+# plain keys per subcommand; each becomes a string default of the flag of that
+# name, so argparse converts it with the flag's own type
+_CONFIG_KEYS = {
+    "generate": ("n", "seed", "schedule", "threads", "out"),
+    "evaluate": ("mode", "out", "window", "scales"),
+    "fit-adapter": ("ridge", "out"),
+    "metrics": ("window", "scales", "peak"),
+}
+
+
 def _load_config(path) -> dict[str, str]:
     """KEY=VALUE lines; blank lines and # comments ignored."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(_check_exists(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -113,42 +103,40 @@ def _load_config(path) -> dict[str, str]:
     return out
 
 
-def _fill_from_config(args, config: dict[str, str], converters: dict) -> None:
-    for key, conv in converters.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and key in config:
-            try:
-                setattr(args, attr, conv(config[key]))
-            except ValueError as exc:
-                raise _UsageError(f"config key {key}: {exc}")
-
-
-_RANGE_FIELDS = {"bias_mu", "bias_sigma", "noise_sigma",
-                 "low_field_spacing", "anisotropic_spacing"}
+def _typed(key: str, hint, value: str):
+    """``value`` converted to a field's type; a range field's bounds take its element type."""
+    kind = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise _UsageError(f"config key {key}: {exc}")
 
 
 def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
-    """Presets with numeric overrides like ``severe.noise_sigma_max=20``."""
+    """Presets with overrides like ``severe.noise_sigma_max=20``, typed by their fields."""
     presets = {name: SeverityConfig.by_name(name) for name in SEVERITY_LEVELS + ("off",)}
-    deform_over: dict[str, float] = {}
+    hints = typing.get_type_hints(SeverityConfig)
+    deform_hints = typing.get_type_hints(DeformationConfig)
+    deform_over = {}
     for key, value in config.items():
         if "." not in key:
             continue
         scope, _, fld = key.partition(".")
         if scope == "deformation":
-            if fld not in {f.name for f in dataclasses.fields(DeformationConfig)}:
+            if fld not in deform_hints:
                 raise _UsageError(f"unknown deformation field {fld!r}")
-            deform_over[fld] = float(value)
+            deform_over[fld] = _typed(key, deform_hints[fld], value)
             continue
         if scope not in presets:
             raise _UsageError(f"unknown severity level {scope!r} in config key {key}")
         cfg = presets[scope]
-        if fld in ("p_low_field", "p_anisotropic"):
-            presets[scope] = dataclasses.replace(cfg, **{fld: float(value)})
-        elif fld.endswith(("_min", "_max")) and fld[:-4] in _RANGE_FIELDS:
-            base = fld[:-4]
+        base = fld[:-4]
+        if fld.startswith("p_") and fld in hints:
+            presets[scope] = dataclasses.replace(cfg, **{fld: _typed(key, hints[fld], value)})
+        elif fld.endswith(("_min", "_max")) and typing.get_origin(hints.get(base)) is tuple:
             lo, hi = getattr(cfg, base)
-            pair = (float(value), hi) if fld.endswith("_min") else (lo, float(value))
+            bound = _typed(key, hints[base], value)
+            pair = (bound, hi) if fld.endswith("_min") else (lo, bound)
             presets[scope] = dataclasses.replace(cfg, **{base: pair})
         else:
             raise _UsageError(f"unknown severity field {fld!r} in config key {key}")
@@ -163,8 +151,6 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_generate(args, config: dict[str, str]) -> int:
-    _fill_from_config(args, config, {"n": int, "seed": int, "schedule": str,
-                                     "threads": int, "out": str})
     if args.seed is None:
         raise _UsageError("--seed is required (no silent nondeterminism)")
     if args.out is None:
@@ -184,10 +170,8 @@ def _cmd_generate(args, config: dict[str, str]) -> int:
     except KeyError as exc:
         raise _UsageError(f"unknown severity level {exc.args[0]!r}")
 
-    labels = _read_volume(args.labels, as_labels=True)
-    if not isinstance(labels, LabelMap):
-        raise _tag_file(args.labels, ValueError("not an integer label volume"))
-    mprage = _read_volume(args.mprage, as_labels=False)
+    labels = _read(args.labels, as_labels=True)
+    mprage = _read(args.mprage, as_labels=False)
     subject = SubjectRecord(Path(args.labels).stem.replace(".nii", ""), labels, mprage)
 
     batch = generate_batch(subject, n, args.seed, schedule=schedule, threads=args.threads)
@@ -198,7 +182,7 @@ def _cmd_generate(args, config: dict[str, str]) -> int:
 
 def _load_candidates(manifest_path, mode: str, atlas_map):
     """Accept either an explicit candidates list or a generated-batch manifest."""
-    doc = json.loads(_check_exists(manifest_path).read_text())
+    doc = json.loads(Path(manifest_path).read_text())
     base = Path(manifest_path).parent
 
     def resolve(name):
@@ -207,7 +191,7 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
     pairs = []
     if "candidates" in doc:
         for entry in doc["candidates"]:
-            stack = _read_stack(resolve(entry["features"]))
+            stack = _read(resolve(entry["features"]), stack=True)
             fld = None
             if "deformation" in entry:
                 fld = _read_field(resolve(entry["deformation"]))
@@ -215,7 +199,7 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
     elif "samples" in doc:
         shared = _read_field(resolve(doc["deformation"]))
         for entry in doc["samples"]:
-            pairs.append((_read_stack(resolve(entry["file"])), shared))
+            pairs.append((_read(resolve(entry["file"]), stack=True), shared))
     else:
         raise _UsageError(f"{manifest_path}: neither 'candidates' nor 'samples' present")
 
@@ -229,74 +213,61 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
 
 
 def _cmd_evaluate(args, config: dict[str, str]) -> int:
-    _fill_from_config(args, config, {"mode": str, "out": str, "window": int, "scales": int})
-    mode = args.mode or "intra"
-    if mode not in ("intra", "inter"):
-        raise _UsageError(f"--mode must be intra or inter, got {mode!r}")
-    if mode == "inter" and args.atlas_map is None:
+    # a mode from the config file bypasses the flag's choices
+    if args.mode not in ("intra", "inter"):
+        raise _UsageError(f"--mode must be intra or inter, got {args.mode!r}")
+    if args.mode == "inter" and args.atlas_map is None:
         raise _UsageError("--atlas-map is required in inter mode")
 
-    reference = _read_stack(args.reference)
+    reference = _read(args.reference, stack=True)
     atlas_map = _read_field(args.atlas_map) if args.atlas_map else None
-    candidates = _load_candidates(args.candidates, mode, atlas_map)
+    candidates = _load_candidates(args.candidates, args.mode, atlas_map)
 
     mask = None
     if args.mask:
-        lm = _read_volume(args.mask, as_labels=True)
-        mask = metrics.interior_mask(lm, erosion=args.erosion)
+        mask = metrics.interior_mask(_read(args.mask, as_labels=True), erosion=args.erosion)
 
     report = metrics.robustness_protocol(
-        reference, candidates, mode=mode, mask=mask,
-        window=args.window or 7, scales=args.scales or 3,
+        reference, candidates, mode=args.mode, mask=mask,
+        window=args.window, scales=args.scales,
     )
     print(report.to_text())
-    out = Path(args.out or "report.json")
+    out = Path(args.out)
     out.write_text(report.to_json() + "\n")
     print(out, file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
-    _fill_from_config(args, config, {"ridge": float, "out": str})
-    ridge = args.ridge if args.ridge is not None else 1e-6
-
-    features = _read_stack(args.features)
-    target = _read_stack(args.target)
-    concat = _read_volume(args.concat_input, as_labels=False) if args.concat_input else None
-    if isinstance(concat, LabelMap):
-        concat = Volume(concat.data, concat.spacing, concat.grid_to_world)
+    features = _read(args.features, stack=True)
+    target = _read(args.target, stack=True)
+    concat = _read(args.concat_input, as_labels=False) if args.concat_input else None
 
     adapter = adaptation.fit_adapter(features, target, concat_input=concat,
-                                     ridge=ridge, softmax=args.softmax)
+                                     ridge=args.ridge, softmax=args.softmax)
     residuals = adaptation.fit_residual(adapter, features, target, concat)
-    adaptation.save_adapter(args.out or "adapter.json", adapter,
-                            extra={"residuals": residuals})
+    adaptation.save_adapter(args.out, adapter, extra={"residuals": residuals})
     for name in ("residual_l1", "residual_l2"):
         print(f"{name} {residuals[name]:.6e}")
     return EXIT_OK
 
 
 def _cmd_metrics(args, config: dict[str, str]) -> int:
-    _fill_from_config(args, config, {"window": int, "scales": int, "peak": float})
     want_labels = args.metric == "dice"
-    pred = _read_volume(args.pred, as_labels=want_labels)
-    ref = _read_volume(args.ref, as_labels=want_labels)
+    pred = _read(args.pred, as_labels=want_labels)
+    ref = _read(args.ref, as_labels=want_labels)
     if want_labels:
-        if not isinstance(pred, LabelMap) or not isinstance(ref, LabelMap):
-            raise _UsageError("dice expects integer label volumes")
         scores = metrics.dice(pred, ref)
         print(f"{scores.mean:.6f}")
         for lab, val in sorted(scores.per_label.items()):
             print(f"label {lab} {val:.6f}")
         return EXIT_OK
 
-    peak = 1.0 if args.peak is None else args.peak
     fns = {
         "l1": lambda: metrics.l1(pred, ref),
-        "psnr": lambda: metrics.psnr(pred, ref, peak=peak),
-        "ssim": lambda: metrics.ssim(pred, ref, window=args.window or 7),
-        "msssim": lambda: metrics.ms_ssim(pred, ref, scales=args.scales or 3,
-                                          window=args.window or 7),
+        "psnr": lambda: metrics.psnr(pred, ref, peak=args.peak),
+        "ssim": lambda: metrics.ssim(pred, ref, window=args.window),
+        "msssim": lambda: metrics.ms_ssim(pred, ref, scales=args.scales, window=args.window),
         "norml2": lambda: metrics.norm_l2_bias(pred, ref),
     }
     print(f"{fns[args.metric]():.6f}")
@@ -305,7 +276,8 @@ def _cmd_metrics(args, config: dict[str, str]) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the subcommand parsers by name."""
     p = _Parser(prog="synthbrain",
                 description="Synthetic brain-image generation and evaluation")
     sub = p.add_subparsers(dest="command", required=True)
@@ -315,7 +287,8 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("generate", parents=[common], description="Generate one sample batch")
     g.add_argument("labels", help="segmentation NIfTI (integer labels)")
     g.add_argument("mprage", help="structural anatomy target NIfTI")
-    g.add_argument("--n", type=int, default=None, help="batch size (default 4)")
+    g.add_argument("--n", type=int, default=None,
+                   help="batch size (default: the schedule's length, else 4)")
     g.add_argument("--seed", type=int, default=None, required=False)
     g.add_argument("--schedule", default=None,
                    help="comma-separated severity names, e.g. mild,medium,medium,severe")
@@ -324,15 +297,15 @@ def _build_parser() -> _Parser:
     g.set_defaults(func=_cmd_generate)
 
     e = sub.add_parser("evaluate", parents=[common], description="Feature-robustness report")
-    e.add_argument("--mode", choices=["intra", "inter"], default=None)
+    e.add_argument("--mode", choices=["intra", "inter"], default="intra")
     e.add_argument("--reference", required=True, help="reference stack (3D or 5D NIfTI)")
     e.add_argument("--candidates", required=True, help="candidates manifest JSON")
     e.add_argument("--atlas-map", default=None, help="atlas deformation NIfTI (inter mode)")
     e.add_argument("--mask", default=None, help="label NIfTI; interior mask is its eroded foreground")
     e.add_argument("--erosion", type=int, default=2)
-    e.add_argument("--window", type=int, default=None)
-    e.add_argument("--scales", type=int, default=None)
-    e.add_argument("--out", default=None, help="report JSON path (default report.json)")
+    e.add_argument("--window", type=int, default=7)
+    e.add_argument("--scales", type=int, default=3)
+    e.add_argument("--out", default="report.json", help="report JSON path (default %(default)s)")
     e.set_defaults(func=_cmd_evaluate)
 
     f = sub.add_parser("fit-adapter", parents=[common],
@@ -340,9 +313,9 @@ def _build_parser() -> _Parser:
     f.add_argument("--features", required=True)
     f.add_argument("--target", required=True)
     f.add_argument("--concat-input", default=None)
-    f.add_argument("--ridge", type=float, default=None)
+    f.add_argument("--ridge", type=float, default=1e-6)
     f.add_argument("--softmax", action="store_true")
-    f.add_argument("--out", default=None, help="adapter JSON path (default adapter.json)")
+    f.add_argument("--out", default="adapter.json", help="adapter JSON path (default %(default)s)")
     f.set_defaults(func=_cmd_fit_adapter)
 
     m = sub.add_parser("metrics", parents=[common],
@@ -351,18 +324,25 @@ def _build_parser() -> _Parser:
     m.add_argument("--ref", required=True)
     m.add_argument("--metric", required=True,
                    choices=["l1", "psnr", "ssim", "msssim", "dice", "norml2"])
-    m.add_argument("--peak", type=float, default=None, help="PSNR peak (default 1)")
-    m.add_argument("--window", type=int, default=None)
-    m.add_argument("--scales", type=int, default=None)
+    m.add_argument("--peak", type=float, default=1.0, help="PSNR peak (default %(default)s)")
+    m.add_argument("--window", type=int, default=7)
+    m.add_argument("--scales", type=int, default=3)
     m.set_defaults(func=_cmd_metrics)
-    return p
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, _load_config(args.config) if args.config else {})
+        config = _load_config(args.config) if args.config else {}
+        plain = {key: config[key] for key in _CONFIG_KEYS[args.command] if key in config}
+        if plain:
+            # string defaults: argparse converts them with each flag's type,
+            # and a flag given on the command line still wins
+            commands[args.command].set_defaults(**plain)
+            args = parser.parse_args(argv)
+        return args.func(args, config)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

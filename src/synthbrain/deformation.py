@@ -375,7 +375,7 @@ def build_deformation(
     return DeformationField(disp, t_inv.spacing, t_inv.grid_to_world, provenance)
 
 
-def invert(fld: DeformationField, iterations: int = 20, step: float = 1.0) -> DeformationField:
+def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
     """Inverse map of a deformation field.
 
     Provenance-bearing fields are inverted analytically (affine inverse plus
@@ -392,20 +392,18 @@ def invert(fld: DeformationField, iterations: int = 20, step: float = 1.0) -> De
 
     idx = voxel_index_grid(fld.dims)
     to_voxel = _world_to_voxel_linear(fld.grid_to_world)
-    inv = -fld.displacement
-    delta = np.zeros_like(inv)
+    inv = prev = -fld.displacement
     last = np.asarray(fld.dims, dtype=np.float64) - 1.0
     for _ in range(iterations):
         # clipped to the grid, so an iterate a hair past a face reads the face
         # displacement instead of flipping to the identity extension
-        target = -sample_trilinear(fld.displacement, np.clip(idx + inv @ to_voxel, 0.0, last))
-        delta = target - inv
-        inv = inv + step * delta
+        pts = np.clip(idx + inv @ to_voxel, 0.0, last)
+        prev, inv = inv, -sample_trilinear(fld.displacement, pts)
     vox_pts = idx + inv @ to_voxel
     on_grid = np.all((vox_pts >= 0.0) & (vox_pts <= last), axis=-1)
     if not on_grid.any():
         raise NotInvertible("every iterate left the grid; nothing to verify against")
-    voxel_delta = np.abs(delta) / np.asarray(fld.spacing)
+    voxel_delta = np.abs(inv - prev) / np.asarray(fld.spacing)
     residual = float(np.sqrt((voxel_delta ** 2).sum(axis=-1))[on_grid].mean())
     if residual > 1.0:
         raise NotInvertible(f"fixed-point inversion residual {residual:.3f} voxels > 1")

@@ -120,15 +120,10 @@ def ssim(
     """Mean structural similarity over all fully-inside uniform windows.
 
     Uses the population variance within each window; a mask, when given,
-    selects which window *centers* contribute to the mean.
+    selects which window *centers* contribute to the mean. This is
+    :func:`ms_ssim` at one scale.
     """
-    check_same_geometry(a, b)
-    if min(a.dims) < window:
-        raise TooSmallForScales(f"dims {a.dims} smaller than window {window}")
-    m = _mask_array(mask, a.dims)
-    ssim_map, _ = _ssim_cs_maps(a.data, b.data, window, k1, k2, dynamic_range)
-    mc = _valid_center_mask(m, a.dims, window)
-    return float(ssim_map[mc].mean() if mc is not None else ssim_map.mean())
+    return ms_ssim(a, b, 1, window, k1, k2, dynamic_range, mask)
 
 
 def _downsample2(x: np.ndarray) -> np.ndarray:
@@ -154,14 +149,19 @@ def ms_ssim(
 ) -> float:
     """Multi-scale SSIM over dyadic downsamplings.
 
-    Contrast-structure terms (clamped at 0) are taken at the finer scales
-    and full SSIM at the coarsest; the per-scale exponents are the
-    conventional five weights truncated to ``scales`` and renormalized.
-    With ``scales=1`` this reduces exactly to :func:`ssim`.
+    Each scale averages per-window terms over the fully-inside uniform
+    windows (population variance); a mask, when given, selects which window
+    centers count and is downsampled with the images. Contrast-structure
+    terms (clamped at 0) are taken at the finer scales and full SSIM
+    (luminance times contrast-structure) at the coarsest; the per-scale
+    exponents are the conventional five weights truncated to ``scales`` and
+    renormalized, so one scale is plain single-scale SSIM.
     """
     check_same_geometry(a, b)
     if not 1 <= scales <= len(_MS_WEIGHTS):
         raise TooSmallForScales(f"scales must be in [1, {len(_MS_WEIGHTS)}], got {scales}")
+    if window < 1:
+        raise TooSmallForScales(f"window must be >= 1, got {window}")
     if min(a.dims) < window * 2 ** (scales - 1):
         raise TooSmallForScales(
             f"dims {a.dims} cannot host {scales} dyadic scales of window {window}"

@@ -47,9 +47,8 @@ DATA_OFFSET = 352
 _HDR_FMT = "i10s18sihcc8h3f4h8f3fhcc4f2i80s24s2h6f12f16s4s"
 assert struct.calcsize("<" + _HDR_FMT) == HEADER_SIZE
 
-_DTYPES = {2: "u1", 4: "i2", 16: "f4"}
-_BITPIX = {2: 8, 4: 16, 16: 32}
-_NAMES = {"uint8": 2, "int16": 4, "float32": 16}
+# datatype code -> element type; bitpix and the datatype names derive from it
+_DTYPES = {2: np.dtype("u1"), 4: np.dtype("i2"), 16: np.dtype("f4")}
 _INTENT_VECTOR = 1007
 
 
@@ -130,8 +129,8 @@ def read_header(stream: bytes) -> NiftiHeader:
     if magic != b"n+1\x00":
         raise BadMagic(f"magic is {magic!r}, expected b'n+1\\x00' (single-file form)")
     if datatype not in _DTYPES:
-        raise UnsupportedDatatype(f"datatype code {datatype} (supported: 2, 4, 16)")
-    if bitpix != _BITPIX[datatype]:
+        raise UnsupportedDatatype(f"datatype code {datatype} (supported: {sorted(_DTYPES)})")
+    if bitpix != 8 * _DTYPES[datatype].itemsize:
         raise UnsupportedDatatype(
             f"bitpix {bitpix} inconsistent with datatype {datatype}"
         )
@@ -168,8 +167,17 @@ def read_header(stream: bytes) -> NiftiHeader:
     )
 
 
-def _read_raw(stream: bytes, hdr: NiftiHeader, nvals: int) -> np.ndarray:
-    dtype = np.dtype(hdr.byte_order + _DTYPES[hdr.datatype])
+def _decode(stream: bytes, ndim: int) -> tuple[NiftiHeader, np.ndarray]:
+    """Header and scaled float64 values of an ``ndim``-D image, shaped
+    ``dim[1:ndim + 1]`` in the on-disk (Fortran) order."""
+    stream = _maybe_decompress(stream)
+    hdr = read_header(stream)
+    if hdr.dim[0] != ndim:
+        kind = "3D scalar" if ndim == 3 else "5D vector"
+        raise UnsupportedDimension(f"dim[0] = {hdr.dim[0]}, expected a {kind} image")
+    shape = hdr.dim[1 : ndim + 1]
+    dtype = _DTYPES[hdr.datatype].newbyteorder(hdr.byte_order)
+    nvals = math.prod(shape)
     nbytes = nvals * dtype.itemsize
     if len(stream) < hdr.vox_offset + nbytes:
         raise TruncatedData(
@@ -181,7 +189,7 @@ def _read_raw(stream: bytes, hdr: NiftiHeader, nvals: int) -> np.ndarray:
     scaling = hdr.scaling
     if scaling is not None:
         values = values * scaling[0] + scaling[1]
-    return values
+    return hdr, values.reshape(shape, order="F")
 
 
 def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMap:
@@ -191,16 +199,9 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
     non-negative values comes back as a :class:`LabelMap`, everything else
     as a :class:`Volume`. Pass True/False to force.
     """
-    stream = _maybe_decompress(stream)
-    hdr = read_header(stream)
-    if hdr.dim[0] != 3:
-        raise UnsupportedDimension(f"dim[0] = {hdr.dim[0]}, expected a 3D scalar image")
-    nx, ny, nz = hdr.dim[1:4]
-    values = _read_raw(stream, hdr, nx * ny * nz)
-    data = values.reshape((nx, ny, nz), order="F")
-
+    hdr, data = _decode(stream, 3)
     if as_labels is None:
-        integral = hdr.datatype in (2, 4)
+        integral = _DTYPES[hdr.datatype].kind in "iu"
         as_labels = integral and hdr.scaling is None and (data.size == 0 or data.min() >= 0)
     if as_labels:
         return LabelMap(data, hdr.spacing, hdr.affine)
@@ -209,36 +210,31 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
 
 def read_volume_stack(stream: bytes) -> VolumeStack:
     """Decode a 5D single-timepoint vector NIfTI into a stack of channels."""
-    stream = _maybe_decompress(stream)
-    hdr = read_header(stream)
-    if hdr.dim[0] != 5:
-        raise UnsupportedDimension(f"dim[0] = {hdr.dim[0]}, expected a 5D vector image")
-    nx, ny, nz, _, nc = hdr.dim[1:6]
-    values = _read_raw(stream, hdr, nx * ny * nz * nc)
-    data = values.reshape((nx, ny, nz, 1, nc), order="F")[:, :, :, 0, :]
+    hdr, data = _decode(stream, 5)
     return VolumeStack(
-        tuple(Volume(data[..., c], hdr.spacing, hdr.affine) for c in range(nc))
+        tuple(Volume(data[:, :, :, 0, c], hdr.spacing, hdr.affine) for c in range(data.shape[4]))
     )
 
 
 def _datatype_code(datatype: int | str) -> int:
     if isinstance(datatype, str):
-        if datatype not in _NAMES:
-            raise UnsupportedDatatype(f"datatype {datatype!r} (supported: {sorted(_NAMES)})")
-        return _NAMES[datatype]
+        codes = {dtype.name: code for code, dtype in _DTYPES.items()}
+        if datatype not in codes:
+            raise UnsupportedDatatype(f"datatype {datatype!r} (supported: {sorted(codes)})")
+        return codes[datatype]
     if datatype not in _DTYPES:
-        raise UnsupportedDatatype(f"datatype code {datatype} (supported: 2, 4, 16)")
+        raise UnsupportedDatatype(f"datatype code {datatype} (supported: {sorted(_DTYPES)})")
     return int(datatype)
 
 
 def _encode(data: np.ndarray, code: int) -> bytes:
     flat = np.asarray(data, dtype=np.float64).ravel(order="F")
-    if code == 16:
-        return flat.astype("<f4").tobytes()
+    dtype = _DTYPES[code].newbyteorder("<")
+    if dtype.kind == "f":
+        return flat.astype(dtype).tobytes()
     # integer targets: round, then clamp into the representable range
-    info = np.iinfo(_DTYPES[code])
-    values = np.clip(np.rint(flat), info.min, info.max)
-    return values.astype("<" + _DTYPES[code]).tobytes()
+    info = np.iinfo(dtype)
+    return np.clip(np.rint(flat), info.min, info.max).astype(dtype).tobytes()
 
 
 def _pack_header(dim, pixdim, code, affine, intent_code=0) -> bytes:
@@ -254,7 +250,7 @@ def _pack_header(dim, pixdim, code, affine, intent_code=0) -> bytes:
         b"", b"", 0, 0, b"r", b"\x00",
         *dim8,
         0.0, 0.0, 0.0,
-        intent_code, code, _BITPIX[code], 0,
+        intent_code, code, 8 * _DTYPES[code].itemsize, 0,
         *pix8,
         float(DATA_OFFSET), 1.0, 0.0,  # vox_offset, scl_slope, scl_inter
         0, b"\x00", b"\x02",  # slice_end, slice_code, xyzt_units (mm)

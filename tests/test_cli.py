@@ -182,6 +182,48 @@ def test_generate_severity_override_via_config(tmp_path, subject_files, capsys):
     assert record["resolution"] is None
 
 
+def test_generate_integer_deformation_key_via_config(tmp_path, subject_files, capsys):
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("deformation.squaring_steps = 5\n")
+    out = tmp_path / "o"
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--n", "1", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    deform_cfg = sb.DeformationConfig(squaring_steps=5)
+    lm = sb.read_nifti_file(labels, as_labels=True)
+    rng = sb.make_rng(3, "labels", "deformation")
+    affine = sb.sample_affine(rng, deform_cfg)
+    expected = sb.build_deformation(affine, sb.sample_svf(rng, deform_cfg, lm), steps=5)
+    written = sb.read_volume_stack_file(out / "deformation.nii").as_array()
+    assert np.array_equal(written, expected.displacement.astype(np.float32))
+
+
+@pytest.mark.parametrize("line", ["deformation.rot_max = abc",
+                                  "severe.noise_sigma_max = abc"])
+def test_malformed_dotted_config_value_exits_64(tmp_path, subject_files, capsys, line):
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert line.split(" = ")[0] in capsys.readouterr().err
+
+
+def test_directory_as_input_exits_2_naming_it(tmp_path, subject_files, capsys):
+    _, _, mprage = subject_files
+    folder = tmp_path / "inputs"
+    folder.mkdir()
+    rc = main(["generate", str(folder), str(mprage), "--seed", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(folder) in err
+    assert "directory" in err.replace(str(folder), "").lower()  # not "no such file"
+
+
 # -- metrics ---------------------------------------------------------------------
 
 def test_metrics_self_ssim_prints_one(tmp_path, capsys):
@@ -243,6 +285,9 @@ def test_metrics_config_file_fills_defaults(tmp_path, capsys):
     ssim_args = ["metrics", "--pred", str(pa), "--ref", str(pb), "--metric", "ssim"]
     assert main(ssim_args + ["--config", str(cfg)]) == 2
     assert main(ssim_args + ["--config", str(tmp_path / "missing.cfg")]) == 2
+    cfg.write_text("window = abc\n")
+    assert main(ssim_args + ["--config", str(cfg)]) == 64
+    assert main(ssim_args + ["--config", str(cfg), "--window", "7"]) == 0  # flag beats config
 
 
 # -- evaluate ---------------------------------------------------------------------

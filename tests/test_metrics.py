@@ -97,6 +97,13 @@ def test_ssim_window_too_large():
         sb.ssim(v, v, window=7)
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_ssim_window_must_be_positive(window):
+    v = smooth_volume(8, 0)
+    with pytest.raises(sb.TooSmallForScales, match="window"):
+        sb.ssim(v, v, window=window)
+
+
 def test_ms_ssim_single_scale_equals_ssim():
     rng = np.random.default_rng(5)
     a = _vol(rng.random((12, 12, 12)))
