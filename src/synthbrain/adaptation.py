@@ -73,12 +73,24 @@ def _as_stack(x) -> VolumeStack:
     return x if isinstance(x, VolumeStack) else VolumeStack((x,))
 
 
-def _design_matrix(features: VolumeStack, concat_input: Volume | None) -> np.ndarray:
-    cols = [ch.data.ravel() for ch in features.channels]
+def _voxel_order(features: VolumeStack) -> str:
+    """The order voxels are flattened in: the first channel's own layout
+    (Fortran for data read from NIfTI), so its rows copy contiguously."""
+    return "F" if features.channels[0].data.flags.f_contiguous else "C"
+
+
+def _design_matrix(features: VolumeStack, concat_input: Volume | None, order: str) -> np.ndarray:
+    """Channel-first ``(k + 1, nvox)`` inputs: one row per input channel, then ones.
+
+    Each row is one copy of a channel; a voxel-first matrix took strided
+    writes, ~4x slower to build at 64³ x 32 channels.
+    """
+    rows = [ch.data.ravel(order) for ch in features.channels]
     if concat_input is not None:
         check_same_geometry(features, concat_input)
-        cols.append(concat_input.data.ravel())
-    return np.stack(cols, axis=1)
+        rows.append(concat_input.data.ravel(order))
+    rows.append(np.ones(rows[0].size))
+    return np.stack(rows)
 
 
 def fit_adapter(
@@ -97,18 +109,18 @@ def fit_adapter(
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     target = _as_stack(target)
     check_same_geometry(features, target)
-    x = _design_matrix(features, concat_input)
-    y = np.stack([ch.data.ravel() for ch in target.channels], axis=1)
-    nvox, k = x.shape
+    order = _voxel_order(features)
+    xt = _design_matrix(features, concat_input, order)
+    yt = np.stack([ch.data.ravel(order) for ch in target.channels])
+    k, nvox = xt.shape[0] - 1, xt.shape[1]
     if nvox <= k:
         raise ValueError(f"{nvox} voxels cannot determine {k} input channels")
 
-    a = np.concatenate([x, np.ones((nvox, 1))], axis=1)
-    gram = a.T @ a
+    gram = xt @ xt.T
     reg = np.zeros(k + 1)
     reg[:k] = ridge
     gram += np.diag(reg)
-    rhs = a.T @ y
+    rhs = xt @ yt.T
 
     if ridge == 0.0:
         cond = np.linalg.cond(gram)
@@ -138,16 +150,17 @@ def apply_adapter(
         raise ChannelMismatch(
             f"adapter expects {expected} feature channels, got {features.channel_count}"
         )
-    x = _design_matrix(features, concat_input)
-    out = x @ adapter.weights + adapter.bias
+    order = _voxel_order(features)
+    wb = np.vstack([adapter.weights, adapter.bias])
+    out = wb.T @ _design_matrix(features, concat_input, order)
     if adapter.softmax:
-        out = out - out.max(axis=1, keepdims=True)
+        out -= out.max(axis=0, keepdims=True)
         np.exp(out, out=out)
-        out /= out.sum(axis=1, keepdims=True)
+        out /= out.sum(axis=0, keepdims=True)
     dims = features.dims
     return VolumeStack(tuple(
-        Volume(out[:, c].reshape(dims), features.spacing, features.grid_to_world)
-        for c in range(adapter.out_channels)
+        Volume(row.reshape(dims, order=order), features.spacing, features.grid_to_world)
+        for row in out
     ))
 
 

@@ -113,11 +113,16 @@ def _typed(key: str, hint, value: str):
 
 
 def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
-    """Presets with overrides like ``severe.noise_sigma_max=20``, typed by their fields."""
+    """Presets with overrides like ``severe.noise_sigma_max=20``, typed by their fields.
+
+    Each level's overrides are applied together, so the file's order cannot
+    matter; a value its preset rejects (``mild.p_low_field = 2``) is a usage error.
+    """
     presets = {name: SeverityConfig.by_name(name) for name in SEVERITY_LEVELS + ("off",)}
     hints = typing.get_type_hints(SeverityConfig)
     deform_hints = typing.get_type_hints(DeformationConfig)
     deform_over = {}
+    over: dict[str, dict] = {name: {} for name in presets}
     for key, value in config.items():
         if "." not in key:
             continue
@@ -129,22 +134,22 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
             continue
         if scope not in presets:
             raise _UsageError(f"unknown severity level {scope!r} in config key {key}")
-        cfg = presets[scope]
         base = fld[:-4]
         if fld.startswith("p_") and fld in hints:
-            presets[scope] = dataclasses.replace(cfg, **{fld: _typed(key, hints[fld], value)})
+            over[scope][fld] = _typed(key, hints[fld], value)
         elif fld.endswith(("_min", "_max")) and typing.get_origin(hints.get(base)) is tuple:
-            lo, hi = getattr(cfg, base)
+            lo, hi = over[scope].get(base, getattr(presets[scope], base))
             bound = _typed(key, hints[base], value)
-            pair = (bound, hi) if fld.endswith("_min") else (lo, bound)
-            presets[scope] = dataclasses.replace(cfg, **{base: pair})
+            over[scope][base] = (bound, hi) if fld.endswith("_min") else (lo, bound)
         else:
             raise _UsageError(f"unknown severity field {fld!r} in config key {key}")
-    if deform_over:
-        for name, cfg in presets.items():
-            presets[name] = dataclasses.replace(
-                cfg, deformation=dataclasses.replace(cfg.deformation, **deform_over)
-            )
+    for name, cfg in presets.items():
+        if deform_over:
+            over[name]["deformation"] = dataclasses.replace(cfg.deformation, **deform_over)
+        try:
+            presets[name] = dataclasses.replace(cfg, **over[name])
+        except ValueError as exc:
+            raise _UsageError(f"config for severity level {name}: {exc}")
     return presets
 
 
@@ -336,6 +341,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config) if args.config else {}
+        # dotted keys set generate's presets, which _severity_presets checks
+        unknown = [key for key in config if key not in _CONFIG_KEYS[args.command]
+                   and not (args.command == "generate" and "." in key)]
+        if unknown:
+            raise _UsageError(f"config keys unknown to {args.command}: {', '.join(unknown)}")
         plain = {key: config[key] for key in _CONFIG_KEYS[args.command] if key in config}
         if plain:
             # string defaults: argparse converts them with each flag's type,

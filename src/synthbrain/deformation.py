@@ -60,8 +60,11 @@ __all__ = [
 ]
 
 DEFAULT_SQUARING_STEPS = 7
-# velocity fields are integrated on a grid this many times coarser per axis
+# velocity fields are integrated, and fields inverted, on a grid this many
+# times coarser per axis
 _INTEGRATION_DOWNSIZE = 2
+# fixed-point inversion stops once its mean on-grid update is below this (voxel)
+_INVERSION_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -293,12 +296,27 @@ def _world_to_voxel_linear(grid_to_world: np.ndarray) -> np.ndarray:
     return np.linalg.inv(grid_to_world)[:3, :3].T
 
 
+def _half_grid(dims) -> tuple[np.ndarray, np.ndarray, list]:
+    """The coarse grid that integration and fixed-point inversion run on.
+
+    Each axis of ``n`` voxels gets ``ceil((n-1)/2) + 1`` nodes spanning the
+    same extent (axes of <= 2 voxels keep theirs). Returns the nodes' index
+    grid, the per-axis node-per-voxel ratios (``idx / ratios`` is each node's
+    full-grid voxel position) and the per-axis ``_per_axis`` matrices that
+    upsample node values to the full grid (``None`` where an axis is kept).
+    """
+    half = tuple(math.ceil((n - 1) / _INTEGRATION_DOWNSIZE) + 1 for n in dims)
+    ratios = np.array([(m - 1) / (n - 1) if n > 1 else 1.0 for n, m in zip(dims, half)])
+    upsample = [None if m == n else _linear_weights(np.arange(n) * r, m)
+                for n, m, r in zip(dims, half, ratios)]
+    return voxel_index_grid(half), ratios, upsample
+
+
 def integrate_svf(svf: SVF, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationField:
     """exp(v) by scaling and squaring on a half-resolution grid, upsampled once.
 
-    Each axis of ``n`` voxels gets ``ceil((n-1)/2) + 1`` nodes spanning the
-    same extent (axes of <= 2 voxels keep theirs). The coarse velocities are
-    trilinearly sampled at those nodes, the halved field is self-composed
+    The coarse velocities are trilinearly sampled at the nodes of
+    :func:`_half_grid`, the halved field is self-composed
     ``steps`` times in half-grid voxel units, and the result is brought to
     the full grid by one separable linear upsampling — as in VoxelMorph's
     ``VecInt`` with ``int_downsize=2`` (Dalca et al., MICCAI 2018) and
@@ -307,19 +325,14 @@ def integrate_svf(svf: SVF, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationF
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    dims = svf.grid_dims
-    half = tuple(math.ceil((n - 1) / _INTEGRATION_DOWNSIZE) + 1 for n in dims)
-    ratios = np.array([(m - 1) / (n - 1) if n > 1 else 1.0 for n, m in zip(dims, half)])
-    idx = voxel_index_grid(half)
-    nodes = idx / ratios  # full-grid voxel position of each node
+    idx, ratios, upsample = _half_grid(svf.grid_dims)
+    nodes = idx / ratios
     ctrl = (voxel_to_world(svf.grid_to_world, nodes) - np.asarray(svf.origin)) / svf.control_spacing
     disp = sample_trilinear(svf.velocities, ctrl) / (2.0 ** steps)
     to_half_voxel = _world_to_voxel_linear(svf.grid_to_world) * ratios
     for _ in range(steps):
         disp += sample_trilinear(disp, idx + disp @ to_half_voxel)
-    disp = _per_axis(disp, [None if m == n else _linear_weights(np.arange(n) * r, m)
-                            for n, m, r in zip(dims, half, ratios)])
-    return DeformationField(disp, svf.grid_spacing, svf.grid_to_world)
+    return DeformationField(_per_axis(disp, upsample), svf.grid_spacing, svf.grid_to_world)
 
 
 # -- algebra -------------------------------------------------------------------
@@ -379,35 +392,43 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
     """Inverse map of a deformation field.
 
     Provenance-bearing fields are inverted analytically (affine inverse plus
-    integration of the negated velocities). Otherwise a fixed-point iteration
-    ``u⁻¹(x) <- -u(x + u⁻¹(x))`` runs; it fails with :class:`NotInvertible`
-    when the final update still moves points by more than one voxel on
-    average. Convergence is judged only at voxels whose iterates stayed on
-    the grid — elsewhere the lookup falls back to the identity extension and
-    says nothing about the fixed point.
+    integration of the negated velocities). Otherwise the fixed point
+    ``u⁻¹(x) <- -u(x + u⁻¹(x))`` (Chen et al., Med. Phys. 2008) is iterated on
+    the nodes of :func:`_half_grid`, reading the full-resolution ``u``, and
+    upsampled once. It stops once the mean update is below ``_INVERSION_TOL``
+    voxel, or after ``iterations`` updates. Convergence is judged only at
+    nodes whose iterates land on the grid — elsewhere the lookup says nothing
+    about the fixed point. :class:`NotInvertible` is raised when fewer than
+    half of the nodes land on the grid, or when their final update still
+    moves points by more than one voxel on average.
     """
     if fld.provenance is not None:
         p = fld.provenance
         return build_deformation(p.affine, p.svf, p.steps, inverted=not p.inverted)
 
-    idx = voxel_index_grid(fld.dims)
+    idx, ratios, upsample = _half_grid(fld.dims)
+    nodes = idx / ratios
     to_voxel = _world_to_voxel_linear(fld.grid_to_world)
-    inv = prev = -fld.displacement
     last = np.asarray(fld.dims, dtype=np.float64) - 1.0
+    inv = -sample_trilinear(fld.displacement, nodes)
+    pts = nodes + inv @ to_voxel
+    residual = 0.0
     for _ in range(iterations):
         # clipped to the grid, so an iterate a hair past a face reads the face
         # displacement instead of flipping to the identity extension
-        pts = np.clip(idx + inv @ to_voxel, 0.0, last)
-        prev, inv = inv, -sample_trilinear(fld.displacement, pts)
-    vox_pts = idx + inv @ to_voxel
-    on_grid = np.all((vox_pts >= 0.0) & (vox_pts <= last), axis=-1)
-    if not on_grid.any():
-        raise NotInvertible("every iterate left the grid; nothing to verify against")
-    voxel_delta = np.abs(inv - prev) / np.asarray(fld.spacing)
-    residual = float(np.sqrt((voxel_delta ** 2).sum(axis=-1))[on_grid].mean())
+        prev, inv = inv, -sample_trilinear(fld.displacement, np.clip(pts, 0.0, last))
+        pts = nodes + inv @ to_voxel
+        on_grid = np.all((pts >= 0.0) & (pts <= last), axis=-1)
+        step = np.sqrt((((inv - prev) @ to_voxel)[on_grid] ** 2).sum(-1))
+        residual = float(step.mean()) if step.size else math.inf
+        if residual < _INVERSION_TOL:
+            break
+    share = float(np.all((pts >= 0.0) & (pts <= last), axis=-1).mean())
+    if share < 0.5:
+        raise NotInvertible(f"only {share:.1%} of the fixed-point iterates stayed on the grid")
     if residual > 1.0:
         raise NotInvertible(f"fixed-point inversion residual {residual:.3f} voxels > 1")
-    return DeformationField(inv, fld.spacing, fld.grid_to_world)
+    return DeformationField(_per_axis(inv, upsample), fld.spacing, fld.grid_to_world)
 
 
 # -- warping -------------------------------------------------------------------

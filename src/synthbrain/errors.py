@@ -42,7 +42,7 @@ class NonFiniteField(SynthBrainError):
 
 
 class NotInvertible(SynthBrainError):
-    """Fixed-point inversion failed to converge below one voxel."""
+    """Fixed-point inversion left the grid or did not converge below one voxel."""
 
 
 class MissingLabelParams(SynthBrainError):

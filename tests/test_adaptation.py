@@ -29,6 +29,25 @@ def test_planted_map_recovered_exactly():
     assert res["residual_l2"] < 1e-15
 
 
+def test_memory_layout_does_not_change_the_fit():
+    # NIfTI data arrives Fortran-ordered; a target or input image may not
+    feats = _stack(12, 3, seed=2)
+    target = _apply_plant(feats, np.array([0.5, -1.0, 2.0]), 0.3)
+    target = target.with_data(target.data + 0.1 * smooth_volume(12, 50).data)
+    image = smooth_volume(12, 60)
+    fortran = sb.VolumeStack(tuple(c.with_data(np.asfortranarray(c.data)) for c in feats.channels))
+    assert fortran.channels[0].data.flags.f_contiguous and image.data.flags.c_contiguous
+    ref = sb.fit_adapter(feats, target, concat_input=image)
+    got = sb.fit_adapter(fortran, target, concat_input=image)
+    assert np.abs(got.weights - ref.weights).max() < 1e-9
+    assert np.abs(got.bias - ref.bias).max() < 1e-9
+    pred_ref = sb.apply_adapter(ref, feats, image).channels[0].data
+    pred = sb.apply_adapter(got, fortran, image).channels[0].data
+    assert np.abs(pred - pred_ref).max() < 1e-9
+    assert sb.fit_residual(got, fortran, target, image) == pytest.approx(
+        sb.fit_residual(ref, feats, target, image), rel=1e-9)
+
+
 def test_single_channel_identity_fit():
     v = smooth_volume(12, 1)
     adapter = sb.fit_adapter(sb.VolumeStack((v,)), v, ridge=0.0)

@@ -212,6 +212,50 @@ def test_malformed_dotted_config_value_exits_64(tmp_path, subject_files, capsys,
     assert line.split(" = ")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,field", [("mild.p_low_field = 2", "p_low_field"),
+                                        ("severe.noise_sigma_min = 20", "noise_sigma")])
+def test_out_of_range_dotted_config_value_exits_64(tmp_path, subject_files, capsys, line, field):
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert field in capsys.readouterr().err
+
+
+def test_range_overrides_apply_together(tmp_path, subject_files, capsys):
+    # the new min exceeds mild's preset max (1.0) until the max line is read
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mild.noise_sigma_min = 2\nmild.noise_sigma_max = 3\n")
+    out = tmp_path / "o"
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--schedule", "mild", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    record = json.loads((out / "manifest.json").read_text())["samples"][0]["record"]
+    assert 2.0 / 255.0 <= record["noise"]["sigma"] <= 3.0 / 255.0
+
+
+@pytest.mark.parametrize("command,line", [
+    ("metrics", "windw = 9"),
+    ("metrics", "severe.bogus = 1"),
+    ("metrics", "severe.noise_sigma_max = 20"),  # a generate-only key
+    ("generate", "windw = 9"),
+])
+def test_unknown_config_key_exits_64(tmp_path, subject_files, capsys, command, line):
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    if command == "metrics":
+        argv = ["metrics", "--pred", str(mprage), "--ref", str(mprage), "--metric", "l1"]
+    else:
+        argv = ["generate", str(labels), str(mprage), "--seed", "3", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--config", str(cfg)]) == 64
+    assert line.split(" = ")[0] in capsys.readouterr().err
+
+
 def test_directory_as_input_exits_2_naming_it(tmp_path, subject_files, capsys):
     _, _, mprage = subject_files
     folder = tmp_path / "inputs"

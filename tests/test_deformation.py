@@ -247,8 +247,26 @@ def test_double_inversion_returns_to_start():
     assert err.mean() <= 0.3
 
 
-def test_uninvertible_field_raises():
-    n = 16
+@pytest.mark.parametrize("sheared", [False, True], ids=["iso64", "sheared64x60x56"])
+def test_fixed_point_inverse_matches_closed_form(sheared):
+    # float32 copies, as read back from deformation.nii: no provenance, so
+    # invert takes the fixed point; the closed-form inverse is the oracle
+    like = _sheared_grid((64, 60, 56)) if sheared else sb.Volume(np.zeros((64, 64, 64)))
+    cfg = DeformationConfig()
+    box = tuple(slice(n // 4, n - n // 4) for n in like.dims)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        affine, svf = sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, like)
+        fld = sb.build_deformation(affine, svf)
+        stored = sb.DeformationField(fld.displacement.astype(np.float32), fld.spacing,
+                                     fld.grid_to_world)
+        closed = sb.build_deformation(affine, svf, inverted=True).displacement
+        err = np.sqrt(((sb.invert(stored).displacement - closed) ** 2).sum(-1))
+        assert err[box].max() <= 0.05  # mm
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_uninvertible_field_raises(n):
     disp = np.zeros((n, n, n, 3))
     # displacement folds the volume onto itself: x -> -x around the center
     idx = np.indices((n, n, n)).astype(float)
