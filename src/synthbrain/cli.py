@@ -116,7 +116,8 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
     """Presets with overrides like ``severe.noise_sigma_max=20``, typed by their fields.
 
     Each level's overrides are applied together, so the file's order cannot
-    matter; a value its preset rejects (``mild.p_low_field = 2``) is a usage error.
+    matter; a value its preset or the deformation config rejects
+    (``mild.p_low_field = 2``, ``deformation.squaring_steps = 0``) is a usage error.
     """
     presets = {name: SeverityConfig.by_name(name) for name in SEVERITY_LEVELS + ("off",)}
     hints = typing.get_type_hints(SeverityConfig)
@@ -144,9 +145,9 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
         else:
             raise _UsageError(f"unknown severity field {fld!r} in config key {key}")
     for name, cfg in presets.items():
-        if deform_over:
-            over[name]["deformation"] = dataclasses.replace(cfg.deformation, **deform_over)
         try:
+            if deform_over:
+                over[name]["deformation"] = dataclasses.replace(cfg.deformation, **deform_over)
             presets[name] = dataclasses.replace(cfg, **over[name])
         except ValueError as exc:
             raise _UsageError(f"config for severity level {name}: {exc}")

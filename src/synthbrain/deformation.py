@@ -86,6 +86,12 @@ class DeformationConfig:
     svf_control_spacing: float = 16.0
     squaring_steps: int = DEFAULT_SQUARING_STEPS
 
+    def __post_init__(self):
+        if self.squaring_steps < 1:
+            raise ValueError(f"squaring_steps must be >= 1, got {self.squaring_steps}")
+        if self.svf_control_spacing <= 0:
+            raise ValueError(f"svf_control_spacing must be > 0, got {self.svf_control_spacing}")
+
     @classmethod
     def all_off(cls) -> "DeformationConfig":
         """Ranges collapsed to zero: sampling yields the identity map."""
@@ -398,9 +404,11 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
     upsampled once. It stops once the mean update is below ``_INVERSION_TOL``
     voxel, or after ``iterations`` updates. Convergence is judged only at
     nodes whose iterates land on the grid — elsewhere the lookup says nothing
-    about the fixed point. :class:`NotInvertible` is raised when fewer than
-    half of the nodes land on the grid, or when their final update still
-    moves points by more than one voxel on average.
+    about the fixed point. :class:`NotInvertible` is raised when the map
+    ``x + u(x)`` reverses orientation (its Jacobian determinant is <= 0 at
+    half of the nodes or more), when no iterate lands on the grid, or when
+    the final update still moves points by more than one voxel on average.
+    A field that folds only locally is inverted like any other.
     """
     if fld.provenance is not None:
         p = fld.provenance
@@ -412,6 +420,13 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
     last = np.asarray(fld.dims, dtype=np.float64) - 1.0
     inv = -sample_trilinear(fld.displacement, nodes)
     pts = nodes + inv @ to_voxel
+    # du/dx at the nodes in voxels per voxel; x -> x + u(x) has Jacobian I + du/dx
+    grad = np.zeros(pts.shape + (3,))
+    for ax in range(3):
+        if pts.shape[ax] > 1:
+            grad[..., ax] = np.gradient(nodes - pts, axis=ax) * ratios[ax]
+    if np.median(np.linalg.det(grad + np.eye(3))) <= 0.0:
+        raise NotInvertible("the field reverses orientation at most of its nodes")
     residual = 0.0
     for _ in range(iterations):
         # clipped to the grid, so an iterate a hair past a face reads the face
@@ -423,9 +438,6 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
         residual = float(step.mean()) if step.size else math.inf
         if residual < _INVERSION_TOL:
             break
-    share = float(np.all((pts >= 0.0) & (pts <= last), axis=-1).mean())
-    if share < 0.5:
-        raise NotInvertible(f"only {share:.1%} of the fixed-point iterates stayed on the grid")
     if residual > 1.0:
         raise NotInvertible(f"fixed-point inversion residual {residual:.3f} voxels > 1")
     return DeformationField(_per_axis(inv, upsample), fld.spacing, fld.grid_to_world)

@@ -213,7 +213,10 @@ def test_malformed_dotted_config_value_exits_64(tmp_path, subject_files, capsys,
 
 
 @pytest.mark.parametrize("line,field", [("mild.p_low_field = 2", "p_low_field"),
-                                        ("severe.noise_sigma_min = 20", "noise_sigma")])
+                                        ("severe.noise_sigma_min = 20", "noise_sigma"),
+                                        ("deformation.squaring_steps = 0", "squaring_steps"),
+                                        ("deformation.svf_control_spacing = 0",
+                                         "svf_control_spacing")])
 def test_out_of_range_dotted_config_value_exits_64(tmp_path, subject_files, capsys, line, field):
     _, labels, mprage = subject_files
     cfg = tmp_path / "run.cfg"

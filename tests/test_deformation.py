@@ -204,6 +204,20 @@ def test_invert_translation_flips_sign():
     for iterations in (19, 20):
         inv = sb.invert(fld, iterations=iterations)
         assert np.abs(inv.displacement - (-t)).max() <= 1e-9
+    # past half the grid: most iterates leave it, the rest see the exact fixed point
+    for n in (15, 20):
+        t = np.array([12.0, 0.0, -0.4 * n])
+        inv = sb.invert(_translation_field(t, n=n))
+        assert np.abs(inv.displacement - (-t)).max() <= 1e-9
+    # a one-voxel-thick slab, translated within its plane
+    t = np.array([0.0, -1.0, 0.5])
+    inv = sb.invert(sb.DeformationField(np.broadcast_to(t, (1, 12, 12, 3))))
+    assert np.abs(inv.displacement - (-t)).max() <= 1e-9
+
+
+def test_invert_translation_off_the_grid_raises():
+    with pytest.raises(sb.NotInvertible):
+        sb.invert(_translation_field(np.array([0.0, 25.0, 0.0]), n=20))
 
 
 def test_provenance_inversion_round_trip():
