@@ -204,7 +204,10 @@ def test_invert_translation_flips_sign():
     for iterations in (19, 20):
         inv = sb.invert(fld, iterations=iterations)
         assert np.abs(inv.displacement - (-t)).max() <= 1e-9
-    # past half the grid: most iterates leave it, the rest see the exact fixed point
+
+
+def test_invert_translation_past_half_the_grid():
+    # most iterates leave the grid; the ones that stay see the exact fixed point
     for n in (15, 20):
         t = np.array([12.0, 0.0, -0.4 * n])
         inv = sb.invert(_translation_field(t, n=n))
