@@ -79,8 +79,6 @@ from .generator import (
 from .metrics import (
     DiceScores,
     MetricReport,
-    atlas_features,
-    canonical_features,
     dice,
     interior_mask,
     l1,

@@ -21,7 +21,7 @@ import sys
 import typing
 from pathlib import Path
 
-from . import adaptation, metrics
+from . import adaptation, generator, metrics
 from .corruption import SEVERITY_LEVELS, SeverityConfig
 from .deformation import DeformationConfig, DeformationField
 from .errors import (
@@ -169,12 +169,12 @@ def _cmd_generate(args, config: dict[str, str]) -> int:
 
     presets = _severity_presets(config)
     names = args.schedule.split(",") if args.schedule else severity_ladder(n)
-    if len(names) != n:
-        raise _UsageError(f"schedule has {len(names)} entries for --n {n}")
     try:
-        schedule = [presets[name.strip().lower()] for name in names]
+        schedule = generator._normalize_schedule([presets[nm.strip().lower()] for nm in names], n)
     except KeyError as exc:
         raise _UsageError(f"unknown severity level {exc.args[0]!r}")
+    except ValueError as exc:  # a schedule longer or shorter than --n, or decreasing
+        raise _UsageError(str(exc))
 
     labels = _read(args.labels, as_labels=True)
     mprage = _read(args.mprage, as_labels=False)
@@ -187,34 +187,30 @@ def _cmd_generate(args, config: dict[str, str]) -> int:
 
 
 def _load_candidates(manifest_path, mode: str, atlas_map):
-    """Accept either an explicit candidates list or a generated-batch manifest."""
+    """(stack, field) pairs from a candidates list or a generated-batch manifest.
+    Each deformation file is read once; in inter mode only ``atlas_map`` is used."""
     doc = json.loads(Path(manifest_path).read_text())
     base = Path(manifest_path).parent
-
-    def resolve(name):
-        return base / name
-
-    pairs = []
     if "candidates" in doc:
-        for entry in doc["candidates"]:
-            stack = _read(resolve(entry["features"]), stack=True)
-            fld = None
-            if "deformation" in entry:
-                fld = _read_field(resolve(entry["deformation"]))
-            pairs.append((stack, fld))
+        entries = [(e["features"], e.get("deformation")) for e in doc["candidates"]]
     elif "samples" in doc:
-        shared = _read_field(resolve(doc["deformation"]))
-        for entry in doc["samples"]:
-            pairs.append((_read(resolve(entry["file"]), stack=True), shared))
+        entries = [(e["file"], doc.get("deformation")) for e in doc["samples"]]
     else:
         raise _UsageError(f"{manifest_path}: neither 'candidates' nor 'samples' present")
 
+    fields: dict[Path, DeformationField] = {}  # resolved path -> field
     out = []
-    for stack, fld in pairs:
-        use = atlas_map if mode == "inter" else fld
-        if use is None:
+    for features, deformation in entries:
+        if mode == "inter":
+            fld = atlas_map
+        elif deformation is None:
             raise _UsageError("candidate missing a deformation field")
-        out.append((stack, use))
+        else:
+            key = (base / deformation).resolve()
+            if key not in fields:
+                fields[key] = _read_field(base / deformation)
+            fld = fields[key]
+        out.append((_read(base / features, stack=True), fld))
     return out
 
 

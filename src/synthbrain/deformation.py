@@ -354,18 +354,19 @@ def compose(
     (outer's grid for an affine inner), with the outer displacement treated
     as identity beyond its own grid.
     """
+    # Full-size temporaries are dropped as soon as they are used: this is the
+    # memory peak of build_deformation.
     if isinstance(inner, AffineParams):
         # one world grid, mapped through the affine once
         xs = world_coordinate_grid(outer.dims, outer.grid_to_world)
         mapped = voxel_to_world(inner.matrix(outer.grid_center_world()), xs)
         inner_disp, grid = np.subtract(mapped, xs, out=xs), outer
+        p = world_to_voxel(outer.grid_to_world, mapped)
+        del mapped
     else:
-        mapped, inner_disp, grid = inner.mapped_points(), inner.displacement, inner
-    # trilinear lookup of outer's displacement; identity beyond its grid.
-    # Full-size temporaries are dropped as soon as they are used: this is the
-    # memory peak of build_deformation.
-    p = world_to_voxel(outer.grid_to_world, mapped)
-    del mapped
+        p = _source_voxels(inner, outer.grid_to_world)
+        inner_disp, grid = inner.displacement, inner
+    # trilinear lookup of outer's displacement; identity beyond its grid
     sampled = sample_trilinear(outer.displacement, p)
     del p
     sampled += inner_disp
@@ -449,6 +450,11 @@ def _is_identity_on(fld: DeformationField, target) -> bool:
     return not fld.displacement.any() and same_geometry(fld, target)
 
 
+def _source_voxels(fld: DeformationField, grid_to_world: np.ndarray) -> np.ndarray:
+    """Where each voxel of ``fld`` maps to, in voxels of the grid ``grid_to_world``."""
+    return world_to_voxel(grid_to_world, fld.mapped_points())
+
+
 def warp_volume(v: Volume, fld: DeformationField) -> Volume:
     """Backward-warp: output(x) = v(fld(x)), trilinear, zero outside.
 
@@ -458,7 +464,7 @@ def warp_volume(v: Volume, fld: DeformationField) -> Volume:
     """
     if _is_identity_on(fld, v):
         return v
-    p = world_to_voxel(v.grid_to_world, fld.mapped_points())
+    p = _source_voxels(fld, v.grid_to_world)
     return Volume(sample_trilinear(v.data, p), fld.spacing, fld.grid_to_world)
 
 
@@ -466,10 +472,19 @@ def warp_labels(lm: LabelMap, fld: DeformationField) -> LabelMap:
     """Backward-warp with nearest sampling; never invents labels."""
     if _is_identity_on(fld, lm):
         return lm
-    p = world_to_voxel(lm.grid_to_world, fld.mapped_points())
+    p = _source_voxels(fld, lm.grid_to_world)
     return LabelMap(sample_nearest(lm.data, p), fld.spacing, fld.grid_to_world)
 
 
 def warp_stack(stack: VolumeStack, fld: DeformationField) -> VolumeStack:
-    """Warp each channel of a stack by the same field."""
-    return VolumeStack(tuple(warp_volume(ch, fld) for ch in stack.channels))
+    """Warp each channel of a stack by the same field, like :func:`warp_volume`.
+
+    The channels share one grid, so the sampling positions are computed once.
+    """
+    if _is_identity_on(fld, stack):
+        return stack
+    p = _source_voxels(fld, stack.grid_to_world)
+    return VolumeStack(tuple(
+        Volume(sample_trilinear(ch.data, p), fld.spacing, fld.grid_to_world)
+        for ch in stack.channels
+    ))

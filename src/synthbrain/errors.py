@@ -42,7 +42,8 @@ class NonFiniteField(SynthBrainError):
 
 
 class NotInvertible(SynthBrainError):
-    """Fixed-point inversion left the grid or did not converge below one voxel."""
+    """Fixed-point inversion met a field that reverses orientation, left the
+    grid, or did not converge below one voxel."""
 
 
 class MissingLabelParams(SynthBrainError):

@@ -62,6 +62,17 @@ class SubjectRecord:
         check_same_geometry(self.labels, self.mprage)
 
 
+def _check_levels(levels) -> None:
+    """Raise ``ValueError`` on an unknown severity level or a decreasing order."""
+    ranks = []
+    for level in levels:
+        if level not in _SEVERITY_RANK:
+            raise ValueError(f"unknown severity level {level!r}")
+        ranks.append(_SEVERITY_RANK[level])
+    if any(a > b for a, b in zip(ranks, ranks[1:])):
+        raise ValueError(f"severity levels must be non-decreasing, got {ranks}")
+
+
 @dataclass(frozen=True)
 class Sample:
     image: Volume
@@ -80,13 +91,7 @@ class SampleBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
-        ranks = []
-        for s in self.samples:
-            if s.level not in _SEVERITY_RANK:
-                raise ValueError(f"unknown severity level {s.level!r}")
-            ranks.append(_SEVERITY_RANK[s.level])
-        if any(a > b for a, b in zip(ranks, ranks[1:])):
-            raise ValueError(f"severity levels must be non-decreasing, got {ranks}")
+        _check_levels([s.level for s in self.samples])
 
     @property
     def batch_size(self) -> int:
@@ -119,6 +124,8 @@ def _normalize_schedule(schedule, n: int) -> list[SeverityConfig]:
     cfgs = [s if isinstance(s, SeverityConfig) else SeverityConfig.by_name(s) for s in schedule]
     if len(cfgs) != n:
         raise ValueError(f"schedule length {len(cfgs)} != batch size {n}")
+    # checked again by SampleBatch, but here before any sample is drawn
+    _check_levels([c.level for c in cfgs])
     return cfgs
 
 

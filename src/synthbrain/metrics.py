@@ -34,8 +34,6 @@ __all__ = [
     "dice",
     "DiceScores",
     "norm_l2_bias",
-    "canonical_features",
-    "atlas_features",
     "interior_mask",
     "robustness_protocol",
     "MetricReport",
@@ -56,20 +54,20 @@ def _mask_array(mask, dims) -> np.ndarray | None:
     return m
 
 
+def _masked_mean(x: np.ndarray, m: np.ndarray | None) -> float:
+    return float(x[m].mean() if m is not None else x.mean())
+
+
 def l1(a: Volume, b: Volume, mask=None) -> float:
     """Mean absolute difference, optionally restricted to a mask."""
     check_same_geometry(a, b)
-    diff = np.abs(a.data - b.data)
-    m = _mask_array(mask, a.dims)
-    return float(diff[m].mean() if m is not None else diff.mean())
+    return _masked_mean(np.abs(a.data - b.data), _mask_array(mask, a.dims))
 
 
 def psnr(pred: Volume, ref: Volume, peak: float = 1.0, mask=None) -> float:
     """10*log10(peak^2 / MSE); identical inputs give +inf."""
     check_same_geometry(pred, ref)
-    sq = (pred.data - ref.data) ** 2
-    m = _mask_array(mask, pred.dims)
-    mse = float(sq[m].mean() if m is not None else sq.mean())
+    mse = _masked_mean((pred.data - ref.data) ** 2, _mask_array(mask, pred.dims))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -123,7 +121,7 @@ def ssim(
     selects which window *centers* contribute to the mean. This is
     :func:`ms_ssim` at one scale.
     """
-    return ms_ssim(a, b, 1, window, k1, k2, dynamic_range, mask)
+    return _ssim_and_ms_ssim(a, b, 1, window, k1, k2, dynamic_range, mask)[0]
 
 
 def _downsample2(x: np.ndarray) -> np.ndarray:
@@ -131,10 +129,6 @@ def _downsample2(x: np.ndarray) -> np.ndarray:
     nx, ny, nz = (d - d % 2 for d in x.shape)
     y = x[:nx, :ny, :nz].reshape(nx // 2, 2, ny // 2, 2, nz // 2, 2)
     return y.mean(axis=(1, 3, 5))
-
-
-def _downsample_mask(m: np.ndarray) -> np.ndarray:
-    return _downsample2(m.astype(np.float64)) > 0.5
 
 
 def ms_ssim(
@@ -157,6 +151,14 @@ def ms_ssim(
     exponents are the conventional five weights truncated to ``scales`` and
     renormalized, so one scale is plain single-scale SSIM.
     """
+    return _ssim_and_ms_ssim(a, b, scales, window, k1, k2, dynamic_range, mask)[1]
+
+
+def _ssim_and_ms_ssim(
+    a, b, scales, window, k1=0.01, k2=0.03, dynamic_range=1.0, mask=None
+) -> tuple[float, float]:
+    """``(ssim, ms_ssim)`` from one pass: the first scale's SSIM is read off
+    the same window statistics that MS-SSIM's first scale filters."""
     check_same_geometry(a, b)
     if not 1 <= scales <= len(_MS_WEIGHTS):
         raise TooSmallForScales(f"scales must be in [1, {len(_MS_WEIGHTS)}], got {scales}")
@@ -175,19 +177,20 @@ def ms_ssim(
     for s in range(scales):
         ssim_map, cs_map = _ssim_cs_maps(xa, xb, window, k1, k2, dynamic_range)
         mc = _valid_center_mask(m, xa.shape, window)
+        if s == 0:
+            first = _masked_mean(ssim_map, mc)
         if s < scales - 1:
-            cs = float(cs_map[mc].mean() if mc is not None else cs_map.mean())
-            result *= max(cs, 0.0) ** weights[s]
+            result *= max(_masked_mean(cs_map, mc), 0.0) ** weights[s]
             xa, xb = _downsample2(xa), _downsample2(xb)
             if m is not None:
-                m = _downsample_mask(m)
+                m = _downsample2(m.astype(np.float64)) > 0.5
                 if not m.any():
                     raise EmptyMask(f"mask vanished at scale {s + 1}")
         else:
-            val = float(ssim_map[mc].mean() if mc is not None else ssim_map.mean())
+            val = first if s == 0 else _masked_mean(ssim_map, mc)
             w = float(weights[s])
             result *= val if w == 1.0 else math.copysign(abs(val) ** w, val)
-    return float(result)
+    return first, float(result)
 
 
 @dataclass(frozen=True)
@@ -238,20 +241,6 @@ def norm_l2_bias(b_est, b_true, mask=None) -> float:
 
 
 # -- feature robustness ---------------------------------------------------------
-
-def canonical_features(f: VolumeStack, phi: DeformationField) -> VolumeStack:
-    """Warp every channel back through the inverse of its generation deformation."""
-    return warp_stack(f, invert(phi))
-
-
-def atlas_features(f: VolumeStack, psi: DeformationField) -> VolumeStack:
-    """Warp every channel into the atlas frame described by ``psi``.
-
-    ``psi`` lives on the atlas grid and maps atlas points into the subject
-    frame (backward convention), so the output stack has atlas geometry.
-    """
-    return warp_stack(f, psi)
-
 
 def interior_mask(lm: LabelMap, erosion: int = 2) -> np.ndarray:
     """Foreground (label != 0) eroded to stay clear of warping boundary effects."""
@@ -307,35 +296,28 @@ def robustness_protocol(
     stack is first mapped into the reference frame — through the inverse of
     its own deformation (``mode="intra"``) or by the given atlas mapping
     (``mode="inter"``) — then every channel contributes one L1/SSIM/MS-SSIM
-    value against the matching reference channel. Candidates sharing one
-    field object share one inverse.
+    value against the matching reference channel. Each distinct field object
+    is inverted at most once, however many candidates share it; SSIM and
+    MS-SSIM of a channel come from one pass over its window statistics.
     """
     if mode not in ("intra", "inter"):
         raise ValueError(f"mode must be 'intra' or 'inter', got {mode!r}")
-    vals: dict[str, list[float]] = {"l1": [], "ssim": [], "ms_ssim": []}
-    # id(field) -> (field, inverse); holding the field keeps its id from reuse
-    inverses: dict[int, tuple[DeformationField, DeformationField]] = {}
+    rows: list[tuple[float, float, float]] = []  # (l1, ssim, ms_ssim) per channel
+    # id(field) -> (field, the field its candidates are warped through);
+    # holding the field keeps its id from reuse
+    through: dict[int, tuple[DeformationField, DeformationField]] = {}
     for stack, fld in candidates:
         if stack.channel_count != reference.channel_count:
             raise ChannelMismatch(
                 f"candidate has {stack.channel_count} channels, "
                 f"reference has {reference.channel_count}"
             )
-        if mode == "intra":
-            if id(fld) not in inverses:
-                inverses[id(fld)] = (fld, invert(fld))
-            warped = warp_stack(stack, inverses[id(fld)][1])
-        else:
-            warped = atlas_features(stack, fld)
-        for c in range(reference.channel_count):
-            ref_c, cand_c = reference.channels[c], warped.channels[c]
-            vals["l1"].append(l1(ref_c, cand_c, mask))
-            vals["ssim"].append(ssim(ref_c, cand_c, window=window, mask=mask))
-            vals["ms_ssim"].append(
-                ms_ssim(ref_c, cand_c, scales=scales, window=window, mask=mask)
-            )
-    if not vals["l1"]:
+        if id(fld) not in through:
+            through[id(fld)] = (fld, invert(fld) if mode == "intra" else fld)
+        warped = warp_stack(stack, through[id(fld)][1])
+        for ref_c, cand_c in zip(reference.channels, warped.channels):
+            rows.append((l1(ref_c, cand_c, mask),
+                         *_ssim_and_ms_ssim(ref_c, cand_c, scales, window, mask=mask)))
+    if not rows:
         raise ValueError("no candidates to score")
-    return MetricReport(
-        {k: tuple(v) for k, v in vals.items()}, masked=mask is not None
-    )
+    return MetricReport(dict(zip(("l1", "ssim", "ms_ssim"), zip(*rows))), masked=mask is not None)

@@ -97,6 +97,19 @@ def test_bad_usage_exits_64(tmp_path, subject_files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--schedule", "severe,mild"], "non-decreasing"),
+    (["--schedule", "mild,severe", "--n", "3"], "schedule length 2"),
+])
+def test_bad_schedule_is_a_usage_error(tmp_path, subject_files, capsys, flags, message):
+    _, labels, mprage = subject_files
+    out = tmp_path / "o"
+    rc = main(["generate", str(labels), str(mprage), "--seed", "1", "--out", str(out), *flags])
+    assert rc == 64
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- generate --------------------------------------------------------------------
 
 def test_generate_writes_expected_tree(tmp_path, subject_files, capsys):
@@ -370,13 +383,47 @@ def test_evaluate_inter_mode_with_atlas_map(tmp_path, capsys):
     sb.write_nifti_file(cand_path, ref, "float32")
     sb.write_nifti_file(fld_path, ident.channels(), "float32")
     manifest = tmp_path / "cands.json"
-    manifest.write_text(json.dumps({"candidates": [{"features": "c.nii"}]}))
+    # inter mode reads only the atlas map, so a missing candidate deformation is fine
+    manifest.write_text(json.dumps({"candidates": [
+        {"features": "c.nii"}, {"features": "c.nii", "deformation": "missing.nii"}
+    ]}))
     rc = main(["evaluate", "--mode", "inter", "--reference", str(ref_path),
                "--candidates", str(manifest), "--atlas-map", str(fld_path),
                "--scales", "1", "--out", str(tmp_path / "rep.json")])
     assert rc == 0
     report = json.loads((tmp_path / "rep.json").read_text())
     assert report["metrics"]["l1"]["mean"] == 0.0
+    capsys.readouterr()
+
+
+def test_evaluate_reads_a_shared_deformation_once(tmp_path, subject_files, capsys, monkeypatch):
+    _, labels, mprage = subject_files
+    out = tmp_path / "batch"
+    assert main(["generate", str(labels), str(mprage), "--n", "3",
+                 "--seed", "4", "--out", str(out)]) == 0
+    # the same three samples, as a candidates list naming one deformation file
+    cands = out / "cands.json"
+    cands.write_text(json.dumps({"candidates": [
+        {"features": f"sample_00{i}.nii", "deformation": "deformation.nii"} for i in range(3)
+    ]}))
+    calls = []
+
+    def counting_invert(fld):
+        calls.append(fld)
+        return sb.invert(fld)
+
+    monkeypatch.setattr(sb.metrics, "invert", counting_invert)
+    reports = []
+    for manifest in ("manifest.json", "cands.json"):
+        calls.clear()
+        report = tmp_path / f"{manifest}.report"
+        assert main(["evaluate", "--reference", str(out / "target.nii"),
+                     "--candidates", str(out / manifest), "--mask", str(labels),
+                     "--scales", "2", "--out", str(report)]) == 0
+        assert len(calls) == 1
+        reports.append(report.read_bytes())
+    # a generate manifest already shared one field; the list now matches it
+    assert reports[0] == reports[1]
     capsys.readouterr()
 
 

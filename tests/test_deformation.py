@@ -333,6 +333,41 @@ def test_warp_between_grids_uses_world_frame():
     assert np.allclose(out.data, fine.data[::2, ::2, ::2], atol=1e-12)
 
 
+@pytest.mark.parametrize("field_grid", ["own", "other"])
+def test_warp_stack_channels_equal_warp_volume(field_grid):
+    like = _sheared_grid((20, 18, 16))
+    rng = np.random.default_rng(4)
+    stack = sb.VolumeStack(tuple(
+        sb.Volume(rng.random(like.dims), like.spacing, like.grid_to_world) for _ in range(3)
+    ))
+    # "other": an axis-aligned, coarser grid offset from the stack's
+    other = np.array([[1.5, 0, 0, -4.0], [0, 1.5, 0, 2.0], [0, 0, 1.5, 1.0], [0, 0, 0, 1]])
+    frame = like if field_grid == "own" else sb.Volume(
+        np.zeros((14, 12, 12)), spacing=(1.5, 1.5, 1.5), grid_to_world=other)
+    fld = sb.build_deformation(sb.sample_affine(rng, DeformationConfig()),
+                               sb.sample_svf(rng, DeformationConfig(), frame))
+    out = sb.warp_stack(stack, fld)
+    for ch, got in zip(stack.channels, out.channels):
+        want = sb.warp_volume(ch, fld)
+        assert np.array_equal(got.data, want.data)
+        assert sb.same_geometry(got, want) and got.dims == frame.dims
+
+
+def test_warp_stack_maps_points_once(monkeypatch):
+    stack = sb.VolumeStack(tuple(smooth_volume(16, i) for i in range(4)))
+    fld = _mild_field(2, n=16)
+    calls = []
+    mapped_points = sb.DeformationField.mapped_points
+
+    def counting(self):
+        calls.append(self)
+        return mapped_points(self)
+
+    monkeypatch.setattr(sb.DeformationField, "mapped_points", counting)
+    sb.warp_stack(stack, fld)
+    assert len(calls) == 1
+
+
 # -- serialization ----------------------------------------------------------------
 
 def test_field_round_trips_through_vector_nifti(tmp_path):

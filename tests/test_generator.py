@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import synthbrain as sb
+from synthbrain import generator
 from synthbrain.corruption import SeverityConfig
 from synthbrain.deformation import DeformationConfig
 
@@ -74,10 +75,17 @@ def test_every_sample_shares_the_batch_deformation(subject32):
         assert np.array_equal(replay.data, s.image.data)
 
 
-def test_schedule_must_not_decrease(subject32):
+def test_schedule_must_not_decrease(subject32, monkeypatch):
+    def no_deformation(*args, **kwargs):
+        raise AssertionError("build_deformation called for a rejected schedule")
+
+    # rejected before any work is done
+    monkeypatch.setattr(generator, "build_deformation", no_deformation)
     bad = [SeverityConfig.severe(), SeverityConfig.mild()]
     with pytest.raises(ValueError, match="non-decreasing"):
         sb.generate_batch(subject32, 2, base_seed=0, schedule=bad)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        sb.generate_batch(subject32, 2, base_seed=0, schedule=["severe", "mild"])
 
 
 def test_schedule_length_checked(subject32):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthbrain as sb
+from synthbrain import metrics
 from synthbrain.deformation import DeformationConfig
 
 from conftest import make_subject, smooth_volume, sphere_labels
@@ -143,6 +144,18 @@ def test_masked_ssim_ignores_outside_damage():
     assert sb.ssim(v, v.with_data(damaged)) < 0.95
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("scales", [1, 2, 3])
+@pytest.mark.parametrize("window", [3, 7])
+def test_one_pass_gives_ssim_and_ms_ssim_exactly(window, scales, masked):
+    a, b = smooth_volume(28, 0), smooth_volume(28, 1)
+    mask = sphere_labels(28, (11.0,)).data > 0 if masked else None
+    got = metrics._ssim_and_ms_ssim(a, b, scales, window, mask=mask)
+    want = (sb.ssim(a, b, window=window, mask=mask),
+            sb.ms_ssim(a, b, scales=scales, window=window, mask=mask))
+    assert got == want
+
+
 # -- label overlap -------------------------------------------------------------------
 
 def _lm(arr):
@@ -227,34 +240,40 @@ def _feature_stack(n=32, seed=0, channels=2):
     return sb.VolumeStack(tuple(vols))
 
 
-def test_canonical_features_identity_field_is_noop():
+def test_warp_stack_through_inverse_of_identity_is_noop():
     f = _feature_stack(16, 0)
     ident = sb.identity_field(f.channels[0])
-    out = sb.canonical_features(f, ident)
+    out = sb.warp_stack(f, sb.invert(ident))
     for a, b in zip(out.channels, f.channels):
         assert np.array_equal(a.data, b.data)
 
 
-def test_atlas_features_applies_forward_map():
+def test_warp_stack_applies_forward_map():
     f = _feature_stack(16, 3)
     ident = sb.identity_field(f.channels[0])
-    out = sb.atlas_features(f, ident)
+    out = sb.warp_stack(f, ident)
     for a, b in zip(out.channels, f.channels):
         assert np.array_equal(a.data, b.data)
 
 
-def test_canonical_features_undo_deformation():
+def test_warp_stack_through_inverse_undoes_deformation():
     subject = make_subject(n=32, seed=6)
     rng = np.random.default_rng(8)
     affine = sb.sample_affine(rng, DeformationConfig())
     svf = sb.sample_svf(rng, DeformationConfig(), subject.mprage)
     fld = sb.build_deformation(affine, svf)
     moved = sb.warp_stack(sb.VolumeStack((subject.mprage,)), fld)
-    back = sb.canonical_features(moved, fld)
+    back = sb.warp_stack(moved, sb.invert(fld))
     mask = sb.interior_mask(subject.labels, erosion=3)
     # two resampling passes on a 32-wide grid cost a little structure; the
     # acceptance-scale bound (0.95 at 64³) is checked elsewhere
     assert sb.ssim(subject.mprage, back.channels[0], mask=mask) >= 0.9
+
+
+def test_feature_warp_aliases_are_gone():
+    for name in ("canonical_features", "atlas_features"):
+        assert not hasattr(sb, name)
+        assert not hasattr(metrics, name)
 
 
 def test_interior_mask_erodes():
@@ -329,3 +348,34 @@ def test_robustness_protocol_requires_candidates():
         sb.robustness_protocol(f, [], mode="intra")
     with pytest.raises(ValueError):
         sb.robustness_protocol(f, [], mode="sideways")
+
+
+def test_robustness_protocol_values_are_the_scalar_metrics():
+    subject, f, fld = _protocol_setup(7)
+    moved = sb.warp_stack(f, fld)
+    mask = sb.interior_mask(subject.labels, erosion=3)
+    report = sb.robustness_protocol(f, [(moved, fld)], mode="intra", mask=mask,
+                                    window=5, scales=2)
+    back = sb.warp_stack(moved, sb.invert(fld))
+    pairs = list(zip(f.channels, back.channels))
+    assert report.values == {
+        "l1": tuple(sb.l1(r, c, mask) for r, c in pairs),
+        "ssim": tuple(sb.ssim(r, c, window=5, mask=mask) for r, c in pairs),
+        "ms_ssim": tuple(sb.ms_ssim(r, c, scales=2, window=5, mask=mask) for r, c in pairs),
+    }
+
+
+@pytest.mark.parametrize("mode, inverts", [("intra", 1), ("inter", 0)])
+def test_robustness_protocol_inverts_a_shared_field_once(monkeypatch, mode, inverts):
+    _, f, fld = _protocol_setup(8)
+    moved = sb.warp_stack(f, fld)
+    calls = []
+
+    def counting_invert(x):
+        calls.append(x)
+        return sb.invert(x)
+
+    monkeypatch.setattr(metrics, "invert", counting_invert)
+    report = sb.robustness_protocol(f, [(moved, fld)] * 3, mode=mode)
+    assert len(calls) == inverts
+    assert len(report.values["l1"]) == 3 * f.channel_count
