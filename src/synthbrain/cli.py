@@ -192,11 +192,18 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
     doc = json.loads(Path(manifest_path).read_text())
     base = Path(manifest_path).parent
     if "candidates" in doc:
-        entries = [(e["features"], e.get("deformation")) for e in doc["candidates"]]
+        section, file_key = "candidates", "features"
     elif "samples" in doc:
-        entries = [(e["file"], doc.get("deformation")) for e in doc["samples"]]
+        section, file_key = "samples", "file"
     else:
         raise _UsageError(f"{manifest_path}: neither 'candidates' nor 'samples' present")
+    entries = []
+    for i, e in enumerate(doc[section]):
+        if file_key not in e:
+            raise _UsageError(f"{manifest_path}: {section}[{i}] has no {file_key!r}")
+        # a batch manifest names one deformation for all its samples
+        deformation = (e if section == "candidates" else doc).get("deformation")
+        entries.append((e[file_key], deformation))
 
     fields: dict[Path, DeformationField] = {}  # resolved path -> field
     out = []

@@ -139,14 +139,14 @@ class BiasField:
             _linear_weights(np.arange(n) * ((c - 1) / max(n - 1, 1)), c)
             for c, n in zip(coarse.shape, like.dims)
         ])
-        return cls(coarse, Volume(np.exp(log_full), like.spacing, like.grid_to_world),
+        return cls(coarse, Volume._adopt(np.exp(log_full), like.spacing, like.grid_to_world),
                    float(mu), float(sigma))
 
 
 def apply_bias(v: Volume, b: BiasField) -> Volume:
     """Voxelwise product with the multiplicative field."""
     check_same_geometry(v, b.field)
-    return v.with_data(v.data * b.field.data)
+    return Volume._adopt(v.data * b.field.data, v.spacing, v.grid_to_world)
 
 
 def _resample_through(data: np.ndarray, ratios) -> np.ndarray:
@@ -175,14 +175,15 @@ def _apply_resolution(v: Volume, target_spacing) -> Volume:
         return v
     sigmas = [r / _FWHM if r > 1.0 else 0.0 for r in ratios]
     blurred = gaussian_filter(v.data, sigmas, mode="nearest")
-    return v.with_data(_resample_through(blurred, ratios))
+    return Volume._adopt(_resample_through(blurred, ratios), v.spacing, v.grid_to_world)
 
 
 # -- noise ---------------------------------------------------------------------
 
 def _apply_noise(v: Volume, sigma: float, seed: int) -> Volume:
-    noise = np.random.default_rng(seed).normal(0.0, sigma, v.dims)
-    return v.with_data(np.clip(v.data + noise, 0.0, 1.0))
+    noisy = np.random.default_rng(seed).normal(0.0, sigma, v.dims)
+    noisy += v.data
+    return Volume._adopt(np.clip(noisy, 0.0, 1.0, out=noisy), v.spacing, v.grid_to_world)
 
 
 # -- full pipeline with replayable records --------------------------------------

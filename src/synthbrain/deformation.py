@@ -200,7 +200,25 @@ class DeformationField:
     def __post_init__(self):
         # C order, like the index grids it is combined with: a field read from
         # NIfTI is not, and inverting it in that layout took ~1.4x longer (64³)
-        u = np.array(self.displacement, dtype=np.float64, order="C")
+        self._freeze(np.array(self.displacement, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, displacement: np.ndarray, spacing, grid_to_world,
+               provenance: _Provenance | None = None) -> "DeformationField":
+        """A field that takes ownership of ``displacement`` instead of copying it.
+
+        For C-ordered float64 arrays the caller has just built and keeps no
+        reference to (others are converted once); the array is made read-only
+        in place. The grid and finiteness checks run as usual.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "spacing", spacing)
+        object.__setattr__(obj, "grid_to_world", grid_to_world)
+        object.__setattr__(obj, "provenance", provenance)
+        obj._freeze(np.ascontiguousarray(displacement, dtype=np.float64))
+        return obj
+
+    def _freeze(self, u: np.ndarray) -> None:
         if not np.all(np.isfinite(u)):
             raise NonFiniteField("displacement contains NaN/Inf")
         _init_grid(self, "displacement", u, vector=True)
@@ -211,8 +229,9 @@ class DeformationField:
 
     def channels(self) -> VolumeStack:
         """The displacement components as a 3-channel stack (for serialization)."""
+        # views of the read-only displacement: nothing can change them
         return VolumeStack(tuple(
-            Volume(self.displacement[..., c], self.spacing, self.grid_to_world)
+            Volume._adopt(self.displacement[..., c], self.spacing, self.grid_to_world)
             for c in range(3)
         ))
 
@@ -338,7 +357,7 @@ def integrate_svf(svf: SVF, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationF
     to_half_voxel = _world_to_voxel_linear(svf.grid_to_world) * ratios
     for _ in range(steps):
         disp += sample_trilinear(disp, idx + disp @ to_half_voxel)
-    return DeformationField(_per_axis(disp, upsample), svf.grid_spacing, svf.grid_to_world)
+    return DeformationField._adopt(_per_axis(disp, upsample), svf.grid_spacing, svf.grid_to_world)
 
 
 # -- algebra -------------------------------------------------------------------
@@ -370,7 +389,7 @@ def compose(
     sampled = sample_trilinear(outer.displacement, p)
     del p
     sampled += inner_disp
-    return DeformationField(sampled, grid.spacing, grid.grid_to_world)
+    return DeformationField._adopt(sampled, grid.spacing, grid.grid_to_world)
 
 
 def build_deformation(
@@ -387,12 +406,13 @@ def build_deformation(
     """
     provenance = _Provenance(affine, svf, steps, inverted)
     if not inverted:
-        return replace(compose(integrate_svf(svf, steps), affine), provenance=provenance)
+        phi = compose(integrate_svf(svf, steps), affine)
+        return DeformationField._adopt(phi.displacement, phi.spacing, phi.grid_to_world, provenance)
     t_inv = integrate_svf(svf.negated(), steps)
     a_inv = np.linalg.inv(affine.matrix(t_inv.grid_center_world()))
     xs = world_coordinate_grid(t_inv.dims, t_inv.grid_to_world)
     disp = voxel_to_world(a_inv, xs + t_inv.displacement) - xs
-    return DeformationField(disp, t_inv.spacing, t_inv.grid_to_world, provenance)
+    return DeformationField._adopt(disp, t_inv.spacing, t_inv.grid_to_world, provenance)
 
 
 def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
@@ -441,7 +461,7 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
             break
     if residual > 1.0:
         raise NotInvertible(f"fixed-point inversion residual {residual:.3f} voxels > 1")
-    return DeformationField(_per_axis(inv, upsample), fld.spacing, fld.grid_to_world)
+    return DeformationField._adopt(_per_axis(inv, upsample), fld.spacing, fld.grid_to_world)
 
 
 # -- warping -------------------------------------------------------------------
@@ -465,7 +485,7 @@ def warp_volume(v: Volume, fld: DeformationField) -> Volume:
     if _is_identity_on(fld, v):
         return v
     p = _source_voxels(fld, v.grid_to_world)
-    return Volume(sample_trilinear(v.data, p), fld.spacing, fld.grid_to_world)
+    return Volume._adopt(sample_trilinear(v.data, p), fld.spacing, fld.grid_to_world)
 
 
 def warp_labels(lm: LabelMap, fld: DeformationField) -> LabelMap:
@@ -485,6 +505,21 @@ def warp_stack(stack: VolumeStack, fld: DeformationField) -> VolumeStack:
         return stack
     p = _source_voxels(fld, stack.grid_to_world)
     return VolumeStack(tuple(
-        Volume(sample_trilinear(ch.data, p), fld.spacing, fld.grid_to_world)
+        Volume._adopt(sample_trilinear(ch.data, p), fld.spacing, fld.grid_to_world)
         for ch in stack.channels
     ))
+
+
+def _warp_subject(lm: LabelMap, v: Volume, fld: DeformationField) -> tuple[LabelMap, Volume]:
+    """``(warp_labels(lm, fld), warp_volume(v, fld))`` from one position array.
+
+    ``lm`` and ``v`` share a grid (as in a :class:`SubjectRecord`); when their
+    spacing or affine differ at all, each is warped on its own.
+    """
+    shared = (lm.dims == v.dims and lm.spacing == v.spacing
+              and np.array_equal(lm.grid_to_world, v.grid_to_world))
+    if not shared or _is_identity_on(fld, lm):
+        return warp_labels(lm, fld), warp_volume(v, fld)
+    p = _source_voxels(fld, lm.grid_to_world)
+    return (LabelMap(sample_nearest(lm.data, p), fld.spacing, fld.grid_to_world),
+            Volume._adopt(sample_trilinear(v.data, p), fld.spacing, fld.grid_to_world))

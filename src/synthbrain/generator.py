@@ -22,11 +22,10 @@ from .corruption import CorruptionRecord, SeverityConfig, apply_corruption, samp
 from .deformation import (
     DeformationConfig,
     DeformationField,
+    _warp_subject,
     build_deformation,
     sample_affine,
     sample_svf,
-    warp_labels,
-    warp_volume,
 )
 from .errors import EmptyLabelSet, NonPositiveLambda
 from .nifti import write_nifti_file
@@ -158,9 +157,11 @@ def generate_batch(
     svf = sample_svf(rng_d, deform_cfg, subject.labels)
     phi = build_deformation(affine, svf, steps=deform_cfg.squaring_steps)
 
-    warped_labels = warp_labels(subject.labels, phi)
-    target = minmax_normalize(warp_volume(subject.mprage, phi))
+    warped_labels, moved = _warp_subject(subject.labels, subject.mprage, phi)
+    target = minmax_normalize(moved)
     label_set = warped_labels.label_set
+    # built here, once, rather than by whichever sample thread paints first
+    warped_labels._label_index
 
     def make_sample(i: int) -> Sample:
         rng = make_rng(base_seed, subject.id, i)

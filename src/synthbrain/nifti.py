@@ -228,11 +228,12 @@ def _datatype_code(datatype: int | str) -> int:
 
 
 def _encode(data: np.ndarray, code: int) -> bytes:
-    flat = np.asarray(data, dtype=np.float64).ravel(order="F")
     dtype = _DTYPES[code].newbyteorder("<")
     if dtype.kind == "f":
-        return flat.astype(dtype).tobytes()
+        # one cast, then one reorder of the (smaller) cast values
+        return np.asarray(data).astype(dtype).tobytes(order="F")
     # integer targets: round, then clamp into the representable range
+    flat = np.asarray(data, dtype=np.float64).ravel(order="F")
     info = np.iinfo(dtype)
     return np.clip(np.rint(flat), info.min, info.max).astype(dtype).tobytes()
 

@@ -117,27 +117,29 @@ def paint(
     if missing:
         raise MissingLabelParams(missing)
 
-    lut_size = max(params.table) + 1
-    mu_lut = np.zeros(lut_size)
-    sigma_lut = np.zeros(lut_size)
-    for lab, (mu, sig) in params.table.items():
-        mu_lut[lab] = mu
-        sigma_lut[lab] = sig
+    # one entry per present label, gathered through the map's label index
+    index = lm._label_index
+    mu = np.array([params.table[lab][0] for lab in present])
+    sigma = np.array([params.table[lab][1] for lab in present])
 
-    eps = rng.standard_normal(lm.dims)
-    out = mu_lut[lm.data] + sigma_lut[lm.data] * eps
+    # mu + sigma * eps, worked out in the buffer of the fresh draw eps
+    out = rng.standard_normal(lm.dims)
+    out *= sigma[index]
+    out += mu[index]
     if not normalize:
-        return Volume(out, lm.spacing, lm.grid_to_world)
+        return Volume._adopt(out, lm.spacing, lm.grid_to_world)
 
     fg = lm.data != 0
-    if not fg.any():
-        return Volume(np.zeros(lm.dims), lm.spacing, lm.grid_to_world)
-    lo = float(out[fg].min())
-    hi = float(out[fg].max())
+    vals = out[fg]
+    if not vals.size:
+        return Volume._adopt(np.zeros(lm.dims), lm.spacing, lm.grid_to_world)
+    lo = float(vals.min())
+    hi = float(vals.max())
     if hi - lo <= 0.0:
-        normed = np.zeros(lm.dims)
+        out[...] = 0.0
     else:
-        normed = (out - lo) / (hi - lo)
-        normed[~fg] = 0.0
-        np.clip(normed, 0.0, 1.0, out=normed)
-    return Volume(normed, lm.spacing, lm.grid_to_world)
+        out -= lo
+        out /= hi - lo
+        out[~fg] = 0.0
+        np.clip(out, 0.0, 1.0, out=out)
+    return Volume._adopt(out, lm.spacing, lm.grid_to_world)

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -89,6 +90,19 @@ class Volume:
     def __post_init__(self):
         _init_grid(self, "data", np.array(self.data, dtype=np.float64))
 
+    @classmethod
+    def _adopt(cls, data: np.ndarray, spacing, grid_to_world) -> "Volume":
+        """A volume that takes ownership of ``data`` instead of copying it.
+
+        For float64 arrays the caller has just built and keeps no reference
+        to; ``data`` is made read-only in place. The grid is checked as usual.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "spacing", spacing)
+        object.__setattr__(obj, "grid_to_world", grid_to_world)
+        _init_grid(obj, "data", np.asarray(data, dtype=np.float64))
+        return obj
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
@@ -96,6 +110,9 @@ class Volume:
     def with_data(self, data: np.ndarray) -> "Volume":
         """Same grid, new values."""
         return Volume(data, self.spacing, self.grid_to_world)
+
+
+_LABEL_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -113,19 +130,34 @@ class LabelMap:
             if not np.array_equal(rounded, data):
                 raise ValueError("label data must be integer-valued")
             data = rounded
-        data = data.astype(np.int32)
+        # checked before the cast, which would wrap or overflow silently
         if data.size and data.min() < 0:
             raise ValueError("labels must be non-negative")
-        _init_grid(self, "data", data)
+        if data.size and data.max() > _LABEL_MAX:
+            raise ValueError(f"labels must be <= {_LABEL_MAX} (the int32 maximum), "
+                             f"got {data.max()}")
+        _init_grid(self, "data", data.astype(np.int32))
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @property
+    @cached_property
     def label_set(self) -> tuple[int, ...]:
         """Sorted unique labels present in the map."""
         return tuple(int(v) for v in np.unique(self.data))
+
+    @cached_property
+    def _label_index(self) -> np.ndarray:
+        """Each voxel's position in :attr:`label_set`, read-only.
+
+        Stored in the smallest unsigned dtype that holds the label count, so
+        it costs one byte per voxel for up to 256 labels whatever their values.
+        """
+        labels = np.array(self.label_set, dtype=np.int32)
+        index = np.searchsorted(labels, self.data).astype(np.min_scalar_type(len(labels) - 1))
+        index.setflags(write=False)
+        return index
 
     def with_data(self, data: np.ndarray) -> "LabelMap":
         return LabelMap(data, self.spacing, self.grid_to_world)
@@ -203,8 +235,19 @@ def voxel_index_grid(dims) -> np.ndarray:
 
 
 def world_coordinate_grid(dims, affine: np.ndarray) -> np.ndarray:
-    """(nx, ny, nz, 3) array of voxel-center world positions."""
-    return voxel_to_world(affine, voxel_index_grid(dims))
+    """(nx, ny, nz, 3) array of voxel-center world positions.
+
+    Same values as ``voxel_to_world(affine, voxel_index_grid(dims))`` (bitwise
+    on axis-aligned affines), built by broadcasting one column per axis.
+    """
+    dims = tuple(dims)
+    out = np.zeros(dims + (3,))
+    for axis, n in enumerate(dims):
+        shape = [1, 1, 1, 3]
+        shape[axis] = n
+        out += (np.arange(n, dtype=np.float64)[:, None] * affine[:3, axis]).reshape(shape)
+    out += affine[:3, 3]
+    return out
 
 
 # -- sampling -----------------------------------------------------------------
@@ -229,15 +272,14 @@ def sample_trilinear(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
     if outside is not None:
         coords[:, outside] = 0.0
     channels = data[None] if data.ndim == 3 else np.moveaxis(data, -1, 0)
-    out = np.empty((channels.shape[0], coords.shape[1]))
+    # channel-last, so the result comes out C-ordered without a copy
+    out = np.empty((coords.shape[1], channels.shape[0]))
     for c, channel in enumerate(channels):
-        map_coordinates(channel, coords, output=out[c], order=1, mode="nearest",
+        map_coordinates(channel, coords, output=out[:, c], order=1, mode="nearest",
                         prefilter=False)
     if outside is not None:
-        out[:, outside] = 0.0
-    if data.ndim == 3:
-        return out[0].reshape(p.shape[:-1])
-    return out.T.reshape(p.shape[:-1] + data.shape[3:])
+        out[outside] = 0.0
+    return out.reshape(p.shape[:-1] + data.shape[3:])
 
 
 def sample_nearest(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -309,5 +351,5 @@ def minmax_normalize(v: Volume) -> Volume:
     lo = float(v.data.min())
     hi = float(v.data.max())
     if hi - lo <= 0.0:
-        return v.with_data(np.zeros(v.dims))
-    return v.with_data((v.data - lo) / (hi - lo))
+        return Volume._adopt(np.zeros(v.dims), v.spacing, v.grid_to_world)
+    return Volume._adopt((v.data - lo) / (hi - lo), v.spacing, v.grid_to_world)

@@ -97,6 +97,22 @@ def test_bad_usage_exits_64(tmp_path, subject_files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, entry", [
+    ({"candidates": [{"features": "r.nii", "deformation": "d.nii"}, {"deformation": "d.nii"}]},
+     "candidates[1] has no 'features'"),
+    ({"samples": [{"level": "mild"}], "deformation": "d.nii"}, "samples[0] has no 'file'"),
+])
+def test_manifest_entry_without_a_file_exits_64(tmp_path, capsys, doc, entry):
+    ref_path = tmp_path / "r.nii"
+    sb.write_nifti_file(ref_path, sb.VolumeStack((smooth_volume(8, 0),)), "float32")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    rc = main(["evaluate", "--reference", str(ref_path), "--candidates", str(manifest),
+               "--out", str(tmp_path / "rep.json")])
+    assert rc == 64
+    assert entry in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--schedule", "severe,mild"], "non-decreasing"),
     (["--schedule", "mild,severe", "--n", "3"], "schedule length 2"),

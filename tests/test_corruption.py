@@ -329,3 +329,19 @@ def test_severity_orders_image_fidelity():
         if sb.ssim(v, severe) < sb.ssim(v, mild):
             hits += 1
     assert hits >= int(0.9 * trials)
+
+
+def test_corruption_results_are_read_only_and_own_their_data():
+    v = _painted(16)
+    cfg = SeverityConfig("severe", 1.0, 0.0, (0.02, 0.04), (0.1, 0.6), (5.0, 15.0))
+    record = sample_corruption_record(np.random.default_rng(2), cfg, v)
+    assert record.bias and record.resolution and record.noise
+    stages = {"bias": record.bias, "resolution": record.resolution, "noise": record.noise}
+    for name, params in stages.items():
+        out = sb.apply_corruption(v, sb.CorruptionRecord("severe", **{name: params}))
+        assert not out.data.flags.writeable, name
+        assert not np.shares_memory(out.data, v.data), name
+    full = sb.apply_corruption(v, record)
+    assert not full.data.flags.writeable
+    assert not np.shares_memory(full.data, v.data)
+    assert not v.data.flags.writeable and not record.bias_field(v).field.data.flags.writeable

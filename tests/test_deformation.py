@@ -385,3 +385,46 @@ def test_generated_batches_share_one_deformation(subject32):
     assert batch.deformation.provenance is not None
     again = sb.generate_batch(subject32, 2, base_seed=1)
     assert np.array_equal(batch.deformation.displacement, again.deformation.displacement)
+
+
+# -- fresh results are adopted, not copied -----------------------------------------
+
+def test_world_coordinate_grid_matches_the_affine_map():
+    from synthbrain.volume import voxel_index_grid, voxel_to_world, world_coordinate_grid
+
+    dims = (7, 6, 5)
+    for diag in ([1.0, 1.0, 1.0], [-1.5, 2.0, 0.7]):
+        a = np.diag(diag + [1.0])
+        a[:3, 3] = [90.0, -126.0, 0.0]
+        ref = voxel_to_world(a, voxel_index_grid(dims))
+        assert world_coordinate_grid(dims, a).tobytes() == ref.tobytes()
+    sheared = _sheared_grid(dims).grid_to_world
+    ref = voxel_to_world(sheared, voxel_index_grid(dims))
+    got = world_coordinate_grid(dims, sheared)
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_built_fields_are_read_only_and_own_their_data():
+    like = smooth_volume(16, 0)
+    rng = np.random.default_rng(4)
+    cfg = DeformationConfig()
+    affine, svf = sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, like)
+    t = sb.integrate_svf(svf)
+    phi = sb.compose(t, affine)
+    # a provenance-free copy takes the fixed-point path
+    fixed_point = sb.invert(sb.DeformationField(phi.displacement, phi.spacing, phi.grid_to_world))
+    results = {
+        "integrate_svf": t,
+        "compose(affine)": phi,
+        "compose(field)": sb.compose(t, t),
+        "build_deformation": sb.build_deformation(affine, svf),
+        "invert(provenance)": sb.invert(sb.build_deformation(affine, svf)),
+        "invert(fixed point)": fixed_point,
+    }
+    for name, fld in results.items():
+        u = fld.displacement
+        assert not u.flags.writeable, name
+        assert u.flags.c_contiguous and u.dtype == np.float64, name
+        assert not fld.grid_to_world.flags.writeable, name
+    assert not np.shares_memory(results["compose(field)"].displacement, t.displacement)
+    assert not np.shares_memory(fixed_point.displacement, phi.displacement)

@@ -48,6 +48,38 @@ def test_thread_count_never_changes_output(subject32):
         assert np.array_equal(a.image.data, b.image.data)
 
 
+def test_batch_indexes_the_warped_labels_once(monkeypatch):
+    subject = make_subject(24, seed=3)
+    unique_args = []
+    unique = np.unique
+
+    def counting_unique(ar, *args, **kwargs):
+        unique_args.append(ar)
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    sb.generate_batch(subject, 4, base_seed=2, threads=2)
+    # the input map is only checked for emptiness; the warped map is indexed once
+    assert [a is subject.labels.data for a in unique_args] == [True, False]
+    assert "_label_index" not in vars(subject.labels)
+
+
+def test_batch_computes_the_warp_positions_once(subject32, monkeypatch):
+    calls = []
+    source_voxels = sb.deformation._source_voxels
+
+    def counting(fld, grid_to_world):
+        calls.append(fld)
+        return source_voxels(fld, grid_to_world)
+
+    monkeypatch.setattr(sb.deformation, "_source_voxels", counting)
+    batch = sb.generate_batch(subject32, 2, base_seed=5)
+    assert len(calls) == 1 and calls[0] is batch.deformation
+    # the labels and the target still match their own warps
+    target = sb.minmax_normalize(sb.warp_volume(subject32.mprage, batch.deformation))
+    assert target.data.tobytes() == batch.target.data.tobytes()
+
+
 def test_all_off_sample_reproducible_from_first_principles(subject32):
     """With corruption off, a sample is exactly paint(warp(labels))."""
     batch = sb.generate_batch(

@@ -53,6 +53,28 @@ def test_integer_round_trip_and_clamping():
     assert np.array_equal(back_lm.data, lm.data)
 
 
+def _encode_via_float64(data, dtype):
+    """The encoder as first written: a float64 Fortran-order copy, then the cast."""
+    flat = np.asarray(data, dtype=np.float64).ravel(order="F")
+    dtype = np.dtype(dtype).newbyteorder("<")
+    if dtype.kind == "f":
+        return flat.astype(dtype).tobytes()
+    info = np.iinfo(dtype)
+    return np.clip(np.rint(flat), info.min, info.max).astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int16", "uint8"])
+@pytest.mark.parametrize("layout", ["C", "F", "stack"])
+def test_encoded_values_match_the_float64_route(rng, dtype, layout):
+    from synthbrain.nifti import _datatype_code, _encode
+
+    data = rng.normal(0.0, 300.0, (5, 4, 3, 1, 2) if layout == "stack" else (5, 4, 3))
+    data.flat[:4] = [0.5, -0.5, 1e6, -1e6]  # ties and out-of-range integers
+    if layout == "F":
+        data = np.asfortranarray(data)
+    assert _encode(data, _datatype_code(dtype)) == _encode_via_float64(data, dtype)
+
+
 def test_fortran_axis_order_on_disk(rng):
     v = Volume(rng.random((3, 2, 2)))
     blob = write_nifti(v, "float32")

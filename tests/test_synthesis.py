@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +93,44 @@ def test_painting_commutes_with_label_renaming(perm):
     b = sb.paint(renamed, sb.ContrastParams(moved), np.random.default_rng(3), normalize=False)
     # same geometry of regions, same parameters per region, same noise stream
     assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_a_huge_label_costs_no_memory_in_proportion_to_its_value(normalize):
+    small = sphere_labels(8, (3.0,))
+    huge = sb.LabelMap(small.data * 2**24, small.spacing, small.grid_to_world)
+    assert huge.label_set == (0, 2**24)
+    table = {0: (0.0, 0.0), 1: (0.4, 0.05)}
+    tracemalloc.start()
+    try:
+        a = sb.paint(huge, sb.ContrastParams({0: table[0], 2**24: table[1]}),
+                     np.random.default_rng(1), normalize=normalize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a lookup table indexed by label value would hold 2**24 + 1 float64 (134 MB)
+    assert peak < 1 << 20
+    b = sb.paint(small, sb.ContrastParams(table), np.random.default_rng(1), normalize=normalize)
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_threads_painting_one_fresh_map_agree_with_a_sequential_run():
+    def fresh():
+        return sphere_labels(16, (7.0, 5.0, 2.5))
+
+    params = sb.sample_contrast_params(np.random.default_rng(0), fresh().label_set)
+    expected = [sb.paint(fresh(), params, np.random.default_rng(i)).data for i in range(16)]
+    shared = fresh()  # its label set and index are built by whichever thread asks first
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda i: sb.paint(shared, params, np.random.default_rng(i)).data,
+                                range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(expected, got):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_missing_label_params_is_an_error():

@@ -51,6 +51,20 @@ def test_labelmap_rejects_negative_and_fractional():
     assert lm.label_set == (2,)
 
 
+@pytest.mark.parametrize("data", [
+    np.array([[[2**32 + 7]]], dtype=np.int64),  # would wrap to label 7
+    np.array([[[2.0**32]]]),  # would overflow the cast
+])
+def test_labelmap_rejects_labels_beyond_int32(data):
+    with pytest.raises(ValueError, match="2147483647"):
+        LabelMap(data)
+
+
+def test_labelmap_accepts_the_int32_maximum():
+    lm = LabelMap(np.array([[[0, 2**31 - 1]]], dtype=np.int64))
+    assert lm.label_set == (0, 2**31 - 1)
+
+
 _GRID_TYPES = {
     "Volume": lambda data, **kw: Volume(data, **kw),
     "LabelMap": lambda data, **kw: LabelMap(data.astype(np.int32), **kw),
@@ -82,6 +96,18 @@ def test_grid_types_own_a_frozen_copy(kind):
     assert np.array_equal(stored, before)
     assert not stored.flags.writeable and not obj.grid_to_world.flags.writeable
     assert np.array_equal(obj.grid_to_world, np.diag([1.0, 2.0, 3.5, 1.0]))
+
+
+@pytest.mark.parametrize("make, shape", [(Volume, (3, 3, 3)), (DeformationField, (3, 3, 3, 3))])
+def test_public_constructors_copy_c_ordered_float64_arrays(make, shape):
+    # the layout the private adopting constructors take without a copy
+    arr = np.arange(float(np.prod(shape))).reshape(shape)
+    obj = make(arr)
+    stored = obj.data if make is Volume else obj.displacement
+    assert not np.shares_memory(stored, arr)
+    arr[...] = -1.0
+    assert stored.min() == 0.0
+    assert arr.flags.writeable and not stored.flags.writeable
 
 
 def test_stack_requires_identical_geometry(rng):
