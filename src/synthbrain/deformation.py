@@ -208,8 +208,8 @@ class DeformationField:
         """A field that takes ownership of ``displacement`` instead of copying it.
 
         For C-ordered float64 arrays the caller has just built and keeps no
-        reference to (others are converted once); the array is made read-only
-        in place. The grid and finiteness checks run as usual.
+        writable reference to (others are converted once); the array is made
+        read-only in place. The grid and finiteness checks run as usual.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "spacing", spacing)
@@ -514,7 +514,7 @@ def _warp_subject(lm: LabelMap, v: Volume, fld: DeformationField) -> tuple[Label
     """``(warp_labels(lm, fld), warp_volume(v, fld))`` from one position array.
 
     ``lm`` and ``v`` share a grid (as in a :class:`SubjectRecord`); when their
-    spacing or affine differ at all, each is warped on its own.
+    grids differ at all, each is warped on its own.
     """
     shared = (lm.dims == v.dims and lm.spacing == v.spacing
               and np.array_equal(lm.grid_to_world, v.grid_to_world))

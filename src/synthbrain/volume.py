@@ -94,8 +94,9 @@ class Volume:
     def _adopt(cls, data: np.ndarray, spacing, grid_to_world) -> "Volume":
         """A volume that takes ownership of ``data`` instead of copying it.
 
-        For float64 arrays the caller has just built and keeps no reference
-        to; ``data`` is made read-only in place. The grid is checked as usual.
+        For float64 arrays the caller has just built and keeps no writable
+        reference to; ``data`` is made read-only in place. The grid is
+        checked as usual.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "spacing", spacing)
@@ -133,9 +134,9 @@ class LabelMap:
         # checked before the cast, which would wrap or overflow silently
         if data.size and data.min() < 0:
             raise ValueError("labels must be non-negative")
-        if data.size and data.max() > _LABEL_MAX:
-            raise ValueError(f"labels must be <= {_LABEL_MAX} (the int32 maximum), "
-                             f"got {data.max()}")
+        top = data.max() if data.size else 0
+        if top > _LABEL_MAX:
+            raise ValueError(f"labels must be <= {_LABEL_MAX} (the int32 maximum), got {top}")
         _init_grid(self, "data", data.astype(np.int32))
 
     @property
@@ -272,14 +273,15 @@ def sample_trilinear(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
     if outside is not None:
         coords[:, outside] = 0.0
     channels = data[None] if data.ndim == 3 else np.moveaxis(data, -1, 0)
-    # channel-last, so the result comes out C-ordered without a copy
-    out = np.empty((coords.shape[1], channels.shape[0]))
+    out = np.empty((channels.shape[0], coords.shape[1]))
     for c, channel in enumerate(channels):
-        map_coordinates(channel, coords, output=out[:, c], order=1, mode="nearest",
+        map_coordinates(channel, coords, output=out[c], order=1, mode="nearest",
                         prefilter=False)
     if outside is not None:
-        out[outside] = 0.0
-    return out.reshape(p.shape[:-1] + data.shape[3:])
+        out[:, outside] = 0.0
+    if data.ndim == 3:
+        return out[0].reshape(p.shape[:-1])
+    return out.T.reshape(p.shape[:-1] + data.shape[3:])
 
 
 def sample_nearest(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
