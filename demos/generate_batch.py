@@ -44,7 +44,8 @@ for i, s in enumerate(batch.samples):
 print("loss at the optimum:", sb.batch_loss(batch, [batch.target] * 4, lam=1.0))
 
 # ---- export: NIfTI volumes + a replayable JSON manifest -------------------------
-out = Path(tempfile.mkdtemp(prefix="synthbrain_demo_"))
-manifest = sb.export_batch(batch, out, seed=7)
-print("wrote", manifest)
-print(sorted(p.name for p in out.iterdir()))
+with tempfile.TemporaryDirectory(prefix="synthbrain_demo_") as tmp:
+    out = Path(tmp)
+    manifest = sb.export_batch(batch, out, seed=7)
+    print("wrote", manifest)
+    print(sorted(p.name for p in out.iterdir()))

@@ -159,7 +159,7 @@ def apply_adapter(
         out /= out.sum(axis=0, keepdims=True)
     dims = features.dims
     return VolumeStack(tuple(
-        Volume(row.reshape(dims, order=order), features.spacing, features.grid_to_world)
+        Volume._adopt(row.reshape(dims, order=order), features.spacing, features.grid_to_world)
         for row in out
     ))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -74,7 +75,26 @@ def _read_field(path) -> DeformationField:
     stack = _read(path, stack=True)
     if stack.channel_count != 3:
         raise ChannelMismatch(f"{path}: a deformation needs 3 channels, found {stack.channel_count}")
-    return DeformationField(stack.as_array(), stack.spacing, stack.grid_to_world)
+    return DeformationField._adopt(stack.as_array(), stack.spacing, stack.grid_to_world)
+
+
+def _ranged(kind, low, high=math.inf, strict=False):
+    """An argparse ``type``: ``kind(text)`` in ``[low, high]`` (``(low, high]``
+    when ``strict``). A value outside, or NaN, is a usage error; so is a value
+    from a config file, since plain keys are the flags' string defaults."""
+    def convert(text):
+        value = kind(text)
+        if not ((value > low if strict else value >= low) and value <= high):
+            interval = f"{'(' if strict else '['}{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{text!r} is outside {interval}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
+_COUNT = _ranged(int, 1)
+_SCALES = _ranged(int, 1, len(metrics._MS_WEIGHTS))
 
 
 # -- config file -----------------------------------------------------------------
@@ -296,13 +316,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     g = sub.add_parser("generate", parents=[common], description="Generate one sample batch")
     g.add_argument("labels", help="segmentation NIfTI (integer labels)")
     g.add_argument("mprage", help="structural anatomy target NIfTI")
-    g.add_argument("--n", type=int, default=None,
+    g.add_argument("--n", type=_COUNT, default=None,
                    help="batch size (default: the schedule's length, else 4)")
     g.add_argument("--seed", type=int, default=None, required=False)
     g.add_argument("--schedule", default=None,
                    help="comma-separated severity names, e.g. mild,medium,medium,severe")
     g.add_argument("--out", default=None, help="output directory")
-    g.add_argument("--threads", type=int, default=None)
+    g.add_argument("--threads", type=_COUNT, default=None)
     g.set_defaults(func=_cmd_generate)
 
     e = sub.add_parser("evaluate", parents=[common], description="Feature-robustness report")
@@ -311,9 +331,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     e.add_argument("--candidates", required=True, help="candidates manifest JSON")
     e.add_argument("--atlas-map", default=None, help="atlas deformation NIfTI (inter mode)")
     e.add_argument("--mask", default=None, help="label NIfTI; interior mask is its eroded foreground")
-    e.add_argument("--erosion", type=int, default=2)
-    e.add_argument("--window", type=int, default=7)
-    e.add_argument("--scales", type=int, default=3)
+    e.add_argument("--erosion", type=_ranged(int, 0), default=2)
+    e.add_argument("--window", type=_COUNT, default=7)
+    e.add_argument("--scales", type=_SCALES, default=3)
     e.add_argument("--out", default="report.json", help="report JSON path (default %(default)s)")
     e.set_defaults(func=_cmd_evaluate)
 
@@ -322,7 +342,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     f.add_argument("--features", required=True)
     f.add_argument("--target", required=True)
     f.add_argument("--concat-input", default=None)
-    f.add_argument("--ridge", type=float, default=1e-6)
+    f.add_argument("--ridge", type=_ranged(float, 0.0), default=1e-6)
     f.add_argument("--softmax", action="store_true")
     f.add_argument("--out", default="adapter.json", help="adapter JSON path (default %(default)s)")
     f.set_defaults(func=_cmd_fit_adapter)
@@ -333,9 +353,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     m.add_argument("--ref", required=True)
     m.add_argument("--metric", required=True,
                    choices=["l1", "psnr", "ssim", "msssim", "dice", "norml2"])
-    m.add_argument("--peak", type=float, default=1.0, help="PSNR peak (default %(default)s)")
-    m.add_argument("--window", type=int, default=7)
-    m.add_argument("--scales", type=int, default=3)
+    m.add_argument("--peak", type=_ranged(float, 0.0, strict=True), default=1.0,
+                   help="PSNR peak (default %(default)s)")
+    m.add_argument("--window", type=_COUNT, default=7)
+    m.add_argument("--scales", type=_SCALES, default=3)
     m.set_defaults(func=_cmd_metrics)
     return p, sub.choices
 

@@ -29,7 +29,7 @@ from .volume import (
     LabelMap,
     Volume,
     VolumeStack,
-    _init_grid,
+    _Grid,
     _linear_weights,
     _per_axis,
     same_geometry,
@@ -189,7 +189,7 @@ class _Provenance:
 
 
 @dataclass(frozen=True)
-class DeformationField:
+class DeformationField(_Grid):
     """Dense world-frame displacement (mm) on a voxel grid."""
 
     displacement: np.ndarray  # (nx, ny, nz, 3)
@@ -197,35 +197,17 @@ class DeformationField:
     grid_to_world: np.ndarray = field(default=None)  # type: ignore[assignment]
     provenance: _Provenance | None = None
 
-    def __post_init__(self):
+    _array = "displacement"
+    _vector = True
+
+    @staticmethod
+    def _convert(displacement, copy: bool) -> np.ndarray:
         # C order, like the index grids it is combined with: a field read from
         # NIfTI is not, and inverting it in that layout took ~1.4x longer (64³)
-        self._freeze(np.array(self.displacement, dtype=np.float64, order="C"))
-
-    @classmethod
-    def _adopt(cls, displacement: np.ndarray, spacing, grid_to_world,
-               provenance: _Provenance | None = None) -> "DeformationField":
-        """A field that takes ownership of ``displacement`` instead of copying it.
-
-        For C-ordered float64 arrays the caller has just built and keeps no
-        writable reference to (others are converted once); the array is made
-        read-only in place. The grid and finiteness checks run as usual.
-        """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "spacing", spacing)
-        object.__setattr__(obj, "grid_to_world", grid_to_world)
-        object.__setattr__(obj, "provenance", provenance)
-        obj._freeze(np.ascontiguousarray(displacement, dtype=np.float64))
-        return obj
-
-    def _freeze(self, u: np.ndarray) -> None:
+        u = (np.array if copy else np.asarray)(displacement, dtype=np.float64, order="C")
         if not np.all(np.isfinite(u)):
             raise NonFiniteField("displacement contains NaN/Inf")
-        _init_grid(self, "displacement", u, vector=True)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.displacement.shape[:3]
+        return u
 
     def channels(self) -> VolumeStack:
         """The displacement components as a 3-channel stack (for serialization)."""
@@ -246,7 +228,7 @@ class DeformationField:
 
 def identity_field(like) -> DeformationField:
     """Zero displacement on the grid of ``like`` (anything with dims/spacing/affine)."""
-    return DeformationField(
+    return DeformationField._adopt(
         np.zeros(tuple(like.dims) + (3,)), like.spacing, like.grid_to_world
     )
 
@@ -255,7 +237,7 @@ def affine_to_field(matrix: np.ndarray, like) -> DeformationField:
     """Exact displacement field of a 4x4 world-frame affine on ``like``'s grid."""
     xs = world_coordinate_grid(like.dims, like.grid_to_world)
     mapped = voxel_to_world(np.asarray(matrix, dtype=np.float64), xs)
-    return DeformationField(mapped - xs, like.spacing, like.grid_to_world)
+    return DeformationField._adopt(mapped - xs, like.spacing, like.grid_to_world)
 
 
 # -- sampling the random transform --------------------------------------------
@@ -493,7 +475,7 @@ def warp_labels(lm: LabelMap, fld: DeformationField) -> LabelMap:
     if _is_identity_on(fld, lm):
         return lm
     p = _source_voxels(fld, lm.grid_to_world)
-    return LabelMap(sample_nearest(lm.data, p), fld.spacing, fld.grid_to_world)
+    return LabelMap._adopt(sample_nearest(lm.data, p), fld.spacing, fld.grid_to_world)
 
 
 def warp_stack(stack: VolumeStack, fld: DeformationField) -> VolumeStack:
@@ -513,13 +495,12 @@ def warp_stack(stack: VolumeStack, fld: DeformationField) -> VolumeStack:
 def _warp_subject(lm: LabelMap, v: Volume, fld: DeformationField) -> tuple[LabelMap, Volume]:
     """``(warp_labels(lm, fld), warp_volume(v, fld))`` from one position array.
 
-    ``lm`` and ``v`` share a grid (as in a :class:`SubjectRecord`); when their
-    grids differ at all, each is warped on its own.
+    ``lm`` and ``v`` share a grid within :func:`same_geometry`'s tolerance, as
+    a :class:`SubjectRecord` requires; both are sampled at positions computed
+    on ``lm``'s grid.
     """
-    shared = (lm.dims == v.dims and lm.spacing == v.spacing
-              and np.array_equal(lm.grid_to_world, v.grid_to_world))
-    if not shared or _is_identity_on(fld, lm):
-        return warp_labels(lm, fld), warp_volume(v, fld)
+    if _is_identity_on(fld, lm):
+        return lm, v
     p = _source_voxels(fld, lm.grid_to_world)
-    return (LabelMap(sample_nearest(lm.data, p), fld.spacing, fld.grid_to_world),
+    return (LabelMap._adopt(sample_nearest(lm.data, p), fld.spacing, fld.grid_to_world),
             Volume._adopt(sample_trilinear(v.data, p), fld.spacing, fld.grid_to_world))

@@ -11,7 +11,6 @@ thread pool yet come out byte-identical to a sequential run.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,10 +40,7 @@ __all__ = [
     "generate_batch",
     "batch_loss",
     "export_batch",
-    "THREADS_ENV",
 ]
-
-THREADS_ENV = "SYNTHBRAIN_THREADS"
 
 _SEVERITY_RANK = {"off": 0, "mild": 1, "medium": 2, "severe": 3}
 
@@ -111,12 +107,6 @@ def severity_ladder(n: int) -> list[str]:
     return [names[i] for i in idx]
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-    return max(1, threads)
-
-
 def _normalize_schedule(schedule, n: int) -> list[SeverityConfig]:
     if schedule is None:
         schedule = severity_ladder(n)
@@ -143,7 +133,8 @@ def generate_batch(
     the evenly spaced ladder). One deformation is drawn and shared; sample i
     then gets fresh contrast parameters and corruption from its own RNG
     keyed by (base_seed, subject.id, i), which makes thread count
-    irrelevant to the output bytes.
+    irrelevant to the output bytes. ``threads`` workers paint and corrupt
+    the samples (None: 1).
     """
     if subject.labels.label_set in ((), (0,)):
         raise EmptyLabelSet(f"subject {subject.id!r} has no foreground labels")
@@ -170,7 +161,7 @@ def generate_batch(
         record = sample_corruption_record(rng, cfgs[i], painted)
         return Sample(apply_corruption(painted, record), record, cfgs[i].level)
 
-    nthreads = _resolve_threads(threads)
+    nthreads = max(1, threads or 1)
     if nthreads == 1 or n == 1:
         # no 1-worker pool: it raised peak RSS of a 96³ n=1 batch 194 -> 228 MB
         samples = [make_sample(i) for i in range(n)]

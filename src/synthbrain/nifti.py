@@ -203,17 +203,17 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
     if as_labels is None:
         integral = _DTYPES[hdr.datatype].kind in "iu"
         as_labels = integral and hdr.scaling is None and (data.size == 0 or data.min() >= 0)
-    if as_labels:
-        return LabelMap(data, hdr.spacing, hdr.affine)
-    return Volume(data, hdr.spacing, hdr.affine)
+    kind = LabelMap if as_labels else Volume
+    return kind._adopt(data, hdr.spacing, hdr.affine)
 
 
 def read_volume_stack(stream: bytes) -> VolumeStack:
-    """Decode a 5D single-timepoint vector NIfTI into a stack of channels."""
+    """Decode a 5D single-timepoint vector NIfTI into a stack of channels,
+    each a read-only view of the one decoded array."""
     hdr, data = _decode(stream, 5)
-    return VolumeStack(
-        tuple(Volume(data[:, :, :, 0, c], hdr.spacing, hdr.affine) for c in range(data.shape[4]))
-    )
+    return VolumeStack(tuple(
+        Volume._adopt(data[:, :, :, 0, c], hdr.spacing, hdr.affine) for c in range(data.shape[4])
+    ))
 
 
 def _datatype_code(datatype: int | str) -> int:
@@ -277,7 +277,8 @@ def write_nifti(v: Volume | LabelMap, datatype: int | str = "float32") -> bytes:
 
 
 def write_volume_stack(stack: VolumeStack, datatype: int | str = "float32") -> bytes:
-    """Encode a channel stack as a 5D vector NIfTI (dim[4]=1, channels on dim 5)."""
+    """Encode a channel stack as a 5D vector NIfTI (dim[4]=1, channels on dim 5,
+    the slowest axis on disk, so each channel is encoded on its own)."""
     code = _datatype_code(datatype)
     nx, ny, nz = stack.dims
     header = _pack_header(
@@ -287,8 +288,8 @@ def write_volume_stack(stack: VolumeStack, datatype: int | str = "float32") -> b
         stack.grid_to_world,
         intent_code=_INTENT_VECTOR,
     )
-    data = np.stack([ch.data for ch in stack.channels], axis=-1)[:, :, :, None, :]
-    return header + b"\x00" * (DATA_OFFSET - HEADER_SIZE) + _encode(data, code)
+    pad = b"\x00" * (DATA_OFFSET - HEADER_SIZE)
+    return b"".join([header, pad] + [_encode(ch.data, code) for ch in stack.channels])
 
 
 def read_nifti_file(path, as_labels: bool | None = None) -> Volume | LabelMap:

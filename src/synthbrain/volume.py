@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,38 +40,68 @@ __all__ = [
 ]
 
 
-def _init_grid(obj, name: str, data: np.ndarray, vector: bool = False) -> None:
-    """Shared constructor tail of the grid types: validate the grid, then freeze.
+# an array the library has just built, passed by _Grid._adopt
+_Fresh = namedtuple("_Fresh", "array")
 
-    ``data`` is the caller's one converted copy, stored read-only as attribute
-    ``name`` without another copy; it is ``(nx, ny, nz)``, or ``(nx, ny, nz, 3)``
-    when ``vector``. ``grid_to_world`` defaults to ``diag(spacing)``.
+
+class _Grid:
+    """Base of the grid types: a frozen dataclass whose fields start with its
+    array (attribute ``_array``, ``(nx, ny, nz)`` or, when ``_vector``,
+    ``(nx, ny, nz, 3)``), ``spacing`` and ``grid_to_world`` (default
+    ``diag(spacing)``). ``_convert(data, copy)`` checks the values and returns
+    them as stored, copying when ``copy`` or a dtype/layout change needs it.
+    The stored array is read-only.
     """
-    if data.ndim != 3 + vector or (vector and data.shape[3] != 3):
-        want = "(nx, ny, nz, 3)" if vector else "(nx, ny, nz)"
-        raise ValueError(f"{name} must have shape {want}, got {data.shape}")
-    if min(data.shape) < 1:
-        raise ValueError(f"voxel counts must be positive, got {data.shape}")
-    spacing = tuple(float(s) for s in obj.spacing)
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing components must be > 0, got {spacing}")
-    if obj.grid_to_world is None:
-        affine = np.diag(spacing + (1.0,))
-    else:
-        affine = np.array(obj.grid_to_world, dtype=np.float64)
-    if affine.shape != (4, 4) or not np.allclose(affine[3], [0, 0, 0, 1]):
-        raise ValueError("grid_to_world must be a 4x4 homogeneous affine")
-    if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
-        raise ValueError("grid_to_world upper-left 3x3 block is singular")
-    data.setflags(write=False)
-    affine.setflags(write=False)
-    object.__setattr__(obj, name, data)
-    object.__setattr__(obj, "spacing", spacing)
-    object.__setattr__(obj, "grid_to_world", affine)
+
+    _array = "data"
+    _vector = False
+
+    def __post_init__(self):
+        data = getattr(self, self._array)
+        fresh = isinstance(data, _Fresh)
+        data = self._convert(data.array if fresh else data, copy=not fresh)
+        if data.ndim != 3 + self._vector or (self._vector and data.shape[3] != 3):
+            want = "(nx, ny, nz, 3)" if self._vector else "(nx, ny, nz)"
+            raise ValueError(f"{self._array} must have shape {want}, got {data.shape}")
+        if min(data.shape) < 1:
+            raise ValueError(f"voxel counts must be positive, got {data.shape}")
+        spacing = tuple(float(s) for s in self.spacing)
+        if len(spacing) != 3 or any(s <= 0 for s in spacing):
+            raise ValueError(f"spacing components must be > 0, got {spacing}")
+        if self.grid_to_world is None:
+            affine = np.diag(spacing + (1.0,))
+        else:
+            affine = np.array(self.grid_to_world, dtype=np.float64)
+        if affine.shape != (4, 4) or not np.allclose(affine[3], [0, 0, 0, 1]):
+            raise ValueError("grid_to_world must be a 4x4 homogeneous affine")
+        if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
+            raise ValueError("grid_to_world upper-left 3x3 block is singular")
+        data.setflags(write=False)
+        affine.setflags(write=False)
+        object.__setattr__(self, self._array, data)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "grid_to_world", affine)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, *args, **kwargs):
+        """The constructor, taking ownership of ``data`` instead of copying it.
+
+        For arrays the caller has just built and keeps no writable reference
+        to; ``data`` is made read-only in place. Every check still runs.
+        """
+        return cls(_Fresh(data), *args, **kwargs)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return getattr(self, self._array).shape[:3]
+
+    def with_data(self, data: np.ndarray):
+        """Same grid, new values (copied)."""
+        return type(self)(data, self.spacing, self.grid_to_world)
 
 
 @dataclass(frozen=True)
-class Volume:
+class Volume(_Grid):
     """A scalar field on a regular 3D grid.
 
     Parameters
@@ -87,45 +118,25 @@ class Volume:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     grid_to_world: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        _init_grid(self, "data", np.array(self.data, dtype=np.float64))
-
-    @classmethod
-    def _adopt(cls, data: np.ndarray, spacing, grid_to_world) -> "Volume":
-        """A volume that takes ownership of ``data`` instead of copying it.
-
-        For float64 arrays the caller has just built and keeps no writable
-        reference to; ``data`` is made read-only in place. The grid is
-        checked as usual.
-        """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "spacing", spacing)
-        object.__setattr__(obj, "grid_to_world", grid_to_world)
-        _init_grid(obj, "data", np.asarray(data, dtype=np.float64))
-        return obj
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    def with_data(self, data: np.ndarray) -> "Volume":
-        """Same grid, new values."""
-        return Volume(data, self.spacing, self.grid_to_world)
+    @staticmethod
+    def _convert(data, copy: bool) -> np.ndarray:
+        return (np.array if copy else np.asarray)(data, dtype=np.float64)
 
 
 _LABEL_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
-class LabelMap:
+class LabelMap(_Grid):
     """An integer anatomical-label field; label 0 is reserved for background."""
 
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     grid_to_world: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        data = np.asarray(self.data)
+    @staticmethod
+    def _convert(data, copy: bool) -> np.ndarray:
+        data = np.asarray(data)
         if not np.issubdtype(data.dtype, np.integer):
             rounded = np.rint(np.asarray(data, dtype=np.float64))
             if not np.array_equal(rounded, data):
@@ -137,11 +148,7 @@ class LabelMap:
         top = data.max() if data.size else 0
         if top > _LABEL_MAX:
             raise ValueError(f"labels must be <= {_LABEL_MAX} (the int32 maximum), got {top}")
-        _init_grid(self, "data", data.astype(np.int32))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        return data.astype(np.int32, copy=copy)
 
     @cached_property
     def label_set(self) -> tuple[int, ...]:
@@ -159,9 +166,6 @@ class LabelMap:
         index = np.searchsorted(labels, self.data).astype(np.min_scalar_type(len(labels) - 1))
         index.setflags(write=False)
         return index
-
-    def with_data(self, data: np.ndarray) -> "LabelMap":
-        return LabelMap(data, self.spacing, self.grid_to_world)
 
 
 @dataclass(frozen=True)
@@ -304,8 +308,10 @@ def sample_nearest(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
     iy = np.clip(np.ceil(y - 0.5), 0, ny - 1).astype(np.int64)
     iz = np.clip(np.ceil(z - 0.5), 0, nz - 1).astype(np.int64)
 
-    out = data.ravel()[ix * (ny * nz) + iy * nz + iz]
-    return np.where(inside, out, np.zeros((), dtype=data.dtype))
+    # asarray: one point indexes a scalar, which cannot be zeroed in place
+    out = np.asarray(data.ravel()[ix * (ny * nz) + iy * nz + iz])
+    out[~inside] = 0
+    return out
 
 
 # Trilinear interpolation at the points of an axis-aligned grid is separable:
@@ -345,7 +351,7 @@ def spatial_gradient(v: Volume) -> VolumeStack:
     if min(v.dims) < 2:
         raise DegenerateGrid(f"gradient needs >= 2 voxels per axis, got {v.dims}")
     gx, gy, gz = np.gradient(v.data, *v.spacing, edge_order=1)
-    return VolumeStack(tuple(v.with_data(g) for g in (gx, gy, gz)))
+    return VolumeStack(tuple(Volume._adopt(g, v.spacing, v.grid_to_world) for g in (gx, gy, gz)))
 
 
 def minmax_normalize(v: Volume) -> Volume:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import synthbrain as sb
-from synthbrain.cli import main
+from synthbrain.cli import _CONFIG_KEYS, main
 
 from conftest import make_subject, smooth_volume
 
@@ -286,6 +286,42 @@ def test_unknown_config_key_exits_64(tmp_path, subject_files, capsys, command, l
         argv = ["generate", str(labels), str(mprage), "--seed", "3", "--out", str(tmp_path / "o")]
     assert main(argv + ["--config", str(cfg)]) == 64
     assert line.split(" = ")[0] in capsys.readouterr().err
+
+
+_OUT_OF_RANGE = [
+    ("generate", "n", "0"), ("generate", "threads", "0"),
+    ("evaluate", "window", "0"), ("evaluate", "scales", "9"), ("evaluate", "erosion", "-1"),
+    ("fit-adapter", "ridge", "-1"),
+    ("metrics", "window", "0"), ("metrics", "scales", "0"), ("metrics", "peak", "0"),
+    ("metrics", "peak", "-1"), ("metrics", "peak", "nan"),
+]
+
+
+# every value as a flag, and as a config key where the command reads one
+@pytest.mark.parametrize("command, key, value, via", [
+    case + (via,) for case in _OUT_OF_RANGE for via in ("flag", "config")
+    if via == "flag" or case[1] in _CONFIG_KEYS[case[0]]
+])
+def test_out_of_range_flag_value_exits_64(tmp_path, subject_files, capsys, command, key, value, via):
+    _, labels, mprage = subject_files
+    out = str(tmp_path / "out")
+    argv = {
+        "generate": ["generate", str(labels), str(mprage), "--seed", "1", "--out", out],
+        "evaluate": ["evaluate", "--reference", str(mprage), "--candidates",
+                     str(tmp_path / "c.json"), "--mask", str(labels), "--out", out],
+        "fit-adapter": ["fit-adapter", "--features", str(mprage), "--target", str(mprage),
+                        "--out", out],
+        "metrics": ["metrics", "--pred", str(mprage), "--ref", str(mprage),
+                    "--metric", "psnr" if key == "peak" else "msssim"],
+    }[command]
+    if via == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 64
+    assert f"--{key}" in capsys.readouterr().err
 
 
 def test_directory_as_input_exits_2_naming_it(tmp_path, subject_files, capsys):

@@ -324,6 +324,36 @@ def test_warp_labels_never_invents_labels(subject32):
     assert set(out.label_set) <= set(subject32.labels.label_set) | {0}
 
 
+def test_label_warps_adopt_the_sampled_array(subject32, monkeypatch):
+    sampled = []
+    sample_nearest = sb.deformation.sample_nearest
+
+    def capturing(data, pts):
+        sampled.append(sample_nearest(data, pts))
+        return sampled[-1]
+
+    monkeypatch.setattr(sb.deformation, "sample_nearest", capturing)
+    warped = sb.warp_labels(subject32.labels, _mild_field(9, n=32))
+    assert np.shares_memory(warped.data, sampled[-1]) and not warped.data.flags.writeable
+    # and the warped map that generate_batch paints
+    painted = []
+    paint = sb.generator.paint
+    monkeypatch.setattr(sb.generator, "paint", lambda lm, *args: painted.append(lm) or paint(lm, *args))
+    sb.generate_batch(subject32, 1, base_seed=3)
+    assert np.shares_memory(painted[0].data, sampled[-1]) and not painted[0].data.flags.writeable
+    # the public constructor still copies the caller's array
+    arr = sampled[-1].copy()
+    assert not np.shares_memory(sb.LabelMap(arr).data, arr)
+
+
+def test_adopted_field_keeps_its_provenance():
+    phi = _mild_field(2, n=16)
+    again = sb.DeformationField._adopt(np.array(phi.displacement), phi.spacing,
+                                       phi.grid_to_world, provenance=phi.provenance)
+    assert again.provenance is phi.provenance
+    assert sb.invert(again).displacement.tobytes() == sb.invert(phi).displacement.tobytes()
+
+
 def test_warp_between_grids_uses_world_frame():
     # same world content, target grid twice as coarse
     fine = smooth_volume(24, 1)

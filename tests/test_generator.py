@@ -80,6 +80,32 @@ def test_batch_computes_the_warp_positions_once(subject32, monkeypatch):
     assert target.data.tobytes() == batch.target.data.tobytes()
 
 
+def test_near_equal_grids_share_the_warp_positions(monkeypatch):
+    subject = make_subject(24, seed=3)
+    g2w = np.array(subject.mprage.grid_to_world)
+    g2w[:3, 3] += 1e-7  # within same_geometry's tolerance, so a valid subject
+    mprage = sb.Volume(subject.mprage.data, subject.mprage.spacing, g2w)
+    shifted = sb.SubjectRecord(subject.id, subject.labels, mprage)
+    calls = []
+    source_voxels = sb.deformation._source_voxels
+
+    def counting(fld, grid_to_world):
+        calls.append(fld)
+        return source_voxels(fld, grid_to_world)
+
+    monkeypatch.setattr(sb.deformation, "_source_voxels", counting)
+    batch = sb.generate_batch(shifted, 1, base_seed=5)
+    assert len(calls) == 1
+    target = sb.minmax_normalize(sb.warp_volume(mprage, batch.deformation))
+    np.testing.assert_allclose(batch.target.data, target.data, rtol=0.0, atol=1e-6)
+
+
+def test_threads_come_only_from_the_argument(subject32, monkeypatch):
+    monkeypatch.setenv("SYNTHBRAIN_THREADS", "abc")
+    batch = sb.generate_batch(subject32, 2, base_seed=1)
+    assert batch.batch_size == 2
+
+
 def test_all_off_sample_reproducible_from_first_principles(subject32):
     """With corruption off, a sample is exactly paint(warp(labels))."""
     batch = sb.generate_batch(

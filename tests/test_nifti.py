@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,47 @@ def test_stack_round_trip(rng):
     assert back.channel_count == 3
     for a, b in zip(back.channels, stack.channels):
         assert np.array_equal(a.data, b.data.astype("<f4").astype(np.float64))
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int16", "uint8"])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_stack_bytes_match_the_stacked_encoding(rng, dtype, layout):
+    from synthbrain.nifti import DATA_OFFSET, _datatype_code, _encode
+
+    order = "F" if layout == "F" else "C"
+    chans = [np.array(rng.normal(0.0, 300.0, (5, 4, 3)), order=order) for _ in range(3)]
+    chans[0].flat[:4] = [0.5, -0.5, 1e6, -1e6]  # ties and out-of-range integers
+    stack = VolumeStack(tuple(Volume(c) for c in chans))
+    assert all(ch.data.flags[f"{order}_CONTIGUOUS"] for ch in stack.channels)
+    stacked = np.stack([ch.data for ch in stack.channels], axis=-1)[:, :, :, None, :]
+    blob = write_volume_stack(stack, dtype)
+    assert blob[DATA_OFFSET:] == _encode(stacked, _datatype_code(dtype))
+
+
+def test_large_stacks_are_read_and_written_without_a_stacked_copy(rng):
+    stack = VolumeStack(tuple(Volume(rng.random((64, 64, 64))) for _ in range(32)))
+    float64_bytes = 32 * 64 ** 3 * 8
+    blob, write_peak = _traced_peak(write_volume_stack, stack)
+    payload = float64_bytes // 2
+    assert len(blob) == 352 + payload
+    assert write_peak <= 2.2 * payload
+    back, read_peak = _traced_peak(read_volume_stack, blob)
+    assert read_peak <= 1.2 * float64_bytes
+    # every channel is a read-only view of the one decoded array
+    base = back.channels[0].data.base
+    assert all(ch.data.base is base and not ch.data.flags.writeable for ch in back.channels)
+    assert np.array_equal(back.channels[31].data, stack.channels[31].data.astype("<f4"))
 
 
 def test_big_endian_files_are_readable(rng):

@@ -8,6 +8,7 @@ from synthbrain import (
     DegenerateGrid,
     GeometryMismatch,
     LabelMap,
+    NonFiniteField,
     Volume,
     VolumeStack,
     minmax_normalize,
@@ -108,6 +109,28 @@ def test_public_constructors_copy_c_ordered_float64_arrays(make, shape):
     arr[...] = -1.0
     assert stored.min() == 0.0
     assert arr.flags.writeable and not stored.flags.writeable
+
+
+@pytest.mark.parametrize("kind, data, kw, error", [
+    (DeformationField, np.full((3, 3, 3, 3), np.nan), {}, NonFiniteField),
+    (LabelMap, np.full((3, 3, 3), -1, dtype=np.int32), {}, ValueError),
+    (Volume, np.zeros((3, 3, 3)), {"grid_to_world": np.diag([1.0, 2.0, 0.0, 1.0])}, ValueError),
+], ids=["NaN field", "negative label", "singular affine"])
+def test_adopting_runs_every_check(kind, data, kw, error):
+    with pytest.raises(error):
+        kind(data, **kw)
+    with pytest.raises(error):
+        kind._adopt(data.copy(), **kw)
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_TYPES))
+def test_adopting_stores_the_array_itself_read_only(kind):
+    built = _GRID_TYPES[kind](np.arange(27.0).reshape(3, 3, 3))
+    data = np.array(built.displacement if kind == "DeformationField" else built.data)
+    obj = type(built)._adopt(data, spacing=(1.0, 2.0, 3.5))
+    assert (obj.displacement if kind == "DeformationField" else obj.data) is data
+    assert not data.flags.writeable
+    assert obj.dims == (3, 3, 3) and obj.spacing == (1.0, 2.0, 3.5)
 
 
 def test_stack_requires_identical_geometry(rng):
