@@ -32,8 +32,7 @@ from .errors import (
     SynthBrainError,
 )
 from .generator import SubjectRecord, export_batch, generate_batch, severity_ladder
-from .nifti import read_header, read_nifti, read_volume_stack
-from .volume import VolumeStack
+from .nifti import read_nifti, read_volume_stack
 
 __all__ = ["main"]
 
@@ -61,11 +60,7 @@ def _read(path, as_labels: bool | None = None, stack: bool = False):
     which names the path; a decoding error is re-raised with the path added."""
     blob = Path(path).read_bytes()
     try:
-        if not stack:
-            return read_nifti(blob, as_labels=as_labels)
-        if read_header(blob).dim[0] == 5:
-            return read_volume_stack(blob)
-        return VolumeStack((read_nifti(blob, as_labels=False),))
+        return read_volume_stack(blob) if stack else read_nifti(blob, as_labels=as_labels)
     except (SynthBrainError, ValueError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -40,6 +40,8 @@ SEVERITY_LEVELS = ("mild", "medium", "severe")
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 _FWHM = 2.354820045030949
+# points per axis of the coarse log bias grid
+_BIAS_GRID = 4
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class SeverityConfig:
     deformation: DeformationConfig = DeformationConfig()
     low_field_spacing: tuple[float, float] = (1.5, 4.0)
     anisotropic_spacing: tuple[float, float] = (2.5, 7.0)
-    bias_grid: int = 4
 
     def __post_init__(self):
         for name in ("p_low_field", "p_anisotropic"):
@@ -74,8 +75,6 @@ class SeverityConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} range has min {lo} > max {hi}")
-        if not 2 <= self.bias_grid <= 8:
-            raise ValueError(f"bias_grid must be in [2, 8], got {self.bias_grid}")
 
     @classmethod
     def mild(cls) -> "SeverityConfig":
@@ -228,10 +227,6 @@ class CorruptionRecord:
             renormalized=bool(d.get("renormalized", False)),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "CorruptionRecord":
-        return cls.from_json_dict(json.loads(text))
-
     def bias_field(self, like) -> BiasField | None:
         """Reconstruct the ground-truth bias field on ``like``'s grid."""
         if self.bias is None:
@@ -259,8 +254,7 @@ def sample_corruption_record(
     if cfg.bias_mu != (0.0, 0.0) or cfg.bias_sigma != (0.0, 0.0):
         mu_b = float(rng.uniform(*cfg.bias_mu))
         sigma_b = float(rng.uniform(*cfg.bias_sigma))
-        g = cfg.bias_grid
-        coarse = rng.normal(mu_b, sigma_b, (g, g, g))
+        coarse = rng.normal(mu_b, sigma_b, (_BIAS_GRID,) * 3)
         bias = {"mu": mu_b, "sigma": sigma_b, "coarse": coarse.tolist()}
 
     resolution = None

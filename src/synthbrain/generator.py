@@ -17,9 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruption import CorruptionRecord, SeverityConfig, apply_corruption, sample_corruption_record
+from .corruption import (
+    SEVERITY_LEVELS,
+    CorruptionRecord,
+    SeverityConfig,
+    apply_corruption,
+    sample_corruption_record,
+)
 from .deformation import (
-    DeformationConfig,
     DeformationField,
     _warp_subject,
     build_deformation,
@@ -29,7 +34,7 @@ from .deformation import (
 from .errors import EmptyLabelSet, NonPositiveLambda
 from .nifti import write_nifti_file
 from .seeding import make_rng
-from .synthesis import ContrastConfig, paint, sample_contrast_params
+from .synthesis import paint, sample_contrast_params
 from .volume import LabelMap, Volume, check_same_geometry, minmax_normalize, spatial_gradient
 
 __all__ = [
@@ -42,7 +47,7 @@ __all__ = [
     "export_batch",
 ]
 
-_SEVERITY_RANK = {"off": 0, "mild": 1, "medium": 2, "severe": 3}
+_SEVERITY_RANK = {level: rank for rank, level in enumerate(("off",) + SEVERITY_LEVELS)}
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,10 @@ def _check_levels(levels) -> None:
 class Sample:
     image: Volume
     record: CorruptionRecord
-    level: str
+
+    @property
+    def level(self) -> str:
+        return self.record.level
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,8 @@ def severity_ladder(n: int) -> list[str]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return ["mild"]
-    idx = [int(np.floor(i * 2.0 / (n - 1) + 0.5)) for i in range(n)]
-    names = ("mild", "medium", "severe")
-    return [names[i] for i in idx]
+        return [SEVERITY_LEVELS[0]]
+    return [SEVERITY_LEVELS[int(np.floor(i * 2.0 / (n - 1) + 0.5))] for i in range(n)]
 
 
 def _normalize_schedule(schedule, n: int) -> list[SeverityConfig]:
@@ -123,8 +129,6 @@ def generate_batch(
     n: int,
     base_seed: int,
     schedule=None,
-    deform_cfg: DeformationConfig | None = None,
-    contrast_cfg: ContrastConfig = ContrastConfig(),
     threads: int | None = None,
 ) -> SampleBatch:
     """Generate one batch of synthetic samples for a subject.
@@ -139,9 +143,8 @@ def generate_batch(
     if subject.labels.label_set in ((), (0,)):
         raise EmptyLabelSet(f"subject {subject.id!r} has no foreground labels")
     cfgs = _normalize_schedule(schedule, n)
-    if deform_cfg is None:
-        # Table of ranges is shared across severity levels
-        deform_cfg = cfgs[0].deformation
+    # one deformation per batch, drawn with the first sample's ranges
+    deform_cfg = cfgs[0].deformation
 
     rng_d = make_rng(base_seed, subject.id, "deformation")
     affine = sample_affine(rng_d, deform_cfg)
@@ -156,10 +159,10 @@ def generate_batch(
 
     def make_sample(i: int) -> Sample:
         rng = make_rng(base_seed, subject.id, i)
-        params = sample_contrast_params(rng, label_set, contrast_cfg)
+        params = sample_contrast_params(rng, label_set)
         painted = paint(warped_labels, params, rng)
         record = sample_corruption_record(rng, cfgs[i], painted)
-        return Sample(apply_corruption(painted, record), record, cfgs[i].level)
+        return Sample(apply_corruption(painted, record), record)
 
     nthreads = max(1, threads or 1)
     if nthreads == 1 or n == 1:

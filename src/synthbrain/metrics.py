@@ -41,6 +41,10 @@ __all__ = [
 
 # conventional five-scale weights, truncated + renormalized per requested depth
 _MS_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
+# SSIM stabilizers (K1 * L)^2 and (K2 * L)^2 with the standard K1 = 0.01,
+# K2 = 0.03 and dynamic range L = 1 (intensities in [0, 1])
+_C1 = 0.01 ** 2
+_C2 = 0.03 ** 2
 
 
 def _mask_array(mask, dims) -> np.ndarray | None:
@@ -73,7 +77,7 @@ def psnr(pred: Volume, ref: Volume, peak: float = 1.0, mask=None) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _ssim_cs_maps(a, b, window, k1, k2, rng_):
+def _ssim_cs_maps(a, b, window):
     """Per-window SSIM and contrast-structure maps over valid (fully inside) centers."""
     r = window // 2
     crop = tuple(slice(r, n - r) for n in a.shape)
@@ -88,10 +92,8 @@ def _ssim_cs_maps(a, b, window, k1, k2, rng_):
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b
-    c1 = (k1 * rng_) ** 2
-    c2 = (k2 * rng_) ** 2
-    lum = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
-    cs = (2.0 * cov + c2) / (var_a + var_b + c2)
+    lum = (2.0 * mu_a * mu_b + _C1) / (mu_a * mu_a + mu_b * mu_b + _C1)
+    cs = (2.0 * cov + _C2) / (var_a + var_b + _C2)
     return lum * cs, cs
 
 
@@ -106,22 +108,14 @@ def _valid_center_mask(mask, dims, window):
     return m
 
 
-def ssim(
-    a: Volume,
-    b: Volume,
-    window: int = 7,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    dynamic_range: float = 1.0,
-    mask=None,
-) -> float:
+def ssim(a: Volume, b: Volume, window: int = 7, mask=None) -> float:
     """Mean structural similarity over all fully-inside uniform windows.
 
     Uses the population variance within each window; a mask, when given,
     selects which window *centers* contribute to the mean. This is
     :func:`ms_ssim` at one scale.
     """
-    return _ssim_and_ms_ssim(a, b, 1, window, k1, k2, dynamic_range, mask)[0]
+    return _ssim_and_ms_ssim(a, b, 1, window, mask)[0]
 
 
 def _downsample2(x: np.ndarray) -> np.ndarray:
@@ -131,16 +125,7 @@ def _downsample2(x: np.ndarray) -> np.ndarray:
     return y.mean(axis=(1, 3, 5))
 
 
-def ms_ssim(
-    a: Volume,
-    b: Volume,
-    scales: int = 3,
-    window: int = 7,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    dynamic_range: float = 1.0,
-    mask=None,
-) -> float:
+def ms_ssim(a: Volume, b: Volume, scales: int = 3, window: int = 7, mask=None) -> float:
     """Multi-scale SSIM over dyadic downsamplings.
 
     Each scale averages per-window terms over the fully-inside uniform
@@ -151,12 +136,10 @@ def ms_ssim(
     exponents are the conventional five weights truncated to ``scales`` and
     renormalized, so one scale is plain single-scale SSIM.
     """
-    return _ssim_and_ms_ssim(a, b, scales, window, k1, k2, dynamic_range, mask)[1]
+    return _ssim_and_ms_ssim(a, b, scales, window, mask)[1]
 
 
-def _ssim_and_ms_ssim(
-    a, b, scales, window, k1=0.01, k2=0.03, dynamic_range=1.0, mask=None
-) -> tuple[float, float]:
+def _ssim_and_ms_ssim(a, b, scales, window, mask=None) -> tuple[float, float]:
     """``(ssim, ms_ssim)`` from one pass: the first scale's SSIM is read off
     the same window statistics that MS-SSIM's first scale filters."""
     check_same_geometry(a, b)
@@ -175,7 +158,7 @@ def _ssim_and_ms_ssim(
     m = _mask_array(mask, a.dims)
     result = 1.0
     for s in range(scales):
-        ssim_map, cs_map = _ssim_cs_maps(xa, xb, window, k1, k2, dynamic_range)
+        ssim_map, cs_map = _ssim_cs_maps(xa, xb, window)
         mc = _valid_center_mask(m, xa.shape, window)
         if s == 0:
             first = _masked_mean(ssim_map, mc)

@@ -167,15 +167,14 @@ def read_header(stream: bytes) -> NiftiHeader:
     )
 
 
-def _decode(stream: bytes, ndim: int) -> tuple[NiftiHeader, np.ndarray]:
-    """Header and scaled float64 values of an ``ndim``-D image, shaped
-    ``dim[1:ndim + 1]`` in the on-disk (Fortran) order."""
+def _decode(stream: bytes, stack: bool) -> tuple[NiftiHeader, np.ndarray]:
+    """Header and scaled float64 values, shaped ``dim[1:dim[0] + 1]`` in the
+    on-disk (Fortran) order. Only a ``stack`` read accepts a 5D image."""
     stream = _maybe_decompress(stream)
     hdr = read_header(stream)
-    if hdr.dim[0] != ndim:
-        kind = "3D scalar" if ndim == 3 else "5D vector"
-        raise UnsupportedDimension(f"dim[0] = {hdr.dim[0]}, expected a {kind} image")
-    shape = hdr.dim[1 : ndim + 1]
+    if hdr.dim[0] == 5 and not stack:
+        raise UnsupportedDimension("dim[0] = 5, expected a 3D scalar image")
+    shape = hdr.dim[1 : hdr.dim[0] + 1]
     dtype = _DTYPES[hdr.datatype].newbyteorder(hdr.byte_order)
     nvals = math.prod(shape)
     nbytes = nvals * dtype.itemsize
@@ -199,7 +198,7 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
     non-negative values comes back as a :class:`LabelMap`, everything else
     as a :class:`Volume`. Pass True/False to force.
     """
-    hdr, data = _decode(stream, 3)
+    hdr, data = _decode(stream, stack=False)
     if as_labels is None:
         integral = _DTYPES[hdr.datatype].kind in "iu"
         as_labels = integral and hdr.scaling is None and (data.size == 0 or data.min() >= 0)
@@ -209,22 +208,20 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
 
 def read_volume_stack(stream: bytes) -> VolumeStack:
     """Decode a 5D single-timepoint vector NIfTI into a stack of channels,
-    each a read-only view of the one decoded array."""
-    hdr, data = _decode(stream, 5)
+    each a read-only view of the one decoded array; a 3D file is one channel."""
+    hdr, data = _decode(stream, stack=True)
+    if data.ndim == 3:
+        data = data[:, :, :, None, None]
     return VolumeStack(tuple(
         Volume._adopt(data[:, :, :, 0, c], hdr.spacing, hdr.affine) for c in range(data.shape[4])
     ))
 
 
-def _datatype_code(datatype: int | str) -> int:
-    if isinstance(datatype, str):
-        codes = {dtype.name: code for code, dtype in _DTYPES.items()}
-        if datatype not in codes:
-            raise UnsupportedDatatype(f"datatype {datatype!r} (supported: {sorted(codes)})")
-        return codes[datatype]
-    if datatype not in _DTYPES:
-        raise UnsupportedDatatype(f"datatype code {datatype} (supported: {sorted(_DTYPES)})")
-    return int(datatype)
+def _datatype_code(datatype: str) -> int:
+    codes = {dtype.name: code for code, dtype in _DTYPES.items()}
+    if datatype not in codes:
+        raise UnsupportedDatatype(f"datatype {datatype!r} (supported: {sorted(codes)})")
+    return codes[datatype]
 
 
 def _encode(data: np.ndarray, code: int) -> bytes:
@@ -266,7 +263,7 @@ def _pack_header(dim, pixdim, code, affine, intent_code=0) -> bytes:
     )
 
 
-def write_nifti(v: Volume | LabelMap, datatype: int | str = "float32") -> bytes:
+def write_nifti(v: Volume | LabelMap, datatype: str = "float32") -> bytes:
     """Encode a volume as little-endian single-file NIfTI-1 bytes.
 
     Values outside an integer datatype's range are clamped.
@@ -276,7 +273,7 @@ def write_nifti(v: Volume | LabelMap, datatype: int | str = "float32") -> bytes:
     return header + b"\x00" * (DATA_OFFSET - HEADER_SIZE) + _encode(v.data, code)
 
 
-def write_volume_stack(stack: VolumeStack, datatype: int | str = "float32") -> bytes:
+def write_volume_stack(stack: VolumeStack, datatype: str = "float32") -> bytes:
     """Encode a channel stack as a 5D vector NIfTI (dim[4]=1, channels on dim 5,
     the slowest axis on disk, so each channel is encoded on its own)."""
     code = _datatype_code(datatype)
@@ -302,7 +299,7 @@ def read_volume_stack_file(path) -> VolumeStack:
         return read_volume_stack(fh.read())
 
 
-def write_nifti_file(path, v, datatype: int | str = "float32") -> None:
+def write_nifti_file(path, v, datatype: str = "float32") -> None:
     """Write to disk; paths ending in .gz are gzip-compressed reproducibly."""
     if isinstance(v, VolumeStack):
         payload = write_volume_stack(v, datatype)

@@ -52,16 +52,6 @@ class ContrastParams:
                 raise ValueError(f"sigma for label {lab} is negative: {sig}")
         object.__setattr__(self, "table", dict(self.table))
 
-    def mu(self, label: int) -> float:
-        return self.table[label][0]
-
-    def sigma(self, label: int) -> float:
-        return self.table[label][1]
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.table))
-
     def to_json(self) -> str:
         return json.dumps(
             {str(k): {"mu": mu, "sigma": sig} for k, (mu, sig) in sorted(self.table.items())},

@@ -203,17 +203,21 @@ class VolumeStack:
         return np.stack([ch.data for ch in self.channels], axis=-1)
 
 
-def same_geometry(a, b, tol: float = 1e-5) -> bool:
+# absolute tolerance on spacing and affine entries (mm)
+_GEOMETRY_TOL = 1e-5
+
+
+def same_geometry(a, b) -> bool:
     """True when two grid-carrying objects share dims, spacing, and affine."""
     return (
         tuple(a.dims) == tuple(b.dims)
-        and np.allclose(a.spacing, b.spacing, atol=tol)
-        and np.allclose(a.grid_to_world, b.grid_to_world, atol=tol)
+        and np.allclose(a.spacing, b.spacing, atol=_GEOMETRY_TOL)
+        and np.allclose(a.grid_to_world, b.grid_to_world, atol=_GEOMETRY_TOL)
     )
 
 
-def check_same_geometry(a, b, tol: float = 1e-5) -> None:
-    if not same_geometry(a, b, tol):
+def check_same_geometry(a, b) -> None:
+    if not same_geometry(a, b):
         raise GeometryMismatch(
             f"grids differ: dims {tuple(a.dims)} vs {tuple(b.dims)}, "
             f"spacing {a.spacing} vs {b.spacing}"

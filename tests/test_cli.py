@@ -1,3 +1,4 @@
+import gzip
 import json
 import struct
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import synthbrain as sb
-from synthbrain.cli import _CONFIG_KEYS, main
+from synthbrain.cli import _CONFIG_KEYS, _read, main
 
 from conftest import make_subject, smooth_volume
 
@@ -74,6 +75,21 @@ def test_channel_mismatch_exits_4(tmp_path):
     assert rc == 4
 
 
+def test_two_channel_deformation_exits_4(tmp_path, capsys):
+    ref = sb.VolumeStack((smooth_volume(16, 0),))
+    ref_path, fld_path = tmp_path / "ref.nii", tmp_path / "fld.nii"
+    sb.write_nifti_file(ref_path, ref, "float32")
+    sb.write_nifti_file(fld_path, sb.VolumeStack(ref.channels * 2), "float32")
+    manifest = tmp_path / "cands.json"
+    manifest.write_text(json.dumps(
+        {"candidates": [{"features": "ref.nii", "deformation": "fld.nii"}]}
+    ))
+    rc = main(["evaluate", "--reference", str(ref_path), "--candidates", str(manifest),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 4
+    assert "fld.nii" in capsys.readouterr().err
+
+
 def test_singular_fit_exits_5(tmp_path):
     v = smooth_volume(12, 0)
     feats = sb.VolumeStack((v, v))
@@ -95,6 +111,29 @@ def test_bad_usage_exits_64(tmp_path, subject_files, capsys):
                  "--metric", "bogus"]) == 64
     assert main(["frobnicate"]) == 64
     capsys.readouterr()
+
+
+def test_generate_usage_errors_exit_64(tmp_path, subject_files, capsys):
+    _, labels, mprage = subject_files
+    base = ["generate", str(labels), str(mprage), "--seed", "1"]
+    assert main(base) == 64  # no --out
+    assert "--out" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(base + ["--out", str(out), "--schedule", "mild,bogus"]) == 64
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [("mode = sideways\n", "sideways"),
+                                           ("window 7\n", "KEY=VALUE")])
+def test_malformed_evaluate_config_exits_64(tmp_path, subject_files, capsys, text, message):
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = main(["evaluate", "--reference", str(mprage), "--candidates", str(tmp_path / "c.json"),
+               "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert rc == 64
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, entry", [
@@ -256,6 +295,19 @@ def test_out_of_range_dotted_config_value_exits_64(tmp_path, subject_files, caps
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, name", [("deformation.bogus = 1", "bogus"),
+                                        ("extreme.p_low_field = 0", "extreme"),
+                                        ("mild.bias_grid = 3", "bias_grid")])
+def test_unknown_dotted_config_key_exits_64(tmp_path, subject_files, capsys, line, name):
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert name in capsys.readouterr().err
+
+
 def test_range_overrides_apply_together(tmp_path, subject_files, capsys):
     # the new min exceeds mild's preset max (1.0) until the max line is read
     _, labels, mprage = subject_files
@@ -334,6 +386,24 @@ def test_directory_as_input_exits_2_naming_it(tmp_path, subject_files, capsys):
     err = capsys.readouterr().err
     assert str(folder) in err
     assert "directory" in err.replace(str(folder), "").lower()  # not "no such file"
+
+
+def test_a_gzipped_stack_is_decompressed_once(tmp_path, monkeypatch):
+    stack = sb.VolumeStack((smooth_volume(8, 0), smooth_volume(8, 1)))
+    path = tmp_path / "stack.nii.gz"
+    sb.write_nifti_file(path, stack, "float32")
+    calls = []
+    decompress = gzip.decompress
+
+    def counting(data):
+        calls.append(len(data))
+        return decompress(data)
+
+    monkeypatch.setattr(gzip, "decompress", counting)
+    back = _read(path, stack=True)
+    assert len(calls) == 1
+    assert back.channel_count == 2
+    assert np.array_equal(back.channels[1].data, stack.channels[1].data.astype(np.float32))
 
 
 # -- metrics ---------------------------------------------------------------------

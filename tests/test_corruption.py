@@ -192,6 +192,14 @@ def test_native_resolution_is_identity():
     assert rng.uniform() == np.random.default_rng(0).uniform()
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_resolution_record_at_or_below_native_spacing_is_identity(scale):
+    v = smooth_volume(16, 2, spacing=(1.0, 1.5, 2.0))
+    target = [scale * s for s in v.spacing]
+    record = sb.CorruptionRecord("mild", resolution={"target_spacing": target, "kind": "low-field"})
+    assert sb.apply_corruption(v, record) is v
+
+
 def test_resolution_keeps_grid():
     v = smooth_volume(24, 2)
     cfg = _res_cfg(p_low=1.0, low=(3.0, 3.0))  # always 3 mm isotropic

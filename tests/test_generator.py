@@ -6,7 +6,6 @@ import pytest
 import synthbrain as sb
 from synthbrain import generator
 from synthbrain.corruption import SeverityConfig
-from synthbrain.deformation import DeformationConfig
 
 from conftest import make_subject
 
@@ -100,6 +99,13 @@ def test_near_equal_grids_share_the_warp_positions(monkeypatch):
     np.testing.assert_allclose(batch.target.data, target.data, rtol=0.0, atol=1e-6)
 
 
+def test_sample_level_is_its_record_level(subject32):
+    image = subject32.mprage
+    for level in ("off", "mild", "severe"):
+        record = sb.CorruptionRecord(level)
+        assert sb.Sample(image, record).level == record.level == level
+
+
 def test_threads_come_only_from_the_argument(subject32, monkeypatch):
     monkeypatch.setenv("SYNTHBRAIN_THREADS", "abc")
     batch = sb.generate_batch(subject32, 2, base_seed=1)
@@ -111,7 +117,6 @@ def test_all_off_sample_reproducible_from_first_principles(subject32):
     batch = sb.generate_batch(
         subject32, 1, base_seed=11,
         schedule=_all_off_schedule(1),
-        deform_cfg=DeformationConfig.all_off(),
     )
     rng = sb.make_rng(11, subject32.id, 0)
     params = sb.sample_contrast_params(rng, subject32.labels.label_set)

@@ -55,6 +55,14 @@ def test_psnr_closed_form():
     assert sb.psnr(a, a) == math.inf
 
 
+def test_masked_psnr_uses_only_masked_voxels(rng):
+    a = _vol(rng.random((6, 6, 6)))
+    b = _vol(rng.random((6, 6, 6)))
+    m = rng.random((6, 6, 6)) < 0.3
+    mse = np.mean((a.data[m] - b.data[m]) ** 2)
+    assert sb.psnr(a, b, peak=2.0, mask=m) == pytest.approx(10 * math.log10(4.0 / mse), rel=1e-12)
+
+
 def test_empty_mask_rejected():
     a = _vol(np.zeros((4, 4, 4)))
     with pytest.raises(sb.EmptyMask):
@@ -62,6 +70,14 @@ def test_empty_mask_rejected():
 
 
 # -- structural similarity ---------------------------------------------------------
+
+def test_mask_vanishing_at_a_coarser_scale_raises():
+    a, b = smooth_volume(16, 0), smooth_volume(16, 1)
+    m = np.zeros((16, 16, 16), dtype=bool)
+    m[7, 7, 7] = True  # a valid window center, but 1/8 of its 2x2x2 block
+    assert math.isfinite(sb.ms_ssim(a, b, scales=1, window=3, mask=m))
+    with pytest.raises(sb.EmptyMask, match="scale 1"):
+        sb.ms_ssim(a, b, scales=2, window=3, mask=m)
 
 def test_ssim_identical_is_exactly_one():
     v = smooth_volume(16, 3)
@@ -215,6 +231,17 @@ def test_norm_l2_bias_matches_bruteforce(rng):
     assert sb.norm_l2_bias(est, true) == pytest.approx(
         ref.brute_norm_l2(est.data, true.data), abs=1e-12
     )
+
+
+def test_masked_norm_l2_bias_uses_only_masked_voxels(rng):
+    est = _vol(np.exp(rng.normal(0, 0.2, (5, 5, 5))))
+    true = _vol(np.exp(rng.normal(0, 0.2, (5, 5, 5))))
+    m = rng.random((5, 5, 5)) < 0.4
+    e, t = est.data[m], true.data[m]
+    w = (t * e).sum() / (e * e).sum()
+    want = np.sqrt(((w * e - t) ** 2).sum() / (t * t).sum())
+    assert sb.norm_l2_bias(est, true, mask=m) == pytest.approx(want, rel=1e-12)
+    assert sb.norm_l2_bias(est, true, mask=m) != pytest.approx(sb.norm_l2_bias(est, true))
 
 
 def test_norm_l2_bias_accepts_bias_field_objects():

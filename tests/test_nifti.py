@@ -205,6 +205,51 @@ def test_header_errors_name_the_field(rng):
         read_header(_patch(blob, 0, "<i", 123))
 
 
+def test_without_an_sform_the_affine_is_the_pixdim_diagonal(rng):
+    m = np.eye(4)
+    m[:3, 3] = (-10.0, 5.0, 2.5)
+    v = Volume(rng.random((4, 4, 4)), spacing=(1.0, 2.0, 3.0), grid_to_world=m)
+    blob = _patch(write_nifti(v), 254, "<h", 0)  # sform_code
+    assert read_header(blob).sform_code == 0
+    back = read_nifti(blob)
+    assert np.array_equal(back.grid_to_world, np.diag([1.0, 2.0, 3.0, 1.0]))
+    assert np.array_equal(back.data, read_nifti(write_nifti(v)).data)
+
+
+@pytest.mark.parametrize("write", [write_nifti, write_volume_stack])
+def test_integer_datatype_codes_are_rejected(rng, write, tmp_path):
+    v = Volume(rng.random((3, 3, 3)))
+    obj = VolumeStack((v,)) if write is write_volume_stack else v
+    with pytest.raises(UnsupportedDatatype, match="16"):
+        write(obj, 16)
+    with pytest.raises(UnsupportedDatatype):
+        write_nifti_file(tmp_path / "v.nii", obj, 16)
+    assert not (tmp_path / "v.nii").exists()
+
+
+def test_a_3d_file_reads_as_a_one_channel_stack(rng):
+    v = Volume(rng.random((4, 5, 6)), spacing=(1.0, 1.5, 2.0))
+    blob = write_nifti(v, "float32")
+    stack = read_volume_stack(blob)
+    single = read_nifti(blob)
+    assert stack.channel_count == 1
+    assert np.array_equal(stack.channels[0].data, single.data)
+    assert same_geometry(stack, single)
+    # a read-only view of the one decoded array, as for 5D files
+    data = stack.channels[0].data
+    assert data.base is not None and not data.flags.writeable
+
+
+def test_other_dimensions_are_rejected_by_both_readers(rng):
+    blob = _patch(write_nifti(Volume(rng.random((3, 3, 3)))), 40, "<h", 4)  # dim[0]
+    for read in (read_nifti, read_volume_stack):
+        with pytest.raises(UnsupportedDimension, match="dim"):
+            read(blob)
+    stack_blob = write_volume_stack(VolumeStack((Volume(rng.random((3, 3, 3))),) * 2))
+    with pytest.raises(UnsupportedDimension, match="3D scalar"):
+        read_nifti(stack_blob)
+
+
 def test_custom_affine_survives(rng):
     m = np.eye(4)
     m[:3, :3] = np.diag([1.0, 2.0, 3.0])
