@@ -32,7 +32,7 @@ from .errors import (
     SynthBrainError,
 )
 from .generator import SubjectRecord, export_batch, generate_batch, severity_ladder
-from .nifti import read_nifti, read_volume_stack
+from .nifti import read_nifti_file, read_volume_stack_file
 
 __all__ = ["main"]
 
@@ -54,20 +54,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path, as_labels: bool | None = None, stack: bool = False):
-    """One NIfTI file: a volume, or with ``stack`` a channel stack (a 3D file
-    becomes one channel). A missing file or a directory raises the OS error,
-    which names the path; a decoding error is re-raised with the path added."""
-    blob = Path(path).read_bytes()
-    try:
-        return read_volume_stack(blob) if stack else read_nifti(blob, as_labels=as_labels)
-    except (SynthBrainError, ValueError) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-
-
 def _read_field(path) -> DeformationField:
-    stack = _read(path, stack=True)
+    stack = read_volume_stack_file(path)
     if stack.channel_count != 3:
         raise ChannelMismatch(f"{path}: a deformation needs 3 channels, found {stack.channel_count}")
     return DeformationField._adopt(stack.as_array(), stack.spacing, stack.grid_to_world)
@@ -191,8 +179,8 @@ def _cmd_generate(args, config: dict[str, str]) -> int:
     except ValueError as exc:  # a schedule longer or shorter than --n, or decreasing
         raise _UsageError(str(exc))
 
-    labels = _read(args.labels, as_labels=True)
-    mprage = _read(args.mprage, as_labels=False)
+    labels = read_nifti_file(args.labels, as_labels=True)
+    mprage = read_nifti_file(args.mprage, as_labels=False)
     subject = SubjectRecord(Path(args.labels).stem.replace(".nii", ""), labels, mprage)
 
     batch = generate_batch(subject, n, args.seed, schedule=schedule, threads=args.threads)
@@ -232,7 +220,7 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
             if key not in fields:
                 fields[key] = _read_field(base / deformation)
             fld = fields[key]
-        out.append((_read(base / features, stack=True), fld))
+        out.append((read_volume_stack_file(base / features), fld))
     return out
 
 
@@ -243,13 +231,13 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
     if args.mode == "inter" and args.atlas_map is None:
         raise _UsageError("--atlas-map is required in inter mode")
 
-    reference = _read(args.reference, stack=True)
+    reference = read_volume_stack_file(args.reference)
     atlas_map = _read_field(args.atlas_map) if args.atlas_map else None
     candidates = _load_candidates(args.candidates, args.mode, atlas_map)
 
     mask = None
     if args.mask:
-        mask = metrics.interior_mask(_read(args.mask, as_labels=True), erosion=args.erosion)
+        mask = metrics.interior_mask(read_nifti_file(args.mask, as_labels=True), erosion=args.erosion)
 
     report = metrics.robustness_protocol(
         reference, candidates, mode=args.mode, mask=mask,
@@ -263,9 +251,9 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
 
 
 def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
-    features = _read(args.features, stack=True)
-    target = _read(args.target, stack=True)
-    concat = _read(args.concat_input, as_labels=False) if args.concat_input else None
+    features = read_volume_stack_file(args.features)
+    target = read_volume_stack_file(args.target)
+    concat = read_nifti_file(args.concat_input, as_labels=False) if args.concat_input else None
 
     adapter = adaptation.fit_adapter(features, target, concat_input=concat,
                                      ridge=args.ridge, softmax=args.softmax)
@@ -278,8 +266,8 @@ def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
 
 def _cmd_metrics(args, config: dict[str, str]) -> int:
     want_labels = args.metric == "dice"
-    pred = _read(args.pred, as_labels=want_labels)
-    ref = _read(args.ref, as_labels=want_labels)
+    pred = read_nifti_file(args.pred, as_labels=want_labels)
+    ref = read_nifti_file(args.ref, as_labels=want_labels)
     if want_labels:
         scores = metrics.dice(pred, ref)
         print(f"{scores.mean:.6f}")

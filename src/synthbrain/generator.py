@@ -138,8 +138,11 @@ def generate_batch(
     then gets fresh contrast parameters and corruption from its own RNG
     keyed by (base_seed, subject.id, i), which makes thread count
     irrelevant to the output bytes. ``threads`` workers paint and corrupt
-    the samples (None: 1).
+    the samples (None: 1; fewer than 1 is a ``ValueError``).
     """
+    nthreads = 1 if threads is None else threads
+    if nthreads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if subject.labels.label_set in ((), (0,)):
         raise EmptyLabelSet(f"subject {subject.id!r} has no foreground labels")
     cfgs = _normalize_schedule(schedule, n)
@@ -164,7 +167,6 @@ def generate_batch(
         record = sample_corruption_record(rng, cfgs[i], painted)
         return Sample(apply_corruption(painted, record), record)
 
-    nthreads = max(1, threads or 1)
     if nthreads == 1 or n == 1:
         # no 1-worker pool: it raised peak RSS of a 96³ n=1 batch 194 -> 228 MB
         samples = [make_sample(i) for i in range(n)]

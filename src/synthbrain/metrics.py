@@ -69,7 +69,9 @@ def l1(a: Volume, b: Volume, mask=None) -> float:
 
 
 def psnr(pred: Volume, ref: Volume, peak: float = 1.0, mask=None) -> float:
-    """10*log10(peak^2 / MSE); identical inputs give +inf."""
+    """10*log10(peak^2 / MSE); identical inputs give +inf. ``peak`` must be > 0."""
+    if not peak > 0:  # NaN fails this too
+        raise ValueError(f"peak must be > 0, got {peak}")
     check_same_geometry(pred, ref)
     mse = _masked_mean((pred.data - ref.data) ** 2, _mask_array(mask, pred.dims))
     if mse == 0.0:
@@ -227,6 +229,8 @@ def norm_l2_bias(b_est, b_true, mask=None) -> float:
 
 def interior_mask(lm: LabelMap, erosion: int = 2) -> np.ndarray:
     """Foreground (label != 0) eroded to stay clear of warping boundary effects."""
+    if erosion < 0:
+        raise ValueError(f"erosion must be >= 0, got {erosion}")
     fg = lm.data != 0
     if erosion > 0:
         fg = binary_erosion(fg, iterations=erosion)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     NonPositivePixdim,
+    SynthBrainError,
     TruncatedData,
     UnsupportedDatatype,
     UnsupportedDimension,
@@ -289,14 +290,24 @@ def write_volume_stack(stack: VolumeStack, datatype: str = "float32") -> bytes:
     return b"".join([header, pad] + [_encode(ch.data, code) for ch in stack.channels])
 
 
-def read_nifti_file(path, as_labels: bool | None = None) -> Volume | LabelMap:
+def _read_file(path, decode, **kwargs):
+    """``decode`` on a file's bytes; OS errors name the path, decoding errors get it."""
     with open(path, "rb") as fh:
-        return read_nifti(fh.read(), as_labels=as_labels)
+        try:
+            return decode(fh.read(), **kwargs)
+        except (SynthBrainError, ValueError) as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+
+
+def read_nifti_file(path, as_labels: bool | None = None) -> Volume | LabelMap:
+    """:func:`read_nifti` on a file; a decoding error names the path."""
+    return _read_file(path, read_nifti, as_labels=as_labels)
 
 
 def read_volume_stack_file(path) -> VolumeStack:
-    with open(path, "rb") as fh:
-        return read_volume_stack(fh.read())
+    """:func:`read_volume_stack` on a file; a decoding error names the path."""
+    return _read_file(path, read_volume_stack)
 
 
 def write_nifti_file(path, v, datatype: str = "float32") -> None:

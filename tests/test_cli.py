@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import synthbrain as sb
-from synthbrain.cli import _CONFIG_KEYS, _read, main
+from synthbrain.cli import _CONFIG_KEYS, main
 
 from conftest import make_subject, smooth_volume
 
@@ -400,7 +400,7 @@ def test_a_gzipped_stack_is_decompressed_once(tmp_path, monkeypatch):
         return decompress(data)
 
     monkeypatch.setattr(gzip, "decompress", counting)
-    back = _read(path, stack=True)
+    back = sb.read_volume_stack_file(path)
     assert len(calls) == 1
     assert back.channel_count == 2
     assert np.array_equal(back.channels[1].data, stack.channels[1].data.astype(np.float32))

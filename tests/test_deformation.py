@@ -7,6 +7,13 @@ from hypothesis import strategies as st
 
 import synthbrain as sb
 from synthbrain.deformation import DeformationConfig
+from synthbrain.volume import (
+    sample_trilinear,
+    voxel_index_grid,
+    voxel_to_world,
+    world_coordinate_grid,
+    world_to_voxel,
+)
 
 from conftest import make_subject, smooth_volume
 from reference_impls import integrate_svf_full
@@ -163,22 +170,58 @@ def test_translation_composition_associative(vals):
     assert np.abs(_interior(a.displacement, 7) - _interior(b.displacement, 7)).max() <= 1e-6
 
 
-def test_affine_inner_matches_its_dense_field():
+def _grid_center(like):
+    return voxel_to_world(like.grid_to_world, (np.asarray(like.dims) - 1.0) / 2.0)
+
+
+def test_build_deformation_matches_its_closed_form():
     like = _sheared_grid((20, 18, 16))
+    g = like.grid_to_world
     rng = np.random.default_rng(3)
     affine = sb.sample_affine(rng, DeformationConfig())
-    outer = sb.integrate_svf(sb.sample_svf(rng, DeformationConfig(), like))
-    dense = sb.affine_to_field(affine.matrix(outer.grid_center_world()), outer)
-    got = sb.compose(outer, affine).displacement
-    assert np.abs(got - sb.compose(outer, dense).displacement).max() <= 1e-12
+    svf = sb.sample_svf(rng, DeformationConfig(), like)
+    a = affine.matrix(_grid_center(like))
+    xs = world_coordinate_grid(like.dims, g)
+    ax = voxel_to_world(a, xs)
+
+    t = sb.integrate_svf(svf)
+    forward = sample_trilinear(t.displacement, world_to_voxel(g, ax)) + (ax - xs)
+    built = sb.build_deformation(affine, svf)
+    assert built.displacement.tobytes() == forward.tobytes()
+    dense = sb.compose(t, sb.affine_to_field(a, like)).displacement
+    assert np.abs(built.displacement - dense).max() <= 1e-12
+
+    t_inv = sb.integrate_svf(svf.negated())
+    inverse = voxel_to_world(np.linalg.inv(a), xs + t_inv.displacement) - xs
+    built_inv = sb.build_deformation(affine, svf, inverted=True)
+    assert built_inv.displacement.tobytes() == inverse.tobytes()
+
+
+def test_build_deformation_constructs_one_field(monkeypatch):
+    like = _sheared_grid((12, 10, 8))
+    rng = np.random.default_rng(2)
+    affine, svf = sb.sample_affine(rng, DeformationConfig()), sb.sample_svf(rng, DeformationConfig(), like)
+    calls = []
+    convert = sb.DeformationField._convert
+
+    def counting(displacement, copy):
+        calls.append(copy)
+        return convert(displacement, copy)
+
+    monkeypatch.setattr(sb.DeformationField, "_convert", staticmethod(counting))
+    for inverted in (False, True):
+        calls.clear()
+        fld = sb.build_deformation(affine, svf, inverted=inverted)
+        assert calls == [False], inverted  # one adopted field
+        assert fld.provenance.inverted is inverted
 
 
 def test_scale_then_translate_matches_hand_computed_map():
     n = 16
     like = sb.Volume(np.zeros((n, n, n)))
     t_field = _translation_field(np.array([1.0, 0.0, 0.0]), n)
-    scale = sb.AffineParams((0, 0, 0), (2.0, 2.0, 2.0), (0, 0, 0), (0, 0, 0))
-    out = sb.compose(t_field, scale)
+    params = sb.AffineParams((0, 0, 0), (2.0, 2.0, 2.0), (0, 0, 0), (0, 0, 0))
+    out = sb.compose(t_field, sb.affine_to_field(params.matrix(_grid_center(like)), like))
     center = (n - 1) / 2.0
     # x -> 2(x - c) + c + (1, 0, 0), checked pointwise in the region that
     # stays inside the grid after scaling
@@ -243,7 +286,7 @@ def test_provenance_inverse_is_closed_form_on_every_voxel():
     t_inv = sb.integrate_svf(svf.negated())
     xs = np.indices(like.dims).reshape(3, -1).T @ m[:3, :3].T + m[:3, 3]
     ys = xs + t_inv.displacement.reshape(-1, 3)
-    a_inv = np.linalg.inv(affine.matrix(t_inv.grid_center_world()))
+    a_inv = np.linalg.inv(affine.matrix(_grid_center(like)))
     closed = ys @ a_inv[:3, :3].T + a_inv[:3, 3] - xs
     y_vox = (ys - m[:3, 3]) @ np.linalg.inv(m[:3, :3]).T
     assert ((y_vox < 0) | (y_vox > np.asarray(like.dims) - 1.0)).any()
@@ -420,7 +463,6 @@ def test_generated_batches_share_one_deformation(subject32):
 # -- fresh results are adopted, not copied -----------------------------------------
 
 def test_world_coordinate_grid_matches_the_affine_map():
-    from synthbrain.volume import voxel_index_grid, voxel_to_world, world_coordinate_grid
 
     dims = (7, 6, 5)
     for diag in ([1.0, 1.0, 1.0], [-1.5, 2.0, 0.7]):
@@ -440,14 +482,13 @@ def test_built_fields_are_read_only_and_own_their_data():
     cfg = DeformationConfig()
     affine, svf = sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, like)
     t = sb.integrate_svf(svf)
-    phi = sb.compose(t, affine)
+    phi = sb.build_deformation(affine, svf)
     # a provenance-free copy takes the fixed-point path
     fixed_point = sb.invert(sb.DeformationField(phi.displacement, phi.spacing, phi.grid_to_world))
     results = {
         "integrate_svf": t,
-        "compose(affine)": phi,
         "compose(field)": sb.compose(t, t),
-        "build_deformation": sb.build_deformation(affine, svf),
+        "build_deformation": phi,
         "invert(provenance)": sb.invert(sb.build_deformation(affine, svf)),
         "invert(fixed point)": fixed_point,
     }

@@ -112,6 +112,12 @@ def test_threads_come_only_from_the_argument(subject32, monkeypatch):
     assert batch.batch_size == 2
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_fewer_than_one_thread_is_rejected(subject32, threads):
+    with pytest.raises(ValueError, match="threads"):
+        sb.generate_batch(subject32, 2, base_seed=1, threads=threads)
+
+
 def test_all_off_sample_reproducible_from_first_principles(subject32):
     """With corruption off, a sample is exactly paint(warp(labels))."""
     batch = sb.generate_batch(

@@ -55,6 +55,13 @@ def test_psnr_closed_form():
     assert sb.psnr(a, a) == math.inf
 
 
+@pytest.mark.parametrize("peak", [0.0, -1.0, math.nan])
+def test_psnr_rejects_a_peak_that_is_not_positive(peak):
+    a = _vol(np.zeros((4, 4, 4)))
+    with pytest.raises(ValueError, match="peak"):
+        sb.psnr(a, _vol(np.full((4, 4, 4), 0.5)), peak=peak)
+
+
 def test_masked_psnr_uses_only_masked_voxels(rng):
     a = _vol(rng.random((6, 6, 6)))
     b = _vol(rng.random((6, 6, 6)))
@@ -311,6 +318,8 @@ def test_interior_mask_erodes():
     assert m2.sum() < m0.sum()
     assert np.array_equal(m0, lm.data > 0)
     assert not m2[~(lm.data > 0)].any()
+    with pytest.raises(ValueError, match="erosion"):
+        sb.interior_mask(lm, erosion=-1)
 
 
 # -- protocol report --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 import tracemalloc
 
@@ -18,6 +19,7 @@ from synthbrain import (
     read_nifti,
     read_nifti_file,
     read_volume_stack,
+    read_volume_stack_file,
     same_geometry,
     write_nifti,
     write_nifti_file,
@@ -203,6 +205,19 @@ def test_header_errors_name_the_field(rng):
         read_header(blob[:100])
     with pytest.raises(BadMagic, match="sizeof_hdr"):
         read_header(_patch(blob, 0, "<i", 123))
+
+
+def test_file_readers_name_the_path_in_decoding_errors(rng, tmp_path):
+    blob = write_nifti(Volume(rng.random((3, 3, 3)) + 0.25), "float32")
+    bad = tmp_path / "bad.nii"
+    bad.write_bytes(_patch(blob, 344, "4s", b"bad\x00"))
+    for read in (read_nifti_file, read_volume_stack_file):
+        with pytest.raises(BadMagic, match=f"^{re.escape(str(bad))}: .*magic"):
+            read(bad)
+    fractional = tmp_path / "fractional.nii"
+    fractional.write_bytes(blob)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(fractional))}: .*integer"):
+        read_nifti_file(fractional, as_labels=True)
 
 
 def test_without_an_sform_the_affine_is_the_pixdim_diagonal(rng):
