@@ -220,15 +220,18 @@ def l2_loss(pred: Volume, ref: Volume) -> float:
 
 # -- serialization ---------------------------------------------------------------
 
-def adapter_to_json(adapter: LinearAdapter) -> str:
-    doc = {
+def _adapter_doc(adapter: LinearAdapter) -> dict:
+    return {
         "shape": [adapter.in_channels, adapter.out_channels],
         "weights": adapter.weights.ravel(order="C").tolist(),
         "bias": adapter.bias.tolist(),
         "uses_input": adapter.uses_input,
         "softmax": adapter.softmax,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def adapter_to_json(adapter: LinearAdapter) -> str:
+    return json.dumps(_adapter_doc(adapter), indent=2, sort_keys=True)
 
 
 def adapter_from_json(text: str) -> LinearAdapter:
@@ -240,12 +243,9 @@ def adapter_from_json(text: str) -> LinearAdapter:
 
 
 def save_adapter(path, adapter: LinearAdapter, extra: dict | None = None) -> None:
-    doc = json.loads(adapter_to_json(adapter))
-    if extra:
-        doc.update(extra)
+    doc = {**_adapter_doc(adapter), **(extra or {})}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_adapter(path) -> LinearAdapter:

@@ -194,18 +194,20 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
     Each deformation file is read once; in inter mode only ``atlas_map`` is used."""
     doc = json.loads(Path(manifest_path).read_text())
     base = Path(manifest_path).parent
-    if "candidates" in doc:
-        section, file_key = "candidates", "features"
-    elif "samples" in doc:
-        section, file_key = "samples", "file"
-    else:
+    if not isinstance(doc, dict) or not doc.keys() & {"candidates", "samples"}:
         raise _UsageError(f"{manifest_path}: neither 'candidates' nor 'samples' present")
+    section, file_key = ("candidates", "features") if "candidates" in doc else ("samples", "file")
+    if not isinstance(doc[section], list) or not all(isinstance(e, dict) for e in doc[section]):
+        raise _UsageError(f"{manifest_path}: {section!r} is not a list of objects")
     entries = []
     for i, e in enumerate(doc[section]):
         if file_key not in e:
             raise _UsageError(f"{manifest_path}: {section}[{i}] has no {file_key!r}")
         # a batch manifest names one deformation for all its samples
         deformation = (e if section == "candidates" else doc).get("deformation")
+        if not isinstance(e[file_key], str) or not isinstance(deformation, (str, type(None))):
+            raise _UsageError(
+                f"{manifest_path}: {section}[{i}]: {file_key!r} and 'deformation' must be strings")
         entries.append((e[file_key], deformation))
 
     fields: dict[Path, DeformationField] = {}  # resolved path -> field

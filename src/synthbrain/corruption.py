@@ -19,6 +19,7 @@ from scipy.ndimage import gaussian_filter
 from .deformation import DeformationConfig
 from .volume import (
     Volume,
+    _corner_aligned_weights,
     _linear_weights,
     _per_axis,
     check_same_geometry,
@@ -134,10 +135,8 @@ class BiasField:
         The grid is stretched so coarse corners land exactly on volume corners.
         """
         coarse = np.asarray(coarse_log, dtype=np.float64)
-        log_full = _per_axis(coarse, [
-            _linear_weights(np.arange(n) * ((c - 1) / max(n - 1, 1)), c)
-            for c, n in zip(coarse.shape, like.dims)
-        ])
+        log_full = _per_axis(coarse, [_corner_aligned_weights(n, c)
+                                      for c, n in zip(coarse.shape, like.dims)])
         return cls(coarse, Volume._adopt(np.exp(log_full), like.spacing, like.grid_to_world),
                    float(mu), float(sigma))
 

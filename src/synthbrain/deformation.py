@@ -3,7 +3,10 @@
 A :class:`DeformationField` stores, for every voxel of its grid, a world-frame
 displacement ``u`` such that the field maps the voxel's world position ``x``
 to ``x + u(x)``. Warping follows the backward convention: the output at ``x``
-samples the input at the mapped point, so no scatter holes appear.
+samples the input at the mapped point, so no scatter holes appear. Sampling
+positions are built in voxels of the sampled grid, never in world mm: one
+:func:`world_coordinate_grid` call with a composed 4x4 matrix, plus at most one
+displacement term mapped through a 3x3 world-to-voxel matrix.
 
 The generated field is ``T ∘ A``: an affine (rotation/scaling/shearing about
 the grid's world center, plus translation) followed by the integration of a
@@ -30,15 +33,13 @@ from .volume import (
     Volume,
     VolumeStack,
     _Grid,
-    _linear_weights,
+    _corner_aligned_weights,
     _per_axis,
     same_geometry,
     sample_nearest,
     sample_trilinear,
-    voxel_index_grid,
     voxel_to_world,
     world_coordinate_grid,
-    world_to_voxel,
 )
 
 __all__ = [
@@ -231,9 +232,9 @@ def identity_field(like) -> DeformationField:
 
 def affine_to_field(matrix: np.ndarray, like) -> DeformationField:
     """Exact displacement field of a 4x4 world-frame affine on ``like``'s grid."""
-    xs = world_coordinate_grid(like.dims, like.grid_to_world)
-    mapped = voxel_to_world(np.asarray(matrix, dtype=np.float64), xs)
-    return DeformationField._adopt(mapped - xs, like.spacing, like.grid_to_world)
+    g2w = like.grid_to_world
+    disp = world_coordinate_grid(like.dims, (np.asarray(matrix, dtype=np.float64) - np.eye(4)) @ g2w)
+    return DeformationField._adopt(disp, like.spacing, g2w)
 
 
 # -- sampling the random transform --------------------------------------------
@@ -310,9 +311,8 @@ def _half_grid(dims) -> tuple[np.ndarray, np.ndarray, list]:
     """
     half = tuple(math.ceil((n - 1) / _INTEGRATION_DOWNSIZE) + 1 for n in dims)
     ratios = np.array([(m - 1) / (n - 1) if n > 1 else 1.0 for n, m in zip(dims, half)])
-    upsample = [None if m == n else _linear_weights(np.arange(n) * r, m)
-                for n, m, r in zip(dims, half, ratios)]
-    return voxel_index_grid(half), ratios, upsample
+    upsample = [None if m == n else _corner_aligned_weights(n, m) for n, m in zip(dims, half)]
+    return world_coordinate_grid(half, np.eye(4)), ratios, upsample
 
 
 def _integrate(svf: SVF, steps: int) -> np.ndarray:
@@ -365,28 +365,23 @@ def build_deformation(
 ) -> DeformationField:
     """``T ∘ A`` from sampled parameters (or its inverse ``A⁻¹ ∘ T⁻¹``).
 
-    ``A`` pivots about the grid's world center. The inverse applies ``A⁻¹``
-    in closed form, ``x -> A⁻¹(x + u(x))`` with ``u`` the displacement of
-    ``T⁻¹``. No grid lookup is involved, so voxels whose ``T⁻¹`` image
-    leaves the grid are mapped like every other voxel.
+    ``A`` pivots about the grid's world center. Forward, ``T`` is sampled at
+    ``A(x)`` (identity off the grid) and ``A(x) - x`` added. The inverse
+    applies ``A⁻¹`` in closed form, ``A⁻¹(x + u(x)) - x`` with ``u`` the
+    displacement of ``T⁻¹``. No grid lookup is involved, so voxels whose
+    ``T⁻¹`` image leaves the grid are mapped like every other voxel.
     """
-    g2w = svf.grid_to_world
-    matrix = affine.matrix(voxel_to_world(g2w, (np.asarray(svf.grid_dims) - 1.0) / 2.0))
+    g2w, dims = svf.grid_to_world, svf.grid_dims
+    matrix = affine.matrix(voxel_to_world(g2w, (np.asarray(dims) - 1.0) / 2.0))
     t = _integrate(svf.negated() if inverted else svf, steps)
-    xs = world_coordinate_grid(svf.grid_dims, g2w)
     if inverted:
-        t += xs
-        disp = voxel_to_world(np.linalg.inv(matrix), t)
-        disp -= xs
+        matrix = np.linalg.inv(matrix)
+        disp = t @ matrix[:3, :3].T
     else:
-        # T at A(x) (identity off the grid) plus A(x) - x; temporaries go early
-        mapped = voxel_to_world(matrix, xs)
-        affine_disp = np.subtract(mapped, xs, out=xs)
-        p = world_to_voxel(g2w, mapped)
-        del mapped
-        disp = sample_trilinear(t, p)
-        del p, t
-        disp += affine_disp
+        disp = sample_trilinear(t, world_coordinate_grid(dims, np.linalg.inv(g2w) @ matrix @ g2w))
+    del t
+    # plus the affine's own displacement: A(x) - x, or A⁻¹(x) - x
+    disp += world_coordinate_grid(dims, (matrix - np.eye(4)) @ g2w)
     provenance = _Provenance(affine, svf, steps, inverted)
     return DeformationField._adopt(disp, svf.grid_spacing, g2w, provenance)
 
@@ -447,8 +442,11 @@ def _is_identity_on(fld: DeformationField, target) -> bool:
 
 
 def _source_voxels(fld: DeformationField, grid_to_world: np.ndarray) -> np.ndarray:
-    """Where each voxel of ``fld`` maps to, in voxels of the grid ``grid_to_world``."""
-    return world_to_voxel(grid_to_world, fld.mapped_points())
+    """Where each voxel of ``fld`` maps to, in voxels of the grid ``grid_to_world``:
+    ``fld``'s index grid through ``G⁻¹ @ fld.grid_to_world``, plus ``u`` through ``G⁻¹``."""
+    p = world_coordinate_grid(fld.dims, np.linalg.inv(grid_to_world) @ fld.grid_to_world)
+    p += fld.displacement @ _world_to_voxel_linear(grid_to_world)
+    return p
 
 
 def warp_volume(v: Volume, fld: DeformationField) -> Volume:

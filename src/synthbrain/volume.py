@@ -34,8 +34,6 @@ __all__ = [
     "same_geometry",
     "check_same_geometry",
     "voxel_to_world",
-    "world_to_voxel",
-    "voxel_index_grid",
     "world_coordinate_grid",
 ]
 
@@ -232,22 +230,12 @@ def voxel_to_world(affine: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return p @ affine[:3, :3].T + affine[:3, 3]
 
 
-def world_to_voxel(affine: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(affine)
-    return voxel_to_world(inv, pts)
-
-
-def voxel_index_grid(dims) -> np.ndarray:
-    """(nx, ny, nz, 3) array of voxel indices."""
-    axes = [np.arange(n, dtype=np.float64) for n in dims]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 def world_coordinate_grid(dims, affine: np.ndarray) -> np.ndarray:
-    """(nx, ny, nz, 3) array of voxel-center world positions.
+    """(nx, ny, nz, 3) array of ``affine`` applied to every voxel index.
 
-    Same values as ``voxel_to_world(affine, voxel_index_grid(dims))`` (bitwise
-    on axis-aligned affines), built by broadcasting one column per axis.
+    Same values as ``voxel_to_world`` on the index grid (bitwise on
+    axis-aligned affines), built by broadcasting one column per axis;
+    ``np.eye(4)`` gives the index grid itself.
     """
     dims = tuple(dims)
     out = np.zeros(dims + (3,))
@@ -331,6 +319,11 @@ def _linear_weights(x: np.ndarray, n: int) -> np.ndarray:
     w[rows, i0] = 1.0 - (x - i0)
     w[rows, i1] += x - i0
     return w
+
+
+def _corner_aligned_weights(n: int, m: int) -> np.ndarray:
+    """(n, m) weights upsampling ``m`` nodes onto ``n`` voxels, end nodes on end voxels."""
+    return _linear_weights(np.arange(n) * ((m - 1) / max(n - 1, 1)), m)
 
 
 def _per_axis(data: np.ndarray, matrices) -> np.ndarray:

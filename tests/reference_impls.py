@@ -57,6 +57,46 @@ def gather_trilinear(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.where(inside, out, 0.0)
 
 
+# -- the world-millimetre route from a field to sampling positions ---------------
+
+def index_grid(dims) -> np.ndarray:
+    """(nx, ny, nz, 3) array of voxel indices, from ``np.meshgrid``."""
+    axes = [np.arange(n, dtype=np.float64) for n in dims]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def apply_affine(affine: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """A homogeneous 4x4 affine applied to (..., 3) points."""
+    return pts @ affine[:3, :3].T + affine[:3, 3]
+
+
+def world_to_voxel(affine: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """World mm -> voxels of the grid ``affine``."""
+    return apply_affine(np.linalg.inv(affine), pts)
+
+
+def source_voxels_world(fld, grid_to_world: np.ndarray) -> np.ndarray:
+    """Where each voxel of ``fld`` maps to, via world mm: ``x + u(x)``, then into
+    voxels of ``grid_to_world``."""
+    world = apply_affine(fld.grid_to_world, index_grid(fld.dims)) + fld.displacement
+    return world_to_voxel(grid_to_world, world)
+
+
+def deformation_world(matrix: np.ndarray, grid_to_world: np.ndarray, t: np.ndarray,
+                      inverted: bool = False) -> np.ndarray:
+    """``T ∘ A`` (or ``A⁻¹ ∘ T⁻¹``) displacement in world mm, from the world grid ``x``.
+
+    ``matrix`` is ``A``; ``t`` is the displacement of ``T`` (of ``T⁻¹`` when
+    ``inverted``). Forward: ``T`` sampled at ``A(x)`` plus ``A(x) - x``;
+    inverse: ``A⁻¹(x + t(x)) - x``.
+    """
+    xs = apply_affine(grid_to_world, index_grid(t.shape[:3]))
+    if inverted:
+        return apply_affine(np.linalg.inv(matrix), xs + t) - xs
+    ax = apply_affine(matrix, xs)
+    return gather_trilinear(t, world_to_voxel(grid_to_world, ax)) + (ax - xs)
+
+
 def integrate_svf_full(svf, steps: int) -> np.ndarray:
     """Scaling and squaring on the SVF's full-resolution grid, world-mm displacement.
 
@@ -65,9 +105,8 @@ def integrate_svf_full(svf, steps: int) -> np.ndarray:
     units, with the identity beyond the grid.
     """
     g2w = np.asarray(svf.grid_to_world, dtype=np.float64)
-    axes = [np.arange(n, dtype=np.float64) for n in svf.grid_dims]
-    idx = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    ctrl = (idx @ g2w[:3, :3].T + g2w[:3, 3] - np.asarray(svf.origin)) / svf.control_spacing
+    idx = index_grid(svf.grid_dims)
+    ctrl = (apply_affine(g2w, idx) - np.asarray(svf.origin)) / svf.control_spacing
     disp = gather_trilinear(svf.velocities, ctrl) / 2.0 ** steps
     to_voxel = np.linalg.inv(g2w[:3, :3]).T
     for _ in range(steps):

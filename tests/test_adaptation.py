@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -246,6 +247,19 @@ def test_adapter_file_round_trip_with_extras(tmp_path):
     sb.save_adapter(path, adapter, extra=res)
     back = sb.load_adapter(path)
     assert np.array_equal(back.weights, adapter.weights)
-    import json
     payload = json.loads(path.read_text())
     assert payload["residual_l1"] == res["residual_l1"]
+
+
+def test_saved_adapter_is_its_json_text(tmp_path):
+    feats = _stack(10, 2, seed=8)
+    target = smooth_volume(10, 71)
+    adapter = sb.fit_adapter(feats, target)
+    path = tmp_path / "head.json"
+    sb.save_adapter(path, adapter)
+    assert path.read_text() == sb.adapter_to_json(adapter) + "\n"
+    # with extras: the adapter's keys and the extras, in one sorted document
+    extra = sb.fit_residual(adapter, feats, target)
+    sb.save_adapter(path, adapter, extra=extra)
+    doc = {**json.loads(sb.adapter_to_json(adapter)), **extra}
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"

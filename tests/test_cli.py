@@ -152,6 +152,28 @@ def test_manifest_entry_without_a_file_exits_64(tmp_path, capsys, doc, entry):
     assert entry in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"samples": 5}, "'samples' is not a list of objects"),
+    ({"samples": [3], "deformation": "x.nii"}, "'samples' is not a list of objects"),
+    ({"candidates": [{"features": "r.nii", "deformation": 7}]},
+     "candidates[0]: 'features' and 'deformation' must be strings"),
+    ({"samples": [{"file": "r.nii"}], "deformation": ["x.nii"]},
+     "samples[0]: 'file' and 'deformation' must be strings"),
+    ({"candidates": [{"features": None, "deformation": "d.nii"}]},
+     "candidates[0]: 'features' and 'deformation' must be strings"),
+    ([{"features": "r.nii"}], "neither 'candidates' nor 'samples' present"),
+])
+def test_malformed_manifest_exits_64_naming_it(tmp_path, capsys, doc, message):
+    ref_path = tmp_path / "r.nii"
+    sb.write_nifti_file(ref_path, sb.VolumeStack((smooth_volume(8, 0),)), "float32")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    rc = main(["evaluate", "--reference", str(ref_path), "--candidates", str(manifest),
+               "--out", str(tmp_path / "rep.json")])
+    assert rc == 64
+    assert f"{manifest}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--schedule", "severe,mild"], "non-decreasing"),
     (["--schedule", "mild,severe", "--n", "3"], "schedule length 2"),

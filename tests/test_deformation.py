@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 import synthbrain as sb
 from synthbrain.deformation import DeformationConfig
-from synthbrain.volume import (
-    sample_trilinear,
-    voxel_index_grid,
-    voxel_to_world,
-    world_coordinate_grid,
-    world_to_voxel,
-)
+from synthbrain.volume import sample_trilinear, voxel_to_world, world_coordinate_grid
 
 from conftest import make_subject, smooth_volume
-from reference_impls import integrate_svf_full
+from reference_impls import deformation_world, index_grid, integrate_svf_full, source_voxels_world
 
 
 def _mild_field(seed, n=32, cfg=None):
@@ -39,6 +33,12 @@ def _sheared_grid(dims):
     """Zero volume on an anisotropic grid whose voxel axes are sheared in world."""
     m = np.array([[1.0, 0.1, 0.0, -5.0], [0.0, 1.2, 0.05, 3.0], [0.0, 0.0, 0.9, 1.0], [0, 0, 0, 1]])
     return sb.Volume(np.zeros(dims), spacing=(1.0, 1.2, 0.9), grid_to_world=m)
+
+
+def _offset_grid():
+    """Zero volume on an axis-aligned 1.5 mm grid, offset from :func:`_sheared_grid`'s."""
+    m = np.array([[1.5, 0, 0, -4.0], [0, 1.5, 0, 2.0], [0, 0, 1.5, 1.0], [0, 0, 0, 1]])
+    return sb.Volume(np.zeros((14, 12, 12)), spacing=(1.5, 1.5, 1.5), grid_to_world=m)
 
 
 def _interior(arr, margin):
@@ -181,20 +181,24 @@ def test_build_deformation_matches_its_closed_form():
     affine = sb.sample_affine(rng, DeformationConfig())
     svf = sb.sample_svf(rng, DeformationConfig(), like)
     a = affine.matrix(_grid_center(like))
-    xs = world_coordinate_grid(like.dims, g)
-    ax = voxel_to_world(a, xs)
+    a_inv = np.linalg.inv(a)
 
-    t = sb.integrate_svf(svf)
-    forward = sample_trilinear(t.displacement, world_to_voxel(g, ax)) + (ax - xs)
+    # in voxels i: T at G⁻¹AG(i), plus (A - I)G(i); inverse: T⁻¹ through A⁻¹, plus (A⁻¹ - I)G(i)
+    t = sb.integrate_svf(svf).displacement
+    forward = (sample_trilinear(t, world_coordinate_grid(like.dims, np.linalg.inv(g) @ a @ g))
+               + world_coordinate_grid(like.dims, (a - np.eye(4)) @ g))
     built = sb.build_deformation(affine, svf)
     assert built.displacement.tobytes() == forward.tobytes()
-    dense = sb.compose(t, sb.affine_to_field(a, like)).displacement
+    assert np.abs(built.displacement - deformation_world(a, g, t)).max() <= 1e-12
+    dense = sb.compose(sb.integrate_svf(svf), sb.affine_to_field(a, like)).displacement
     assert np.abs(built.displacement - dense).max() <= 1e-12
 
-    t_inv = sb.integrate_svf(svf.negated())
-    inverse = voxel_to_world(np.linalg.inv(a), xs + t_inv.displacement) - xs
+    t_inv = sb.integrate_svf(svf.negated()).displacement
+    inverse = t_inv @ a_inv[:3, :3].T + world_coordinate_grid(like.dims, (a_inv - np.eye(4)) @ g)
     built_inv = sb.build_deformation(affine, svf, inverted=True)
     assert built_inv.displacement.tobytes() == inverse.tobytes()
+    oracle_inv = deformation_world(a, g, t_inv, inverted=True)
+    assert np.abs(built_inv.displacement - oracle_inv).max() <= 1e-12
 
 
 def test_build_deformation_constructs_one_field(monkeypatch):
@@ -413,10 +417,7 @@ def test_warp_stack_channels_equal_warp_volume(field_grid):
     stack = sb.VolumeStack(tuple(
         sb.Volume(rng.random(like.dims), like.spacing, like.grid_to_world) for _ in range(3)
     ))
-    # "other": an axis-aligned, coarser grid offset from the stack's
-    other = np.array([[1.5, 0, 0, -4.0], [0, 1.5, 0, 2.0], [0, 0, 1.5, 1.0], [0, 0, 0, 1]])
-    frame = like if field_grid == "own" else sb.Volume(
-        np.zeros((14, 12, 12)), spacing=(1.5, 1.5, 1.5), grid_to_world=other)
+    frame = like if field_grid == "own" else _offset_grid()
     fld = sb.build_deformation(sb.sample_affine(rng, DeformationConfig()),
                                sb.sample_svf(rng, DeformationConfig(), frame))
     out = sb.warp_stack(stack, fld)
@@ -430,15 +431,30 @@ def test_warp_stack_maps_points_once(monkeypatch):
     stack = sb.VolumeStack(tuple(smooth_volume(16, i) for i in range(4)))
     fld = _mild_field(2, n=16)
     calls = []
-    mapped_points = sb.DeformationField.mapped_points
+    source_voxels = sb.deformation._source_voxels
 
-    def counting(self):
-        calls.append(self)
-        return mapped_points(self)
+    def counting(*args):
+        calls.append(args)
+        return source_voxels(*args)
 
-    monkeypatch.setattr(sb.DeformationField, "mapped_points", counting)
+    monkeypatch.setattr(sb.deformation, "_source_voxels", counting)
     sb.warp_stack(stack, fld)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("frame", ["sheared", "other", "unit"])
+@pytest.mark.parametrize("target", ["sheared", "other", "unit"])
+def test_source_voxels_match_the_world_route(frame, target):
+    grids = {"sheared": _sheared_grid((20, 18, 16)), "other": _offset_grid(),
+             "unit": sb.Volume(np.zeros((16, 14, 12)))}
+    rng = np.random.default_rng(5)
+    fld = sb.build_deformation(sb.sample_affine(rng, DeformationConfig()),
+                               sb.sample_svf(rng, DeformationConfig(), grids[frame]))
+    g = grids[target].grid_to_world
+    got, want = sb.deformation._source_voxels(fld, g), source_voxels_world(fld, g)
+    assert np.abs(got - want).max() <= 1e-12
+    if frame == target == "unit":
+        assert got.tobytes() == want.tobytes()
 
 
 # -- serialization ----------------------------------------------------------------
@@ -468,10 +484,10 @@ def test_world_coordinate_grid_matches_the_affine_map():
     for diag in ([1.0, 1.0, 1.0], [-1.5, 2.0, 0.7]):
         a = np.diag(diag + [1.0])
         a[:3, 3] = [90.0, -126.0, 0.0]
-        ref = voxel_to_world(a, voxel_index_grid(dims))
+        ref = voxel_to_world(a, index_grid(dims))
         assert world_coordinate_grid(dims, a).tobytes() == ref.tobytes()
     sheared = _sheared_grid(dims).grid_to_world
-    ref = voxel_to_world(sheared, voxel_index_grid(dims))
+    ref = voxel_to_world(sheared, index_grid(dims))
     got = world_coordinate_grid(dims, sheared)
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 

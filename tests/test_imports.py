@@ -1,7 +1,9 @@
-"""Import hygiene: no library module imports a name it never uses.
+"""Import hygiene: no library module imports a name it never uses, and no
+private module-level function, class or constant goes unread.
 
-Deleting a code path easily leaves its imports behind; this catches them.
-``__init__.py`` is exempt, since re-exporting is its job.
+Deleting a code path easily leaves its imports and helpers behind; this
+catches them. ``__init__.py`` is exempt from the import check, since
+re-exporting is its job.
 """
 
 import ast
@@ -30,7 +32,7 @@ def _used(tree: ast.Module) -> set[str]:
     """Names read anywhere, quoted annotations included."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -46,6 +48,34 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and constants -> their line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            sides = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for side in sides for n in ast.walk(side) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in targets
+                       if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """What a module reads: names and attributes (``module._helper``)."""
+    return _used(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _unread_private(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """``module:name`` -> line of each private definition no module reads."""
+    read = set().union(*(_read(tree) for tree in trees.values()))
+    return {f"{module}:{name}": line for module, tree in trees.items()
+            for name, line in _private_definitions(tree).items() if name not in read}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -57,3 +87,23 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nx: 'Sequence' = tau\n")
     assert set(_imported(tree)) - _used(tree) == {"os", "pi"}
+
+
+def test_every_private_definition_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    unread = _unread_private(trees)
+    assert not unread, f"private definitions no module reads: {unread}"
+
+
+def test_the_check_sees_an_unread_private_definition():
+    lib = ast.parse(
+        "_A = 1\n_B: int = 2\n_C, _D = 3, 4\n"
+        "def _f():\n    return _A\n"
+        "def _g():\n    pass\n"
+        "class _K:\n    pass\n"
+        "def _h():\n    pass\n"
+        "__all__ = []\n"
+    )
+    user = ast.parse("from lib import _K\nimport lib\nlib._h()\nx = _K\n")
+    assert set(_unread_private({"lib": lib, "user": user})) == {
+        "lib:_B", "lib:_C", "lib:_D", "lib:_f", "lib:_g"}

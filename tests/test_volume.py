@@ -15,7 +15,7 @@ from synthbrain import (
     same_geometry,
     spatial_gradient,
 )
-from synthbrain.volume import sample_nearest, sample_trilinear, voxel_to_world, world_to_voxel
+from synthbrain.volume import sample_nearest, sample_trilinear
 
 from reference_impls import gather_trilinear
 
@@ -149,17 +149,6 @@ def test_same_geometry_tolerant_to_tiny_affine_noise(rng):
     m[0, 3] += 1e-7
     b = Volume(rng.random((4, 4, 4)), grid_to_world=m)
     assert same_geometry(a, b)
-
-
-# -- coordinate transforms ------------------------------------------------------
-
-def test_world_round_trip(rng):
-    affine = np.eye(4)
-    affine[:3, :3] = rng.random((3, 3)) + np.eye(3)
-    affine[:3, 3] = rng.random(3)
-    pts = rng.random((10, 3)) * 5
-    back = world_to_voxel(affine, voxel_to_world(affine, pts))
-    assert np.allclose(back, pts, atol=1e-12)
 
 
 # -- sampling -------------------------------------------------------------------
