@@ -10,10 +10,10 @@ displacement term mapped through a 3x3 world-to-voxel matrix.
 
 The generated field is ``T ∘ A``: an affine (rotation/scaling/shearing about
 the grid's world center, plus translation) followed by the integration of a
-smooth stationary velocity field via scaling-and-squaring. The squaring runs
-on a grid with about half the voxels per axis and is upsampled once, as in
-VoxelMorph (Dalca et al., MICCAI 2018) and SynthSeg (Billot et al., MedIA
-2023): the velocities are smooth on that scale, and it is ~3x cheaper.
+smooth stationary velocity field via scaling-and-squaring. Squaring and
+composition run on a grid with about half the voxels per axis, upsampled
+once, as in VoxelMorph (Dalca et al., MICCAI 2018) and SynthSeg (Billot et
+al., MedIA 2023): the velocities are smooth on that scale, and it is cheaper.
 Generation records provenance, which makes inversion cheap and accurate
 (``A⁻¹ ∘ T⁻¹`` with ``T⁻¹`` integrated from the negated velocities);
 provenance-free fields fall back to fixed-point inversion.
@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 DEFAULT_SQUARING_STEPS = 7
-# velocity fields are integrated, and fields inverted, on a grid this many
-# times coarser per axis
+# velocity fields are integrated and composed, and fields inverted, on a grid
+# this many times coarser per axis
 _INTEGRATION_DOWNSIZE = 2
 # fixed-point inversion stops once its mean on-grid update is below this (voxel)
 _INVERSION_TOL = 1e-3
@@ -274,10 +274,7 @@ def sample_svf(rng: np.random.Generator, cfg: DeformationConfig, like) -> SVF:
     noise = rng.standard_normal(counts + (3,))
 
     if amplitude > 0.0:
-        smoothed = np.stack(
-            [gaussian_filter(noise[..., c], sigma, mode="nearest") for c in range(3)],
-            axis=-1,
-        )
+        smoothed = gaussian_filter(noise, (sigma, sigma, sigma, 0.0), mode="nearest")
         peak = float(np.sqrt((smoothed ** 2).sum(axis=-1)).max())
         velocities = smoothed * (amplitude / peak) if peak > 0 else smoothed * 0.0
     else:
@@ -300,34 +297,35 @@ def _world_to_voxel_linear(grid_to_world: np.ndarray) -> np.ndarray:
     return np.linalg.inv(grid_to_world)[:3, :3].T
 
 
-def _half_grid(dims) -> tuple[np.ndarray, np.ndarray, list]:
+def _half_grid(dims) -> tuple[tuple[int, int, int], np.ndarray, list]:
     """The coarse grid that integration and fixed-point inversion run on.
 
-    Each axis of ``n`` voxels gets ``ceil((n-1)/2) + 1`` nodes spanning the
-    same extent (axes of <= 2 voxels keep theirs). Returns the nodes' index
-    grid, the per-axis node-per-voxel ratios (``idx / ratios`` is each node's
-    full-grid voxel position) and the per-axis ``_per_axis`` matrices that
-    upsample node values to the full grid (``None`` where an axis is kept).
+    Each axis of ``n`` voxels gets ``m = ceil((n-1)/2) + 1`` nodes spanning the
+    same extent (axes of <= 2 voxels keep theirs). Returns the node counts, the
+    homogeneous node spacing ``s`` in voxels (``diag(s)`` maps node indices to
+    voxels; ``(n-1)/(m-1)`` lands the last node on voxel ``n-1``) and the
+    ``_per_axis`` matrices upsampling node values (``None`` where an axis is kept).
     """
     half = tuple(math.ceil((n - 1) / _INTEGRATION_DOWNSIZE) + 1 for n in dims)
-    ratios = np.array([(m - 1) / (n - 1) if n > 1 else 1.0 for n, m in zip(dims, half)])
+    spacing = np.array([max(n - 1, 1) / max(m - 1, 1) for n, m in zip(dims, half)] + [1.0])
     upsample = [None if m == n else _corner_aligned_weights(n, m) for n, m in zip(dims, half)]
-    return world_coordinate_grid(half, np.eye(4)), ratios, upsample
+    return half, spacing, upsample
 
 
-def _integrate(svf: SVF, steps: int) -> np.ndarray:
-    """:func:`integrate_svf`'s displacement: full grid, C order, not validated."""
+def _integrate(svf: SVF, steps: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Half-grid ``exp(v)`` (not validated) and :func:`_half_grid`'s spacing and matrices."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    idx, ratios, upsample = _half_grid(svf.grid_dims)
-    nodes = idx / ratios
-    ctrl = (voxel_to_world(svf.grid_to_world, nodes) - np.asarray(svf.origin)) / svf.control_spacing
+    half, spacing, upsample = _half_grid(svf.grid_dims)
+    lattice = np.diag([svf.control_spacing] * 3 + [1.0])  # control-point index -> world
+    lattice[:3, 3] = svf.origin
+    ctrl = world_coordinate_grid(half, np.linalg.inv(lattice) @ svf.grid_to_world * spacing)
     disp = sample_trilinear(svf.velocities, ctrl) / (2.0 ** steps)
-    to_half_voxel = _world_to_voxel_linear(svf.grid_to_world) * ratios
+    idx = world_coordinate_grid(half, np.eye(4))
+    to_node = _world_to_voxel_linear(svf.grid_to_world) / spacing[:3]
     for _ in range(steps):
-        disp += sample_trilinear(disp, idx + disp @ to_half_voxel)
-    # C order: looking T up in _per_axis's permuted layout took 1.4x longer (96³)
-    return np.ascontiguousarray(_per_axis(disp, upsample))
+        disp += sample_trilinear(disp, idx + disp @ to_node)
+    return disp, spacing, upsample
 
 
 def integrate_svf(svf: SVF, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationField:
@@ -341,7 +339,8 @@ def integrate_svf(svf: SVF, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationF
     SynthSeg's small-grid deformation (Billot et al., MedIA 2023). Only the
     result is validated, which still catches a NaN/Inf arising at any step.
     """
-    return DeformationField._adopt(_integrate(svf, steps), svf.grid_spacing, svf.grid_to_world)
+    t, _, upsample = _integrate(svf, steps)
+    return DeformationField._adopt(_per_axis(t, upsample), svf.grid_spacing, svf.grid_to_world)
 
 
 # -- algebra -------------------------------------------------------------------
@@ -365,25 +364,26 @@ def build_deformation(
 ) -> DeformationField:
     """``T ∘ A`` from sampled parameters (or its inverse ``A⁻¹ ∘ T⁻¹``).
 
-    ``A`` pivots about the grid's world center. Forward, ``T`` is sampled at
-    ``A(x)`` (identity off the grid) and ``A(x) - x`` added. The inverse
-    applies ``A⁻¹`` in closed form, ``A⁻¹(x + u(x)) - x`` with ``u`` the
-    displacement of ``T⁻¹``. No grid lookup is involved, so voxels whose
-    ``T⁻¹`` image leaves the grid are mapped like every other voxel.
+    ``A`` pivots about the grid's world center. Both directions are built on
+    :func:`_half_grid`'s nodes ``y``, then upsampled once. Forward: ``T`` at
+    ``A(y)`` (identity off the grid) plus ``A(y) - y``. Inverse: ``u`` (the
+    displacement of ``T⁻¹``) through ``A⁻¹``, plus ``A⁻¹(y) - y``; linear upsampling
+    keeps it equal, up to rounding, to the full-grid closed form on every voxel.
     """
     g2w, dims = svf.grid_to_world, svf.grid_dims
     matrix = affine.matrix(voxel_to_world(g2w, (np.asarray(dims) - 1.0) / 2.0))
-    t = _integrate(svf.negated() if inverted else svf, steps)
+    t, spacing, upsample = _integrate(svf.negated() if inverted else svf, steps)
     if inverted:
         matrix = np.linalg.inv(matrix)
-        disp = t @ matrix[:3, :3].T
+        t = t @ matrix[:3, :3].T
     else:
-        disp = sample_trilinear(t, world_coordinate_grid(dims, np.linalg.inv(g2w) @ matrix @ g2w))
-    del t
-    # plus the affine's own displacement: A(x) - x, or A⁻¹(x) - x
-    disp += world_coordinate_grid(dims, (matrix - np.eye(4)) @ g2w)
+        # N⁻¹ (G⁻¹ A G) N entrywise, N = diag(spacing): an identity A reads T at its nodes
+        on_nodes = (np.linalg.inv(g2w) @ matrix @ g2w) * spacing / spacing[:, None]
+        t = sample_trilinear(t, world_coordinate_grid(t.shape[:3], on_nodes))
+    # plus the affine's own displacement: A(y) - y, or A⁻¹(y) - y
+    t += world_coordinate_grid(t.shape[:3], (matrix - np.eye(4)) @ g2w * spacing)
     provenance = _Provenance(affine, svf, steps, inverted)
-    return DeformationField._adopt(disp, svf.grid_spacing, g2w, provenance)
+    return DeformationField._adopt(_per_axis(t, upsample), svf.grid_spacing, g2w, provenance)
 
 
 def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
@@ -406,8 +406,8 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
         p = fld.provenance
         return build_deformation(p.affine, p.svf, p.steps, inverted=not p.inverted)
 
-    idx, ratios, upsample = _half_grid(fld.dims)
-    nodes = idx / ratios
+    half, spacing, upsample = _half_grid(fld.dims)
+    nodes = world_coordinate_grid(half, np.diag(spacing))
     to_voxel = _world_to_voxel_linear(fld.grid_to_world)
     last = np.asarray(fld.dims, dtype=np.float64) - 1.0
     inv = -sample_trilinear(fld.displacement, nodes)
@@ -416,7 +416,7 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
     grad = np.zeros(pts.shape + (3,))
     for ax in range(3):
         if pts.shape[ax] > 1:
-            grad[..., ax] = np.gradient(nodes - pts, axis=ax) * ratios[ax]
+            grad[..., ax] = np.gradient(nodes - pts, spacing[ax], axis=ax)
     if np.median(np.linalg.det(grad + np.eye(3))) <= 0.0:
         raise NotInvertible("the field reverses orientation at most of its nodes")
     residual = 0.0

@@ -327,13 +327,13 @@ def _corner_aligned_weights(n: int, m: int) -> np.ndarray:
 
 
 def _per_axis(data: np.ndarray, matrices) -> np.ndarray:
-    """Apply ``matrices[axis]`` along each of the first axes; ``None`` leaves one as is.
+    """Apply ``matrices[i]`` along leading axis ``i`` (``None`` skips it); trailing axes ride along.
 
-    Trailing axes (e.g. vector components) are carried along untouched.
+    Axes go last to first, so the result is C-ordered if the first is resampled.
     """
-    for axis, m in enumerate(matrices):
-        if m is not None:
-            data = np.moveaxis(np.tensordot(m, data, axes=(1, axis)), 0, axis)
+    last = len(matrices) - 1
+    for m in reversed(matrices):
+        data = np.moveaxis(data, last, 0) if m is None else np.tensordot(m, data, axes=(1, last))
     return data
 
 

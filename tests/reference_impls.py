@@ -84,11 +84,12 @@ def source_voxels_world(fld, grid_to_world: np.ndarray) -> np.ndarray:
 
 def deformation_world(matrix: np.ndarray, grid_to_world: np.ndarray, t: np.ndarray,
                       inverted: bool = False) -> np.ndarray:
-    """``T ∘ A`` (or ``A⁻¹ ∘ T⁻¹``) displacement in world mm, from the world grid ``x``.
+    """``T ∘ A`` (or ``A⁻¹ ∘ T⁻¹``) displacement in world mm, on the full grid ``x``.
 
-    ``matrix`` is ``A``; ``t`` is the displacement of ``T`` (of ``T⁻¹`` when
-    ``inverted``). Forward: ``T`` sampled at ``A(x)`` plus ``A(x) - x``;
-    inverse: ``A⁻¹(x + t(x)) - x``.
+    ``matrix`` is ``A``; ``t`` is the full-grid displacement of ``T`` (of
+    ``T⁻¹`` when ``inverted``). Forward: ``T`` looked up at ``A(x)`` for every
+    voxel, plus ``A(x) - x``; inverse: ``A⁻¹(x + t(x)) - x``. This is the
+    full-grid route, the oracle for a field composed on a coarser grid.
     """
     xs = apply_affine(grid_to_world, index_grid(t.shape[:3]))
     if inverted:

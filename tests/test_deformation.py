@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import synthbrain as sb
 from synthbrain.deformation import DeformationConfig
-from synthbrain.volume import sample_trilinear, voxel_to_world, world_coordinate_grid
+from synthbrain.volume import _per_axis, sample_trilinear, voxel_to_world, world_coordinate_grid
 
 from conftest import make_subject, smooth_volume
 from reference_impls import deformation_world, index_grid, integrate_svf_full, source_voxels_world
@@ -182,23 +182,84 @@ def test_build_deformation_matches_its_closed_form():
     svf = sb.sample_svf(rng, DeformationConfig(), like)
     a = affine.matrix(_grid_center(like))
     a_inv = np.linalg.inv(a)
+    steps = DeformationConfig().squaring_steps
 
-    # in voxels i: T at G⁻¹AG(i), plus (A - I)G(i); inverse: T⁻¹ through A⁻¹, plus (A⁻¹ - I)G(i)
-    t = sb.integrate_svf(svf).displacement
-    forward = (sample_trilinear(t, world_coordinate_grid(like.dims, np.linalg.inv(g) @ a @ g))
-               + world_coordinate_grid(like.dims, (a - np.eye(4)) @ g))
+    # on the half-grid nodes j, at full-grid voxels N(j), N = diag(s): T at N⁻¹G⁻¹AGN(j),
+    # plus (A - I)GN(j); inverse: T⁻¹ through A⁻¹, plus (A⁻¹ - I)GN(j); then upsampled once
+    t, s, upsample = sb.deformation._integrate(svf, steps)
+    half = t.shape[:3]
+    forward = _per_axis(
+        sample_trilinear(t, world_coordinate_grid(half, (np.linalg.inv(g) @ a @ g) * s / s[:, None]))
+        + world_coordinate_grid(half, (a - np.eye(4)) @ g * s), upsample)
     built = sb.build_deformation(affine, svf)
     assert built.displacement.tobytes() == forward.tobytes()
-    assert np.abs(built.displacement - deformation_world(a, g, t)).max() <= 1e-12
-    dense = sb.compose(sb.integrate_svf(svf), sb.affine_to_field(a, like)).displacement
-    assert np.abs(built.displacement - dense).max() <= 1e-12
 
-    t_inv = sb.integrate_svf(svf.negated()).displacement
-    inverse = t_inv @ a_inv[:3, :3].T + world_coordinate_grid(like.dims, (a_inv - np.eye(4)) @ g)
+    t_inv, s, upsample = sb.deformation._integrate(svf.negated(), steps)
+    inverse = _per_axis(t_inv @ a_inv[:3, :3].T + world_coordinate_grid(half, (a_inv - np.eye(4)) @ g * s),
+                        upsample)
     built_inv = sb.build_deformation(affine, svf, inverted=True)
     assert built_inv.displacement.tobytes() == inverse.tobytes()
-    oracle_inv = deformation_world(a, g, t_inv, inverted=True)
-    assert np.abs(built_inv.displacement - oracle_inv).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sheared", [False, True], ids=["unit64", "sheared64x60x56"])
+def test_half_grid_composition_matches_the_full_grid_route(sheared):
+    # the oracle looks the upsampled T up at A(x) for every voxel; composing on
+    # the nodes differs from it only by interpolation, and at the faces, where
+    # A(x) leaves the grid and T reads as identity
+    like = _sheared_grid((64, 60, 56)) if sheared else sb.Volume(np.zeros((64, 64, 64)))
+    g = like.grid_to_world
+    cfg = DeformationConfig()
+    box = tuple(slice(n // 4, n - n // 4) for n in like.dims)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        affine, svf = sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, like)
+        a = affine.matrix(_grid_center(like))
+        t = sb.integrate_svf(svf)
+        oracle = deformation_world(a, g, t.displacement)
+        # the package's own full-grid route is compose with the affine's field
+        assert np.abs(sb.compose(t, sb.affine_to_field(a, like)).displacement - oracle).max() <= 1e-12
+        diff = sb.build_deformation(affine, svf).displacement - oracle
+        assert np.sqrt((diff ** 2).sum(-1))[box].max() <= 0.05  # mm
+        # linear upsampling reproduces the affine part: the inverse agrees up to rounding everywhere
+        oracle_inv = deformation_world(a, g, sb.integrate_svf(svf.negated()).displacement, inverted=True)
+        diff_inv = sb.build_deformation(affine, svf, inverted=True).displacement - oracle_inv
+        assert np.abs(diff_inv).max() <= 1e-12  # mm
+
+
+def test_identity_affine_leaves_the_integrated_field():
+    # 20 and 46 voxels: node spacings s with fl(1/s) * s != 1
+    like = sb.Volume(np.zeros((20, 46, 17)))
+    svf = sb.sample_svf(np.random.default_rng(6), DeformationConfig(), like)
+    built = sb.build_deformation(sb.AffineParams.identity(), svf)
+    assert built.displacement.tobytes() == sb.integrate_svf(svf).displacement.tobytes()
+
+
+def test_generated_fields_are_upsampled_in_c_order_and_adopted(monkeypatch):
+    like = _sheared_grid((20, 18, 16))
+    rng = np.random.default_rng(8)
+    smooth_cfg = DeformationConfig(rot_max=0.0, scale_max=0.0, shear_max=0.0)
+    affine, svf = sb.sample_affine(rng, smooth_cfg), sb.sample_svf(rng, smooth_cfg, like)
+    phi = sb.build_deformation(affine, svf)
+    stripped = sb.DeformationField(phi.displacement, phi.spacing, phi.grid_to_world)
+    upsampled = []
+    per_axis = sb.deformation._per_axis
+
+    def capturing(data, matrices):
+        upsampled.append(per_axis(data, matrices))
+        return upsampled[-1]
+
+    monkeypatch.setattr(sb.deformation, "_per_axis", capturing)
+    calls = {
+        "integrate_svf": lambda: sb.integrate_svf(svf),
+        "build_deformation": lambda: sb.build_deformation(affine, svf),
+        "build_deformation(inverted)": lambda: sb.build_deformation(affine, svf, inverted=True),
+        "invert(fixed point)": lambda: sb.invert(stripped),
+    }
+    for name, call in calls.items():
+        upsampled.clear()
+        fld = call()
+        assert len(upsampled) == 1 and upsampled[0].flags.c_contiguous, name
+        assert np.shares_memory(fld.displacement, upsampled[0]), name
 
 
 def test_build_deformation_constructs_one_field(monkeypatch):

@@ -15,7 +15,7 @@ from synthbrain import (
     same_geometry,
     spatial_gradient,
 )
-from synthbrain.volume import sample_nearest, sample_trilinear
+from synthbrain.volume import _per_axis, sample_nearest, sample_trilinear
 
 from reference_impls import gather_trilinear
 
@@ -232,6 +232,19 @@ def test_nearest_ties_toward_lower_index():
 
 
 # -- gradient / normalization ---------------------------------------------------
+
+@pytest.mark.parametrize("kept", [(), (1,), (2,), (0,), (0, 1, 2)])
+def test_per_axis_applies_each_matrix_along_its_axis(rng, kept):
+    data = rng.random((5, 4, 6, 3))
+    mats = [None if ax in kept else rng.random((n + 2, n)) for ax, n in enumerate(data.shape[:3])]
+    want = np.einsum("ai,bj,ck,ijkd->abcd", *(np.eye(n) if m is None else m
+                                              for m, n in zip(mats, data.shape)), data)
+    got = _per_axis(data, mats)
+    assert got.shape == want.shape and np.allclose(got, want, rtol=1e-13, atol=0.0)
+    # C order whenever the first axis is resampled
+    if 0 not in kept:
+        assert got.flags.c_contiguous
+
 
 def test_gradient_of_ramp_is_constant_slope():
     x = np.arange(5, dtype=float)
