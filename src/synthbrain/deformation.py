@@ -6,7 +6,9 @@ to ``x + u(x)``. Warping follows the backward convention: the output at ``x``
 samples the input at the mapped point, so no scatter holes appear. Sampling
 positions are built in voxels of the sampled grid, never in world mm: one
 :func:`world_coordinate_grid` call with a composed 4x4 matrix, plus at most one
-displacement term mapped through a 3x3 world-to-voxel matrix.
+displacement term mapped through a 3x3 world-to-voxel matrix. The three warps,
+:func:`compose` and batch generation all pull through one private routine,
+which builds those positions once and samples every array it is given.
 
 The generated field is ``T ∘ A``: an affine (rotation/scaling/shearing about
 the grid's world center, plus translation) followed by the integration of a
@@ -349,11 +351,10 @@ def compose(outer: DeformationField, inner: DeformationField) -> DeformationFiel
     """The map ``x -> outer(inner(x))`` as a dense field.
 
     The result lives on the inner field's grid, with the outer displacement
-    treated as identity beyond its own grid.
+    treated as identity beyond its own grid. A zero inner field on the outer
+    field's grid returns ``outer``.
     """
-    sampled = sample_trilinear(outer.displacement, _source_voxels(inner, outer.grid_to_world))
-    sampled += inner.displacement
-    return DeformationField._adopt(sampled, inner.spacing, inner.grid_to_world)
+    return _pull(inner, (outer,))[0]
 
 
 def build_deformation(
@@ -437,16 +438,34 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
 
 # -- warping -------------------------------------------------------------------
 
-def _is_identity_on(fld: DeformationField, target) -> bool:
-    return not fld.displacement.any() and same_geometry(fld, target)
-
-
 def _source_voxels(fld: DeformationField, grid_to_world: np.ndarray) -> np.ndarray:
     """Where each voxel of ``fld`` maps to, in voxels of the grid ``grid_to_world``:
     ``fld``'s index grid through ``G⁻¹ @ fld.grid_to_world``, plus ``u`` through ``G⁻¹``."""
     p = world_coordinate_grid(fld.dims, np.linalg.inv(grid_to_world) @ fld.grid_to_world)
     p += fld.displacement @ _world_to_voxel_linear(grid_to_world)
     return p
+
+
+def _pull(fld: DeformationField, grids: tuple) -> tuple:
+    """Each of ``grids`` pulled back through ``fld`` onto its grid, ``g ∘ fld``.
+
+    Label maps are sampled nearest, other data trilinearly, 0 off the grid; a
+    field, pulled back as a map, adds ``fld``'s own displacement. All share the
+    positions of one :func:`_source_voxels` call on the first grid (as a stack's
+    channels, or a subject's labels and anatomy, may). A zero field on that
+    grid returns ``grids`` itself.
+    """
+    if not fld.displacement.any() and same_geometry(fld, grids[0]):
+        return grids
+    p = _source_voxels(fld, grids[0].grid_to_world)
+    pulled = []
+    for g in grids:
+        sample = sample_nearest if isinstance(g, LabelMap) else sample_trilinear
+        data = sample(getattr(g, g._array), p)
+        if isinstance(g, DeformationField):
+            data = fld.displacement + data
+        pulled.append(type(g)._adopt(data, fld.spacing, fld.grid_to_world))
+    return tuple(pulled)
 
 
 def warp_volume(v: Volume, fld: DeformationField) -> Volume:
@@ -456,18 +475,12 @@ def warp_volume(v: Volume, fld: DeformationField) -> Volume:
     volume's but may differ (e.g. warping into an atlas frame). A zero field
     on the volume's own grid passes the data through untouched.
     """
-    if _is_identity_on(fld, v):
-        return v
-    p = _source_voxels(fld, v.grid_to_world)
-    return Volume._adopt(sample_trilinear(v.data, p), fld.spacing, fld.grid_to_world)
+    return _pull(fld, (v,))[0]
 
 
 def warp_labels(lm: LabelMap, fld: DeformationField) -> LabelMap:
     """Backward-warp with nearest sampling; never invents labels."""
-    if _is_identity_on(fld, lm):
-        return lm
-    p = _source_voxels(fld, lm.grid_to_world)
-    return LabelMap._adopt(sample_nearest(lm.data, p), fld.spacing, fld.grid_to_world)
+    return _pull(fld, (lm,))[0]
 
 
 def warp_stack(stack: VolumeStack, fld: DeformationField) -> VolumeStack:
@@ -475,24 +488,5 @@ def warp_stack(stack: VolumeStack, fld: DeformationField) -> VolumeStack:
 
     The channels share one grid, so the sampling positions are computed once.
     """
-    if _is_identity_on(fld, stack):
-        return stack
-    p = _source_voxels(fld, stack.grid_to_world)
-    return VolumeStack(tuple(
-        Volume._adopt(sample_trilinear(ch.data, p), fld.spacing, fld.grid_to_world)
-        for ch in stack.channels
-    ))
-
-
-def _warp_subject(lm: LabelMap, v: Volume, fld: DeformationField) -> tuple[LabelMap, Volume]:
-    """``(warp_labels(lm, fld), warp_volume(v, fld))`` from one position array.
-
-    ``lm`` and ``v`` share a grid within :func:`same_geometry`'s tolerance, as
-    a :class:`SubjectRecord` requires; both are sampled at positions computed
-    on ``lm``'s grid.
-    """
-    if _is_identity_on(fld, lm):
-        return lm, v
-    p = _source_voxels(fld, lm.grid_to_world)
-    return (LabelMap._adopt(sample_nearest(lm.data, p), fld.spacing, fld.grid_to_world),
-            Volume._adopt(sample_trilinear(v.data, p), fld.spacing, fld.grid_to_world))
+    channels = _pull(fld, stack.channels)
+    return stack if channels is stack.channels else VolumeStack(channels)

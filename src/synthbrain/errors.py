@@ -34,7 +34,7 @@ class TruncatedData(SynthBrainError):
 
 
 class NonPositivePixdim(SynthBrainError):
-    """NIfTI pixdim holds a zero or negative spacing."""
+    """NIfTI pixdim holds a zero, negative or non-finite spacing."""
 
 
 class NonFiniteField(SynthBrainError):

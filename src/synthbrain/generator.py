@@ -26,7 +26,7 @@ from .corruption import (
 )
 from .deformation import (
     DeformationField,
-    _warp_subject,
+    _pull,
     build_deformation,
     sample_affine,
     sample_svf,
@@ -154,7 +154,7 @@ def generate_batch(
     svf = sample_svf(rng_d, deform_cfg, subject.labels)
     phi = build_deformation(affine, svf, steps=deform_cfg.squaring_steps)
 
-    warped_labels, moved = _warp_subject(subject.labels, subject.mprage, phi)
+    warped_labels, moved = _pull(phi, (subject.labels, subject.mprage))
     target = minmax_normalize(moved)
     label_set = warped_labels.label_set
     # built here, once, rather than by whichever sample thread paints first

@@ -147,10 +147,12 @@ def read_header(stream: bytes) -> NiftiHeader:
         if dim[axis] < 1:
             raise UnsupportedDimension(f"dim[{axis}] = {dim[axis]} must be >= 1")
     for axis in (1, 2, 3):
-        if pixdim[axis] <= 0:
-            raise NonPositivePixdim(f"pixdim[{axis}] = {pixdim[axis]}")
-    if vox_offset < DATA_OFFSET:
-        raise TruncatedData(f"vox_offset {vox_offset} < {DATA_OFFSET}")
+        if not 0 < pixdim[axis] < math.inf:
+            raise NonPositivePixdim(f"pixdim[{axis}] = {pixdim[axis]}, not a finite spacing > 0")
+    if not DATA_OFFSET <= vox_offset < math.inf:
+        raise TruncatedData(f"vox_offset {vox_offset} is not a finite offset >= {DATA_OFFSET}")
+    if sform_code >= 1 and not np.isfinite(srow).all():
+        raise ValueError(f"srow holds a non-finite entry: {srow.tolist()}")
 
     return NiftiHeader(
         dim=tuple(int(d) for d in dim),

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,14 +65,16 @@ class _Grid:
         if min(data.shape) < 1:
             raise ValueError(f"voxel counts must be positive, got {data.shape}")
         spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing components must be > 0, got {spacing}")
+        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+            raise ValueError(f"spacing components must be finite and > 0, got {spacing}")
         if self.grid_to_world is None:
             affine = np.diag(spacing + (1.0,))
         else:
             affine = np.array(self.grid_to_world, dtype=np.float64)
         if affine.shape != (4, 4) or not np.allclose(affine[3], [0, 0, 0, 1]):
             raise ValueError("grid_to_world must be a 4x4 homogeneous affine")
+        if not np.isfinite(affine).all():
+            raise ValueError(f"grid_to_world entries must be finite, got {affine.tolist()}")
         if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
             raise ValueError("grid_to_world upper-left 3x3 block is singular")
         data.setflags(write=False)

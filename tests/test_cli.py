@@ -44,6 +44,21 @@ def test_non_finite_intercept_exits_2(tmp_path, capsys):
     assert "scaled.nii" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offset, value, field", [
+    (108, float("inf"), "vox_offset"), (108, float("nan"), "vox_offset"),
+    (80, float("nan"), "pixdim[1]"), (84, float("inf"), "pixdim[2]"),
+    (280, float("nan"), "srow"),  # srow_x[0]
+])
+def test_non_finite_header_exits_2_naming_the_file(tmp_path, capsys, offset, value, field):
+    blob = bytearray(sb.write_nifti(make_subject(n=8).mprage, "float32"))
+    struct.pack_into("<f", blob, offset, value)
+    path = tmp_path / "header.nii"
+    path.write_bytes(bytes(blob))
+    rc = main(["metrics", "--pred", str(path), "--ref", str(path), "--metric", "l1"])
+    assert rc == 2
+    assert f"{path}: {field}" in capsys.readouterr().err
+
+
 def test_geometry_mismatch_exits_3(tmp_path, capsys):
     subject = make_subject(n=16, seed=0)
     other = smooth_volume(12, 1)

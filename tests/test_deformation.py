@@ -503,6 +503,63 @@ def test_warp_stack_maps_points_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("warp", ["warp_volume", "warp_labels", "compose"])
+def test_warps_and_compose_map_points_once(subject32, warp, monkeypatch):
+    fld = _mild_field(2, n=32)
+    first = {"warp_volume": subject32.mprage, "warp_labels": subject32.labels,
+             "compose": _mild_field(3, n=32)}[warp]
+    calls = []
+    source_voxels = sb.deformation._source_voxels
+
+    def counting(*args):
+        calls.append(args)
+        return source_voxels(*args)
+
+    monkeypatch.setattr(sb.deformation, "_source_voxels", counting)
+    getattr(sb, warp)(first, fld)
+    assert len(calls) == 1 and calls[0][0] is fld
+
+
+def test_composed_fields_are_c_ordered_and_adopted(monkeypatch):
+    like = _sheared_grid((20, 18, 16))
+    rng = np.random.default_rng(8)
+    outer, inner = (sb.build_deformation(sb.sample_affine(rng, DeformationConfig()),
+                                         sb.sample_svf(rng, DeformationConfig(), g))
+                    for g in (_offset_grid(), like))
+    converted = []
+    convert = sb.DeformationField._convert
+
+    def capturing(displacement, copy):
+        converted.append((displacement, copy))
+        return convert(displacement, copy)
+
+    monkeypatch.setattr(sb.DeformationField, "_convert", staticmethod(capturing))
+    out = sb.compose(outer, inner)
+    (given, copy), = converted
+    assert not copy and given.flags.c_contiguous
+    assert out.displacement is given
+
+
+def test_warp_subject_is_gone():
+    assert not hasattr(sb.deformation, "_warp_subject")
+    assert not hasattr(sb.generator, "_warp_subject")
+
+
+def test_zero_field_passes_every_grid_through_on_a_sheared_grid():
+    # on a sheared grid, inv(G) @ G is not exactly the identity, so sampling at
+    # a zero field's positions puts a face a hair outside the grid
+    like = _sheared_grid((20, 18, 16))
+    rng = np.random.default_rng(1)
+    v = like.with_data(rng.random(like.dims))
+    stack = sb.VolumeStack((v, like.with_data(rng.random(like.dims))))
+    outer = sb.build_deformation(sb.sample_affine(rng, DeformationConfig()),
+                                 sb.sample_svf(rng, DeformationConfig(), like))
+    zero = sb.identity_field(like)
+    assert sb.warp_volume(v, zero) is v
+    assert sb.warp_stack(stack, zero) is stack
+    assert sb.compose(outer, zero) is outer
+
+
 @pytest.mark.parametrize("frame", ["sheared", "other", "unit"])
 @pytest.mark.parametrize("target", ["sheared", "other", "unit"])
 def test_source_voxels_match_the_world_route(frame, target):

@@ -132,6 +132,21 @@ def test_all_off_sample_reproducible_from_first_principles(subject32):
     assert np.array_equal(batch.target.data, sb.minmax_normalize(subject32.mprage).data)
 
 
+def test_a_zero_deformation_leaves_a_sheared_subject_untouched(monkeypatch):
+    # "off" first: the batch's deformation is exactly zero
+    subject = make_subject(20, seed=2)
+    m = np.array([[1.0, 0.1, 0.0, -5.0], [0.0, 1.2, 0.05, 3.0], [0.0, 0.0, 0.9, 1.0], [0, 0, 0, 1]])
+    sheared = sb.SubjectRecord(subject.id, sb.LabelMap(subject.labels.data, (1.0, 1.2, 0.9), m),
+                               sb.Volume(subject.mprage.data, (1.0, 1.2, 0.9), m))
+    painted = []
+    paint = sb.generator.paint
+    monkeypatch.setattr(sb.generator, "paint", lambda lm, *args: painted.append(lm) or paint(lm, *args))
+    batch = sb.generate_batch(sheared, 2, base_seed=4, schedule=["off", "mild"])
+    assert not batch.deformation.displacement.any()
+    assert all(lm is sheared.labels for lm in painted)
+    assert batch.target.data.tobytes() == sb.minmax_normalize(sheared.mprage).data.tobytes()
+
+
 def test_every_sample_shares_the_batch_deformation(subject32):
     batch = sb.generate_batch(subject32, 3, base_seed=5)
     # replaying each record against the shared warped labels reproduces the image

@@ -207,6 +207,33 @@ def test_header_errors_name_the_field(rng):
         read_header(_patch(blob, 0, "<i", 123))
 
 
+# byte offset, value, error, message: each non-finite header field read_header rejects
+_NON_FINITE_HEADERS = {
+    "vox_offset inf": (108, np.inf, TruncatedData, "vox_offset"),
+    "vox_offset nan": (108, np.nan, TruncatedData, "vox_offset"),
+    "pixdim[1] nan": (80, np.nan, NonPositivePixdim, r"pixdim\[1\]"),
+    "pixdim[2] inf": (84, np.inf, NonPositivePixdim, r"pixdim\[2\]"),
+    "pixdim[3] nan": (88, np.nan, NonPositivePixdim, r"pixdim\[3\]"),
+    "srow_x[0] nan": (280, np.nan, ValueError, "srow"),
+    "srow_y[3] inf": (308, np.inf, ValueError, "srow"),
+    "srow_z[2] nan": (320, np.nan, ValueError, "srow"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_HEADERS))
+def test_non_finite_header_fields_are_rejected(rng, case):
+    offset, value, error, match = _NON_FINITE_HEADERS[case]
+    blob = write_nifti(Volume(rng.random((3, 3, 3))), "float32")
+    with pytest.raises(error, match=match):
+        read_header(_patch(blob, offset, "<f", value))
+
+
+def test_srow_is_not_read_without_an_sform(rng):
+    v = Volume(rng.random((3, 3, 3)), spacing=(1.0, 2.0, 3.0))
+    blob = _patch(_patch(write_nifti(v), 280, "<f", np.nan), 254, "<h", 0)
+    assert np.array_equal(read_nifti(blob).grid_to_world, np.diag([1.0, 2.0, 3.0, 1.0]))
+
+
 def test_file_readers_name_the_path_in_decoding_errors(rng, tmp_path):
     blob = write_nifti(Volume(rng.random((3, 3, 3)) + 0.25), "float32")
     bad = tmp_path / "bad.nii"

@@ -87,6 +87,23 @@ def test_grid_types_share_validation(kind, grid):
         _GRID_TYPES[kind](np.zeros((3, 3, 3)), **_BAD_GRIDS[grid])
 
 
+_NON_FINITE_GRIDS = {
+    "NaN spacing": ({"spacing": (np.nan, 1.0, 1.0)}, "spacing"),
+    "infinite spacing": ({"spacing": (1.0, np.inf, 1.0)}, "spacing"),
+    "infinite translation": ({"grid_to_world": np.array(
+        [[1.0, 0, 0, np.inf], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])}, "finite"),
+    "NaN linear entry": ({"grid_to_world": np.diag([1.0, np.nan, 1.0, 1.0])}, "finite"),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_NON_FINITE_GRIDS))
+@pytest.mark.parametrize("kind", sorted(_GRID_TYPES))
+def test_grid_types_reject_non_finite_geometry(kind, grid):
+    kw, match = _NON_FINITE_GRIDS[grid]
+    with pytest.raises(ValueError, match=match):
+        _GRID_TYPES[kind](np.zeros((3, 3, 3)), **kw)
+
+
 @pytest.mark.parametrize("kind", sorted(_GRID_TYPES))
 def test_grid_types_own_a_frozen_copy(kind):
     data = np.arange(27.0).reshape(3, 3, 3)
