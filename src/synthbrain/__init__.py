@@ -75,6 +75,7 @@ from .generator import (
     export_batch,
     generate_batch,
     severity_ladder,
+    write_batch,
 )
 from .metrics import (
     DiceScores,

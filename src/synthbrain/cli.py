@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
     SynthBrainError,
 )
-from .generator import SubjectRecord, export_batch, generate_batch, severity_ladder
+from .generator import SubjectRecord, severity_ladder, write_batch
 from .nifti import read_nifti_file, read_volume_stack_file
 
 __all__ = ["main"]
@@ -183,9 +183,7 @@ def _cmd_generate(args, config: dict[str, str]) -> int:
     mprage = read_nifti_file(args.mprage, as_labels=False)
     subject = SubjectRecord(Path(args.labels).stem.replace(".nii", ""), labels, mprage)
 
-    batch = generate_batch(subject, n, args.seed, schedule=schedule, threads=args.threads)
-    manifest = export_batch(batch, args.out, seed=args.seed)
-    print(manifest)
+    print(write_batch(subject, n, args.seed, args.out, schedule=schedule, threads=args.threads))
     return EXIT_OK
 
 

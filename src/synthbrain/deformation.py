@@ -440,8 +440,15 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
 
 def _source_voxels(fld: DeformationField, grid_to_world: np.ndarray) -> np.ndarray:
     """Where each voxel of ``fld`` maps to, in voxels of the grid ``grid_to_world``:
-    ``fld``'s index grid through ``G⁻¹ @ fld.grid_to_world``, plus ``u`` through ``G⁻¹``."""
-    p = world_coordinate_grid(fld.dims, np.linalg.inv(grid_to_world) @ fld.grid_to_world)
+    ``fld``'s index grid through ``G⁻¹ @ fld.grid_to_world``, plus ``u`` through ``G⁻¹``.
+
+    On ``fld``'s own grid that product is exactly the identity: computed, it is
+    off by rounding on a sheared grid, which moves face points off the grid."""
+    if np.array_equal(grid_to_world, fld.grid_to_world):
+        to_grid = np.eye(4)
+    else:
+        to_grid = np.linalg.inv(grid_to_world) @ fld.grid_to_world
+    p = world_coordinate_grid(fld.dims, to_grid)
     p += fld.displacement @ _world_to_voxel_linear(grid_to_world)
     return p
 

@@ -6,6 +6,11 @@ The regression target is the subject's structural scan warped by the same
 deformation, so every sample is voxel-aligned with it. All randomness is
 keyed by (base seed, subject id, sample index); samples are generated on a
 thread pool yet come out byte-identical to a sequential run.
+
+:func:`generate_batch` returns the batch in memory (for :func:`batch_loss`
+and :func:`export_batch`); :func:`write_batch` streams it to a directory,
+each worker writing its sample as soon as it is made, so peak memory does
+not grow with the batch size. Both write the same bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "SampleBatch",
     "severity_ladder",
     "generate_batch",
+    "write_batch",
     "batch_loss",
     "export_batch",
 ]
@@ -124,21 +130,11 @@ def _normalize_schedule(schedule, n: int) -> list[SeverityConfig]:
     return cfgs
 
 
-def generate_batch(
-    subject: SubjectRecord,
-    n: int,
-    base_seed: int,
-    schedule=None,
-    threads: int | None = None,
-) -> SampleBatch:
-    """Generate one batch of synthetic samples for a subject.
+def _prepare(subject: SubjectRecord, n: int, base_seed: int, schedule, threads):
+    """The work a batch shares: checks, deformation, warped subject and target.
 
-    ``schedule`` is a length-n list of severity names or configs (default:
-    the evenly spaced ladder). One deformation is drawn and shared; sample i
-    then gets fresh contrast parameters and corruption from its own RNG
-    keyed by (base_seed, subject.id, i), which makes thread count
-    irrelevant to the output bytes. ``threads`` workers paint and corrupt
-    the samples (None: 1; fewer than 1 is a ``ValueError``).
+    Returns ``(threads, deformation, target, make_sample)``, where
+    ``make_sample(i)`` draws sample i.
     """
     nthreads = 1 if threads is None else threads
     if nthreads < 1:
@@ -167,14 +163,63 @@ def generate_batch(
         record = sample_corruption_record(rng, cfgs[i], painted)
         return Sample(apply_corruption(painted, record), record)
 
-    if nthreads == 1 or n == 1:
-        # no 1-worker pool: it raised peak RSS of a 96³ n=1 batch 194 -> 228 MB
-        samples = [make_sample(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            samples = list(pool.map(make_sample, range(n)))
+    return nthreads, phi, target, make_sample
 
+
+def _map(fn, n: int, threads: int) -> list:
+    """``[fn(i) for i in range(n)]`` on ``threads`` workers, in index order."""
+    if threads == 1 or n == 1:
+        # no 1-worker pool: it raised peak RSS of a 96³ n=1 batch 194 -> 228 MB
+        return [fn(i) for i in range(n)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n)))
+
+
+def generate_batch(
+    subject: SubjectRecord,
+    n: int,
+    base_seed: int,
+    schedule=None,
+    threads: int | None = None,
+) -> SampleBatch:
+    """Generate one batch of synthetic samples for a subject.
+
+    ``schedule`` is a length-n list of severity names or configs (default:
+    the evenly spaced ladder). One deformation is drawn and shared; sample i
+    then gets fresh contrast parameters and corruption from its own RNG
+    keyed by (base_seed, subject.id, i), which makes thread count
+    irrelevant to the output bytes. ``threads`` workers paint and corrupt
+    the samples (None: 1; fewer than 1 is a ``ValueError``).
+    """
+    nthreads, phi, target, make_sample = _prepare(subject, n, base_seed, schedule, threads)
+    samples = _map(make_sample, n, nthreads)
     return SampleBatch(subject.id, phi, tuple(samples), target)
+
+
+def write_batch(
+    subject: SubjectRecord,
+    n: int,
+    base_seed: int,
+    out_dir,
+    schedule=None,
+    threads: int | None = None,
+) -> Path:
+    """Generate a batch straight to a directory; returns the manifest path.
+
+    Writes the same files, byte for byte, as
+    ``export_batch(generate_batch(subject, n, base_seed, schedule, threads),
+    out_dir, seed=base_seed)``, but each worker writes its sample as soon as
+    it is made and keeps only the manifest entry, so at most ``threads``
+    samples are in memory at once, whatever ``n`` is. ``out_dir`` is created
+    first, so a path that cannot be a directory fails before anything is drawn.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    nthreads, phi, target, make_sample = _prepare(subject, n, base_seed, schedule, threads)
+    _write_shared(out, target, phi)
+    del phi, target  # the samples need only the warped labels, which make_sample holds
+    entries = _map(lambda i: _write_sample(out, i, make_sample(i)), n, nthreads)
+    return _write_manifest(out, subject.id, base_seed, entries)
 
 
 def batch_loss(batch: SampleBatch, predictions, lam: float = 1.0) -> float:
@@ -202,26 +247,25 @@ def batch_loss(batch: SampleBatch, predictions, lam: float = 1.0) -> float:
     return total
 
 
-def export_batch(batch: SampleBatch, out_dir, seed: int | None = None) -> Path:
-    """Write samples, target, deformation, and a JSON manifest to a directory.
+def _write_sample(out: Path, i: int, sample: Sample) -> dict:
+    """Write sample i as ``sample_{i:03d}.nii``; returns its manifest entry."""
+    name = f"sample_{i:03d}.nii"
+    write_nifti_file(out / name, sample.image, "float32")
+    return {"file": name, "level": sample.level, "record": sample.record.to_json_dict()}
 
-    Returns the manifest path. All bytes are deterministic functions of the
-    batch contents.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, s in enumerate(batch.samples):
-        name = f"sample_{i:03d}.nii"
-        write_nifti_file(out / name, s.image, "float32")
-        entries.append({"file": name, "level": s.level, "record": s.record.to_json_dict()})
-    write_nifti_file(out / "target.nii", batch.target, "float32")
-    write_nifti_file(out / "deformation.nii", batch.deformation.channels(), "float32")
+
+def _write_shared(out: Path, target: Volume, deformation: DeformationField) -> None:
+    """Write the files every sample shares: ``target.nii`` and ``deformation.nii``."""
+    write_nifti_file(out / "target.nii", target, "float32")
+    write_nifti_file(out / "deformation.nii", deformation.channels(), "float32")
+
+
+def _write_manifest(out: Path, subject_id: str, seed, entries: list) -> Path:
     manifest = {
-        "subject": batch.subject_id,
+        "subject": subject_id,
         "seed": seed,
-        "n": batch.batch_size,
-        "schedule": [s.level for s in batch.samples],
+        "n": len(entries),
+        "schedule": [e["level"] for e in entries],
         "samples": entries,
         "target": "target.nii",
         "deformation": "deformation.nii",
@@ -229,3 +273,17 @@ def export_batch(batch: SampleBatch, out_dir, seed: int | None = None) -> Path:
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def export_batch(batch: SampleBatch, out_dir, seed: int | None = None) -> Path:
+    """Write samples, target, deformation, and a JSON manifest to a directory.
+
+    Returns the manifest path. All bytes are deterministic functions of the
+    batch contents; :func:`write_batch` writes the same files without holding
+    the batch in memory.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    entries = [_write_sample(out, i, s) for i, s in enumerate(batch.samples)]
+    _write_shared(out, batch.target, batch.deformation)
+    return _write_manifest(out, batch.subject_id, seed, entries)

@@ -14,6 +14,7 @@ transparently at the byte-stream boundary.
 from __future__ import annotations
 
 import gzip
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -266,30 +267,33 @@ def _pack_header(dim, pixdim, code, affine, intent_code=0) -> bytes:
     )
 
 
+def _parts(v, datatype: str):
+    """The NIfTI bytes of a volume or a channel stack as an iterator of parts:
+    header and padding, then each channel's data, encoded as it is reached.
+    The datatype is checked here, before any part is taken."""
+    code = _datatype_code(datatype)
+    if isinstance(v, VolumeStack):
+        nx, ny, nz = v.dims
+        dim, intent, arrays = (nx, ny, nz, 1, v.channel_count), _INTENT_VECTOR, v.channels
+    else:
+        dim, intent, arrays = v.dims, 0, (v,)
+    header = _pack_header(dim, v.spacing, code, v.grid_to_world, intent_code=intent)
+    pad = b"\x00" * (DATA_OFFSET - HEADER_SIZE)
+    return itertools.chain([header, pad], (_encode(a.data, code) for a in arrays))
+
+
 def write_nifti(v: Volume | LabelMap, datatype: str = "float32") -> bytes:
     """Encode a volume as little-endian single-file NIfTI-1 bytes.
 
     Values outside an integer datatype's range are clamped.
     """
-    code = _datatype_code(datatype)
-    header = _pack_header(v.dims, v.spacing, code, v.grid_to_world)
-    return header + b"\x00" * (DATA_OFFSET - HEADER_SIZE) + _encode(v.data, code)
+    return b"".join(_parts(v, datatype))
 
 
 def write_volume_stack(stack: VolumeStack, datatype: str = "float32") -> bytes:
     """Encode a channel stack as a 5D vector NIfTI (dim[4]=1, channels on dim 5,
     the slowest axis on disk, so each channel is encoded on its own)."""
-    code = _datatype_code(datatype)
-    nx, ny, nz = stack.dims
-    header = _pack_header(
-        (nx, ny, nz, 1, stack.channel_count),
-        stack.spacing,
-        code,
-        stack.grid_to_world,
-        intent_code=_INTENT_VECTOR,
-    )
-    pad = b"\x00" * (DATA_OFFSET - HEADER_SIZE)
-    return b"".join([header, pad] + [_encode(ch.data, code) for ch in stack.channels])
+    return b"".join(_parts(stack, datatype))
 
 
 def _read_file(path, decode, **kwargs):
@@ -313,13 +317,13 @@ def read_volume_stack_file(path) -> VolumeStack:
 
 
 def write_nifti_file(path, v, datatype: str = "float32") -> None:
-    """Write to disk; paths ending in .gz are gzip-compressed reproducibly."""
-    if isinstance(v, VolumeStack):
-        payload = write_volume_stack(v, datatype)
-    else:
-        payload = write_nifti(v, datatype)
+    """Write a volume or a channel stack to disk. A ``.nii`` file is written one
+    channel at a time, never holding the whole payload; paths ending in .gz
+    are gzip-compressed reproducibly."""
     path = str(path)
+    parts = _parts(v, datatype)
     if path.endswith(".gz"):
-        payload = gzip.compress(payload, mtime=0)
+        parts = [gzip.compress(b"".join(parts), mtime=0)]
     with open(path, "wb") as fh:
-        fh.write(payload)
+        # writelines drops each part before taking the next; a for loop would hold two
+        fh.writelines(parts)

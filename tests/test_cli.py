@@ -425,6 +425,21 @@ def test_directory_as_input_exits_2_naming_it(tmp_path, subject_files, capsys):
     assert "directory" in err.replace(str(folder), "").lower()  # not "no such file"
 
 
+def test_an_out_naming_a_file_exits_2_before_any_drawing(tmp_path, subject_files, monkeypatch, capsys):
+    _, labels, mprage = subject_files
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    calls = []
+    build = sb.generator.build_deformation
+    monkeypatch.setattr(sb.generator, "build_deformation",
+                        lambda *args, **kwargs: calls.append(args) or build(*args, **kwargs))
+    rc = main(["generate", str(labels), str(mprage), "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+    assert calls == []
+    assert out.read_text() == "not a directory"
+
+
 def test_a_gzipped_stack_is_decompressed_once(tmp_path, monkeypatch):
     stack = sb.VolumeStack((smooth_volume(8, 0), smooth_volume(8, 1)))
     path = tmp_path / "stack.nii.gz"

@@ -560,6 +560,22 @@ def test_zero_field_passes_every_grid_through_on_a_sheared_grid():
     assert sb.compose(outer, zero) is outer
 
 
+def test_a_field_zero_on_the_faces_keeps_a_sheared_grid_s_faces():
+    # one interior voxel moves, so the warps sample every position
+    like = _sheared_grid((20, 18, 16))
+    u = np.zeros(like.dims + (3,))
+    u[10, 9, 8] = (0.01, 0.0, 0.0)
+    fld = sb.DeformationField(u, like.spacing, like.grid_to_world)
+    rng = np.random.default_rng(2)
+    v = like.with_data(rng.uniform(0.5, 1.5, like.dims))
+    lm = sb.LabelMap(rng.integers(1, 5, like.dims), like.spacing, like.grid_to_world)
+    warped, warped_labels = sb.warp_volume(v, fld), sb.warp_labels(lm, fld)
+    moved = np.zeros(like.dims, dtype=bool)
+    moved[10, 9, 8] = True
+    assert np.array_equal(warped.data[~moved], v.data[~moved])
+    assert np.array_equal(warped_labels.data, lm.data)
+
+
 @pytest.mark.parametrize("frame", ["sheared", "other", "unit"])
 @pytest.mark.parametrize("target", ["sheared", "other", "unit"])
 def test_source_voxels_match_the_world_route(frame, target):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,3 +262,52 @@ def test_export_writes_complete_manifest(tmp_path, subject32):
     stack = sb.read_volume_stack_file(tmp_path / manifest["deformation"])
     assert len(stack.channels) == 3
     assert np.allclose(stack.as_array(), batch.deformation.displacement, atol=1e-4)
+
+
+def _tree_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def _sheared(subject):
+    m = np.array([[1.0, 0.1, 0.0, -5.0], [0.0, 1.2, 0.05, 3.0], [0.0, 0.0, 0.9, 1.0], [0, 0, 0, 1]])
+    return sb.SubjectRecord(subject.id, sb.LabelMap(subject.labels.data, (1.0, 1.2, 0.9), m),
+                            sb.Volume(subject.mprage.data, (1.0, 1.2, 0.9), m))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("case", ["ladder", "sheared", "sheared-off-first"])
+def test_write_batch_writes_the_exported_tree(tmp_path, threads, case):
+    subject = make_subject(20, seed=4)
+    schedule = None
+    if case != "ladder":
+        subject = _sheared(subject)
+    if case == "sheared-off-first":
+        schedule = ["off", "mild", "mild", "medium", "severe"]
+    batch = sb.generate_batch(subject, 5, base_seed=6, schedule=schedule, threads=threads)
+    exported = sb.export_batch(batch, tmp_path / "exported", seed=6)
+    written = sb.write_batch(subject, 5, 6, tmp_path / "written", schedule=schedule, threads=threads)
+    assert written == tmp_path / "written" / "manifest.json"
+    assert _tree_bytes(written.parent) == _tree_bytes(exported.parent)
+
+
+def test_write_batch_memory_does_not_grow_with_the_batch(tmp_path):
+    subject = make_subject(32, seed=1)
+    volume = 32 ** 3 * 8
+
+    def peak(fn, n):
+        tracemalloc.start()
+        try:
+            fn(n, tmp_path / f"{fn.__name__}{n}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def streamed(n, out):
+        sb.write_batch(subject, n, 3, out, threads=2)
+
+    def in_memory(n, out):
+        sb.export_batch(sb.generate_batch(subject, n, 3, threads=2), out, seed=3)
+
+    # 20 more samples: the in-memory route holds each of them until export
+    assert peak(in_memory, 24) - peak(in_memory, 4) > 15 * volume
+    assert peak(streamed, 24) - peak(streamed, 4) < 3 * volume

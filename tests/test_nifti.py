@@ -163,6 +163,29 @@ def test_large_stacks_are_read_and_written_without_a_stacked_copy(rng):
     assert np.array_equal(back.channels[31].data, stack.channels[31].data.astype("<f4"))
 
 
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("dtype", ["float32", "int16"])
+def test_files_hold_the_encoded_bytes(tmp_path, rng, suffix, dtype):
+    v = Volume(rng.normal(0.0, 300.0, (5, 4, 3)))
+    stack = VolumeStack((v, Volume(rng.normal(0.0, 300.0, (5, 4, 3)))))
+    for obj, encode in ((v, write_nifti), (stack, write_volume_stack)):
+        path = tmp_path / f"{type(obj).__name__}{suffix}"
+        write_nifti_file(path, obj, dtype)
+        payload = encode(obj, dtype)
+        assert path.read_bytes() == (gzip.compress(payload, mtime=0) if suffix == ".nii.gz" else payload)
+
+
+def test_a_stack_file_is_written_without_joining_its_channels(tmp_path, rng):
+    stack = VolumeStack(tuple(Volume(rng.random((64, 64, 64))) for _ in range(3)))
+    channel = 64 ** 3 * 4
+    _, joined_peak = _traced_peak(lambda: (tmp_path / "a.nii").write_bytes(write_volume_stack(stack)))
+    _, streamed_peak = _traced_peak(write_nifti_file, tmp_path / "b.nii", stack)
+    # joined: every encoded channel plus their join; streamed: one channel's cast and bytes
+    assert joined_peak >= 5.5 * channel
+    assert streamed_peak <= 2.5 * channel
+    assert (tmp_path / "a.nii").read_bytes() == (tmp_path / "b.nii").read_bytes()
+
+
 def test_big_endian_files_are_readable(rng):
     from synthbrain.nifti import _HDR_FMT
 
