@@ -43,9 +43,10 @@ for i, s in enumerate(batch.samples):
 # the regression loss the samples are meant to train (prediction = target here)
 print("loss at the optimum:", sb.batch_loss(batch, [batch.target] * 4, lam=1.0))
 
-# ---- export: NIfTI volumes + a replayable JSON manifest -------------------------
+# ---- write: the same batch as NIfTI volumes + a replayable JSON manifest --------
+# each sample is written as soon as it is made, so memory does not grow with n
 with tempfile.TemporaryDirectory(prefix="synthbrain_demo_") as tmp:
     out = Path(tmp)
-    manifest = sb.export_batch(batch, out, seed=7)
+    manifest = sb.write_batch(subject, n=4, base_seed=7, out_dir=out)
     print("wrote", manifest)
     print(sorted(p.name for p in out.iterdir()))

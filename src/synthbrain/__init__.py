@@ -72,7 +72,6 @@ from .generator import (
     SampleBatch,
     SubjectRecord,
     batch_loss,
-    export_batch,
     generate_batch,
     severity_ladder,
     write_batch,
@@ -98,10 +97,9 @@ from .nifti import (
     read_volume_stack_file,
     write_nifti,
     write_nifti_file,
-    write_volume_stack,
 )
 from .seeding import derive_seed, make_rng
-from .synthesis import ContrastConfig, ContrastParams, paint, sample_contrast_params
+from .synthesis import ContrastParams, paint, sample_contrast_params
 from .volume import (
     LabelMap,
     Volume,

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .generator import SubjectRecord, severity_ladder, write_batch
 from .nifti import read_nifti_file, read_volume_stack_file
+from .volume import same_geometry
 
 __all__ = ["main"]
 
@@ -232,12 +233,14 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
         raise _UsageError("--atlas-map is required in inter mode")
 
     reference = read_volume_stack_file(args.reference)
-    atlas_map = _read_field(args.atlas_map) if args.atlas_map else None
-    candidates = _load_candidates(args.candidates, args.mode, atlas_map)
-
     mask = None
     if args.mask:
-        mask = metrics.interior_mask(read_nifti_file(args.mask, as_labels=True), erosion=args.erosion)
+        mask = read_nifti_file(args.mask, as_labels=True)
+        if not same_geometry(mask, reference):
+            raise GeometryMismatch(f"{args.mask}: the mask's grid is not the reference's")
+        mask = metrics.interior_mask(mask, erosion=args.erosion)
+    atlas_map = _read_field(args.atlas_map) if args.atlas_map else None
+    candidates = _load_candidates(args.candidates, args.mode, atlas_map)
 
     report = metrics.robustness_protocol(
         reference, candidates, mode=args.mode, mask=mask,

@@ -7,10 +7,9 @@ deformation, so every sample is voxel-aligned with it. All randomness is
 keyed by (base seed, subject id, sample index); samples are generated on a
 thread pool yet come out byte-identical to a sequential run.
 
-:func:`generate_batch` returns the batch in memory (for :func:`batch_loss`
-and :func:`export_batch`); :func:`write_batch` streams it to a directory,
-each worker writing its sample as soon as it is made, so peak memory does
-not grow with the batch size. Both write the same bytes.
+:func:`generate_batch` returns the batch in memory (for :func:`batch_loss`);
+:func:`write_batch` streams it to a directory, each worker writing its sample
+as soon as it is made, so peak memory does not grow with the batch size.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "generate_batch",
     "write_batch",
     "batch_loss",
-    "export_batch",
 ]
 
 _SEVERITY_RANK = {level: rank for rank, level in enumerate(("off",) + SEVERITY_LEVELS)}
@@ -206,20 +204,40 @@ def write_batch(
 ) -> Path:
     """Generate a batch straight to a directory; returns the manifest path.
 
-    Writes the same files, byte for byte, as
-    ``export_batch(generate_batch(subject, n, base_seed, schedule, threads),
-    out_dir, seed=base_seed)``, but each worker writes its sample as soon as
-    it is made and keeps only the manifest entry, so at most ``threads``
-    samples are in memory at once, whatever ``n`` is. ``out_dir`` is created
-    first, so a path that cannot be a directory fails before anything is drawn.
+    Writes the batch :func:`generate_batch` would return, as float32 NIfTI:
+    ``target.nii``, ``deformation.nii`` (the field as 3 channels) and
+    ``sample_{i:03d}.nii``, then ``manifest.json`` with ``base_seed`` as its
+    seed. Each worker writes its sample as soon as it is made and keeps only
+    the manifest entry, so at most ``threads`` samples are in memory at once,
+    whatever ``n`` is. ``out_dir`` is created first, so a path that cannot be
+    a directory fails before anything is drawn.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     nthreads, phi, target, make_sample = _prepare(subject, n, base_seed, schedule, threads)
-    _write_shared(out, target, phi)
+    write_nifti_file(out / "target.nii", target, "float32")
+    write_nifti_file(out / "deformation.nii", phi.channels(), "float32")
     del phi, target  # the samples need only the warped labels, which make_sample holds
-    entries = _map(lambda i: _write_sample(out, i, make_sample(i)), n, nthreads)
-    return _write_manifest(out, subject.id, base_seed, entries)
+
+    def write_sample(i: int) -> dict:
+        name = f"sample_{i:03d}.nii"
+        sample = make_sample(i)
+        write_nifti_file(out / name, sample.image, "float32")
+        return {"file": name, "level": sample.level, "record": sample.record.to_json_dict()}
+
+    entries = _map(write_sample, n, nthreads)
+    manifest = {
+        "subject": subject.id,
+        "seed": base_seed,
+        "n": n,
+        "schedule": [e["level"] for e in entries],
+        "samples": entries,
+        "target": "target.nii",
+        "deformation": "deformation.nii",
+    }
+    path = out / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def batch_loss(batch: SampleBatch, predictions, lam: float = 1.0) -> float:
@@ -246,44 +264,3 @@ def batch_loss(batch: SampleBatch, predictions, lam: float = 1.0) -> float:
             total += lam * float(np.mean(np.abs(gp.channels[c].data - gt.channels[c].data)))
     return total
 
-
-def _write_sample(out: Path, i: int, sample: Sample) -> dict:
-    """Write sample i as ``sample_{i:03d}.nii``; returns its manifest entry."""
-    name = f"sample_{i:03d}.nii"
-    write_nifti_file(out / name, sample.image, "float32")
-    return {"file": name, "level": sample.level, "record": sample.record.to_json_dict()}
-
-
-def _write_shared(out: Path, target: Volume, deformation: DeformationField) -> None:
-    """Write the files every sample shares: ``target.nii`` and ``deformation.nii``."""
-    write_nifti_file(out / "target.nii", target, "float32")
-    write_nifti_file(out / "deformation.nii", deformation.channels(), "float32")
-
-
-def _write_manifest(out: Path, subject_id: str, seed, entries: list) -> Path:
-    manifest = {
-        "subject": subject_id,
-        "seed": seed,
-        "n": len(entries),
-        "schedule": [e["level"] for e in entries],
-        "samples": entries,
-        "target": "target.nii",
-        "deformation": "deformation.nii",
-    }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def export_batch(batch: SampleBatch, out_dir, seed: int | None = None) -> Path:
-    """Write samples, target, deformation, and a JSON manifest to a directory.
-
-    Returns the manifest path. All bytes are deterministic functions of the
-    batch contents; :func:`write_batch` writes the same files without holding
-    the batch in memory.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = [_write_sample(out, i, s) for i, s in enumerate(batch.samples)]
-    _write_shared(out, batch.target, batch.deformation)
-    return _write_manifest(out, batch.subject_id, seed, entries)

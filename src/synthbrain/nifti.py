@@ -36,7 +36,6 @@ __all__ = [
     "read_nifti",
     "write_nifti",
     "read_volume_stack",
-    "write_volume_stack",
     "read_nifti_file",
     "write_nifti_file",
     "read_header",
@@ -172,8 +171,10 @@ def read_header(stream: bytes) -> NiftiHeader:
 
 
 def _decode(stream: bytes, stack: bool) -> tuple[NiftiHeader, np.ndarray]:
-    """Header and scaled float64 values, shaped ``dim[1:dim[0] + 1]`` in the
-    on-disk (Fortran) order. Only a ``stack`` read accepts a 5D image."""
+    """Header and values, shaped ``dim[1:dim[0] + 1]`` in the on-disk
+    (Fortran) order: scaled values as float64, unscaled ones as a read-only
+    view of the stream in the stored dtype, for the caller to convert once.
+    Only a ``stack`` read accepts a 5D image."""
     stream = _maybe_decompress(stream)
     hdr = read_header(stream)
     if hdr.dim[0] == 5 and not stack:
@@ -187,11 +188,10 @@ def _decode(stream: bytes, stack: bool) -> tuple[NiftiHeader, np.ndarray]:
             f"data needs {nbytes} bytes at offset {hdr.vox_offset}, "
             f"stream holds {len(stream)}"
         )
-    raw = np.frombuffer(stream, dtype=dtype, count=nvals, offset=hdr.vox_offset)
-    values = raw.astype(np.float64)
+    values = np.frombuffer(stream, dtype=dtype, count=nvals, offset=hdr.vox_offset)
     scaling = hdr.scaling
     if scaling is not None:
-        values = values * scaling[0] + scaling[1]
+        values = values.astype(np.float64) * scaling[0] + scaling[1]
     return hdr, values.reshape(shape, order="F")
 
 
@@ -214,6 +214,7 @@ def read_volume_stack(stream: bytes) -> VolumeStack:
     """Decode a 5D single-timepoint vector NIfTI into a stack of channels,
     each a read-only view of the one decoded array; a 3D file is one channel."""
     hdr, data = _decode(stream, stack=True)
+    data = data.astype(np.float64, copy=False)
     if data.ndim == 3:
         data = data[:, :, :, None, None]
     return VolumeStack(tuple(
@@ -270,30 +271,29 @@ def _pack_header(dim, pixdim, code, affine, intent_code=0) -> bytes:
 def _parts(v, datatype: str):
     """The NIfTI bytes of a volume or a channel stack as an iterator of parts:
     header and padding, then each channel's data, encoded as it is reached.
-    The datatype is checked here, before any part is taken."""
+    The datatype, and for an integer one the values' finiteness, are checked
+    here, before any part is taken."""
     code = _datatype_code(datatype)
     if isinstance(v, VolumeStack):
         nx, ny, nz = v.dims
         dim, intent, arrays = (nx, ny, nz, 1, v.channel_count), _INTENT_VECTOR, v.channels
     else:
         dim, intent, arrays = v.dims, 0, (v,)
+    if _DTYPES[code].kind != "f" and not all(np.isfinite(a.data).all() for a in arrays):
+        raise ValueError(f"cannot encode non-finite values as {datatype}")
     header = _pack_header(dim, v.spacing, code, v.grid_to_world, intent_code=intent)
     pad = b"\x00" * (DATA_OFFSET - HEADER_SIZE)
     return itertools.chain([header, pad], (_encode(a.data, code) for a in arrays))
 
 
-def write_nifti(v: Volume | LabelMap, datatype: str = "float32") -> bytes:
-    """Encode a volume as little-endian single-file NIfTI-1 bytes.
+def write_nifti(v: Volume | LabelMap | VolumeStack, datatype: str = "float32") -> bytes:
+    """Encode a volume, or a channel stack as a 5D vector image (dim[4]=1,
+    channels on dim 5), as little-endian single-file NIfTI-1 bytes.
 
-    Values outside an integer datatype's range are clamped.
+    An integer datatype clamps values outside its range and rejects a
+    non-finite value with ``ValueError``.
     """
     return b"".join(_parts(v, datatype))
-
-
-def write_volume_stack(stack: VolumeStack, datatype: str = "float32") -> bytes:
-    """Encode a channel stack as a 5D vector NIfTI (dim[4]=1, channels on dim 5,
-    the slowest axis on disk, so each channel is encoded on its own)."""
-    return b"".join(_parts(stack, datatype))
 
 
 def _read_file(path, decode, **kwargs):

@@ -9,7 +9,7 @@ unphysical) contrast from the same anatomy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,27 +17,16 @@ from .errors import MissingLabelParams
 from .volume import LabelMap, Volume
 
 __all__ = [
-    "ContrastConfig",
     "ContrastParams",
     "sample_contrast_params",
     "paint",
 ]
 
 
-@dataclass(frozen=True)
-class ContrastConfig:
-    """Hyperparameters of the per-label intensity distributions.
-
-    ``mu_l = mu_shift + mu_scale * z (+ label_shift[l])`` and
-    ``sigma_l = |sigma_shift + sigma_scale * z'|`` with z, z' standard normal.
-    Defaults keep pre-normalization intensities mostly inside [0, 1].
-    """
-
-    mu_shift: float = 0.5
-    mu_scale: float = 0.25
-    sigma_shift: float = 0.05
-    sigma_scale: float = 0.05
-    label_shift: dict[int, float] = field(default_factory=dict)
+# mu_l = _MU_SHIFT + _MU_SCALE * z and sigma_l = |_SIGMA_SHIFT + _SIGMA_SCALE * z'|,
+# z and z' standard normal: pre-normalization intensities stay mostly in [0, 1]
+_MU_SHIFT, _MU_SCALE = 0.5, 0.25
+_SIGMA_SHIFT, _SIGMA_SCALE = 0.05, 0.05
 
 
 @dataclass(frozen=True)
@@ -65,11 +54,7 @@ class ContrastParams:
         return cls({int(k): (float(v["mu"]), float(v["sigma"])) for k, v in raw.items()})
 
 
-def sample_contrast_params(
-    rng: np.random.Generator,
-    labels,
-    cfg: ContrastConfig = ContrastConfig(),
-) -> ContrastParams:
+def sample_contrast_params(rng: np.random.Generator, labels) -> ContrastParams:
     """One (mu, sigma) draw per label, in sorted label order.
 
     Background (label 0) is forced to mu=0, sigma=0 and consumes no draws,
@@ -84,8 +69,8 @@ def sample_contrast_params(
             table[0] = (0.0, 0.0)
             continue
         z, zp = rng.standard_normal(2)
-        mu = cfg.mu_shift + cfg.mu_scale * z + cfg.label_shift.get(lab, 0.0)
-        sigma = abs(cfg.sigma_shift + cfg.sigma_scale * zp)
+        mu = _MU_SHIFT + _MU_SCALE * z
+        sigma = abs(_SIGMA_SHIFT + _SIGMA_SCALE * zp)
         table[lab] = (float(mu), float(sigma))
     return ContrastParams(table)
 

@@ -549,6 +549,24 @@ def test_evaluate_consumes_generate_manifest(tmp_path, subject_files, capsys):
     assert str(report_path) in captured.err
 
 
+@pytest.mark.parametrize("spacing, nx", [((2.0, 2.0, 2.0), 24), ((1.0, 1.0, 1.0), 20)],
+                         ids=["2mm", "cropped"])
+def test_evaluate_mask_on_another_grid_exits_3(tmp_path, subject_files, capsys, spacing, nx):
+    subject, labels, mprage = subject_files
+    out = tmp_path / "batch"
+    assert main(["generate", str(labels), str(mprage), "--n", "1",
+                 "--seed", "4", "--out", str(out)]) == 0
+    mask = tmp_path / "mask.nii"
+    sb.write_nifti_file(mask, sb.LabelMap(subject.labels.data[:nx], spacing), "int16")
+    capsys.readouterr()
+    rc = main(["evaluate", "--reference", str(out / "target.nii"),
+               "--candidates", str(out / "manifest.json"), "--mask", str(mask),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 3
+    assert f"{mask}: the mask's grid" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_evaluate_inter_mode_with_atlas_map(tmp_path, capsys):
     ref = sb.VolumeStack((smooth_volume(16, 0),))
     ident = sb.identity_field(ref.channels[0])

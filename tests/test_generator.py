@@ -242,7 +242,7 @@ def test_batch_loss_checks_geometry(subject32):
 
 def test_export_writes_complete_manifest(tmp_path, subject32):
     batch = sb.generate_batch(subject32, 2, base_seed=9)
-    manifest_path = sb.export_batch(batch, tmp_path, seed=9)
+    manifest_path = sb.write_batch(subject32, 2, 9, tmp_path)
     manifest = json.loads(manifest_path.read_text())
     assert manifest["subject"] == subject32.id
     assert manifest["seed"] == 9
@@ -284,10 +284,19 @@ def test_write_batch_writes_the_exported_tree(tmp_path, threads, case):
     if case == "sheared-off-first":
         schedule = ["off", "mild", "mild", "medium", "severe"]
     batch = sb.generate_batch(subject, 5, base_seed=6, schedule=schedule, threads=threads)
-    exported = sb.export_batch(batch, tmp_path / "exported", seed=6)
-    written = sb.write_batch(subject, 5, 6, tmp_path / "written", schedule=schedule, threads=threads)
-    assert written == tmp_path / "written" / "manifest.json"
-    assert _tree_bytes(written.parent) == _tree_bytes(exported.parent)
+    written = sb.write_batch(subject, 5, 6, tmp_path, schedule=schedule, threads=threads)
+    assert written == tmp_path / "manifest.json"
+    files = _tree_bytes(tmp_path)
+    manifest = json.loads(files.pop("manifest.json"))
+    expected = {"target.nii": sb.write_nifti(batch.target),
+                "deformation.nii": sb.write_nifti(batch.deformation.channels())}
+    expected.update((f"sample_{i:03d}.nii", sb.write_nifti(s.image)) for i, s in enumerate(batch.samples))
+    assert files == expected
+    assert {k: manifest[k] for k in ("subject", "seed", "n", "schedule")} == {
+        "subject": subject.id, "seed": 6, "n": 5, "schedule": [s.level for s in batch.samples]}
+    entries = [{"file": f"sample_{i:03d}.nii", "level": s.level, "record": s.record.to_json_dict()}
+               for i, s in enumerate(batch.samples)]
+    assert manifest["samples"] == json.loads(json.dumps(entries))
 
 
 def test_write_batch_memory_does_not_grow_with_the_batch(tmp_path):
@@ -306,8 +315,8 @@ def test_write_batch_memory_does_not_grow_with_the_batch(tmp_path):
         sb.write_batch(subject, n, 3, out, threads=2)
 
     def in_memory(n, out):
-        sb.export_batch(sb.generate_batch(subject, n, 3, threads=2), out, seed=3)
+        sb.generate_batch(subject, n, 3, threads=2)
 
-    # 20 more samples: the in-memory route holds each of them until export
+    # 20 more samples: the in-memory route holds each of them until it returns
     assert peak(in_memory, 24) - peak(in_memory, 4) > 15 * volume
     assert peak(streamed, 24) - peak(streamed, 4) < 3 * volume

@@ -1,5 +1,6 @@
-"""Import hygiene: no library module imports a name it never uses, and no
-private module-level function, class or constant goes unread.
+"""Import hygiene: no library module imports a name it never uses, no
+private module-level function, class or constant goes unread, and every
+name a module lists in ``__all__`` is defined in it.
 
 Deleting a code path easily leaves its imports and helpers behind; this
 catches them. ``__init__.py`` is exempt from the import check, since
@@ -48,8 +49,8 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level ``_name`` functions, classes and constants -> their line."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assigned names -> their line."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -59,9 +60,14 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
             targets = [n.id for side in sides for n in ast.walk(side) if isinstance(n, ast.Name)]
         else:
             continue
-        defined.update((name, node.lineno) for name in targets
-                       if name.startswith("_") and not name.startswith("__"))
+        defined.update((name, node.lineno) for name in targets)
     return defined
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and constants -> their line."""
+    return {name: line for name, line in _definitions(tree).items()
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def _read(tree: ast.Module) -> set[str]:
@@ -107,3 +113,30 @@ def test_the_check_sees_an_unread_private_definition():
     user = ast.parse("from lib import _K\nimport lib\nlib._h()\nx = _K\n")
     assert set(_unread_private({"lib": lib, "user": user})) == {
         "lib:_B", "lib:_C", "lib:_D", "lib:_f", "lib:_g"}
+
+
+def _undefined_exports(tree: ast.Module) -> list[str]:
+    """Entries of a module-level ``__all__`` that the module neither defines nor imports."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            bound = _definitions(tree).keys() | _imported(tree).keys()
+            return [e.value for e in node.value.elts if e.value not in bound]
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    stale = _undefined_exports(ast.parse(path.read_text(), filename=str(path)))
+    assert not stale, f"{path.name}: __all__ lists undefined names {stale}"
+
+
+def test_the_check_sees_an_undefined_export():
+    tree = ast.parse(
+        "import os.path\nfrom m import a as b\n"
+        "def f():\n    gone = 1\n"
+        "class K:\n    pass\n"
+        "X, (Y, Z) = 1, (2, 3)\nW: int = 4\n"
+        "__all__ = ['os', 'b', 'f', 'K', 'X', 'Z', 'W', 'a', 'gone', 'path']\n"
+    )
+    assert _undefined_exports(tree) == ["a", "gone", "path"]

@@ -23,7 +23,6 @@ from synthbrain import (
     same_geometry,
     write_nifti,
     write_nifti_file,
-    write_volume_stack,
 )
 
 from reference_impls import header_dump
@@ -116,7 +115,7 @@ def test_non_finite_slope_means_unset(slope):
 
 def test_stack_round_trip(rng):
     stack = VolumeStack(tuple(Volume(rng.random((4, 4, 4))) for _ in range(3)))
-    back = read_volume_stack(write_volume_stack(stack, "float32"))
+    back = read_volume_stack(write_nifti(stack, "float32"))
     assert back.channel_count == 3
     for a, b in zip(back.channels, stack.channels):
         assert np.array_equal(a.data, b.data.astype("<f4").astype(np.float64))
@@ -144,14 +143,14 @@ def test_stack_bytes_match_the_stacked_encoding(rng, dtype, layout):
     stack = VolumeStack(tuple(Volume(c) for c in chans))
     assert all(ch.data.flags[f"{order}_CONTIGUOUS"] for ch in stack.channels)
     stacked = np.stack([ch.data for ch in stack.channels], axis=-1)[:, :, :, None, :]
-    blob = write_volume_stack(stack, dtype)
+    blob = write_nifti(stack, dtype)
     assert blob[DATA_OFFSET:] == _encode(stacked, _datatype_code(dtype))
 
 
 def test_large_stacks_are_read_and_written_without_a_stacked_copy(rng):
     stack = VolumeStack(tuple(Volume(rng.random((64, 64, 64))) for _ in range(32)))
     float64_bytes = 32 * 64 ** 3 * 8
-    blob, write_peak = _traced_peak(write_volume_stack, stack)
+    blob, write_peak = _traced_peak(write_nifti, stack)
     payload = float64_bytes // 2
     assert len(blob) == 352 + payload
     assert write_peak <= 2.2 * payload
@@ -163,22 +162,48 @@ def test_large_stacks_are_read_and_written_without_a_stacked_copy(rng):
     assert np.array_equal(back.channels[31].data, stack.channels[31].data.astype("<f4"))
 
 
+def test_integer_labels_are_read_without_a_float64_copy(rng):
+    data = rng.integers(0, 2036, (64, 64, 64)).astype(np.int32)
+    blob = write_nifti(LabelMap(data), "int16")
+    for as_labels in (True, None):
+        back, peak = _traced_peak(read_nifti, blob, as_labels)
+        # the int32 result alone; a float64 decode plus its rint took five times that
+        assert peak <= 1.2 * data.nbytes
+        assert isinstance(back, LabelMap) and np.array_equal(back.data, data)
+    volume = read_nifti(blob, as_labels=False)
+    assert volume.data.dtype == np.float64 and np.array_equal(volume.data, data)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", ["int16", "uint8"])
+def test_non_finite_values_are_rejected_for_integer_datatypes(tmp_path, value, dtype):
+    v = Volume(np.full((4, 4, 4), value))
+    for obj in (v, VolumeStack((Volume(np.zeros((4, 4, 4))), v))):
+        with pytest.raises(ValueError, match=dtype):
+            write_nifti(obj, dtype)
+        with pytest.raises(ValueError, match=dtype):
+            write_nifti_file(tmp_path / "v.nii", obj, dtype)
+        assert not (tmp_path / "v.nii").exists()
+    # a float datatype stores them as they are
+    assert np.array_equal(read_nifti(write_nifti(v)).data, v.data, equal_nan=True)
+
+
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
 @pytest.mark.parametrize("dtype", ["float32", "int16"])
 def test_files_hold_the_encoded_bytes(tmp_path, rng, suffix, dtype):
     v = Volume(rng.normal(0.0, 300.0, (5, 4, 3)))
     stack = VolumeStack((v, Volume(rng.normal(0.0, 300.0, (5, 4, 3)))))
-    for obj, encode in ((v, write_nifti), (stack, write_volume_stack)):
+    for obj in (v, stack):
         path = tmp_path / f"{type(obj).__name__}{suffix}"
         write_nifti_file(path, obj, dtype)
-        payload = encode(obj, dtype)
+        payload = write_nifti(obj, dtype)
         assert path.read_bytes() == (gzip.compress(payload, mtime=0) if suffix == ".nii.gz" else payload)
 
 
 def test_a_stack_file_is_written_without_joining_its_channels(tmp_path, rng):
     stack = VolumeStack(tuple(Volume(rng.random((64, 64, 64))) for _ in range(3)))
     channel = 64 ** 3 * 4
-    _, joined_peak = _traced_peak(lambda: (tmp_path / "a.nii").write_bytes(write_volume_stack(stack)))
+    _, joined_peak = _traced_peak(lambda: (tmp_path / "a.nii").write_bytes(write_nifti(stack)))
     _, streamed_peak = _traced_peak(write_nifti_file, tmp_path / "b.nii", stack)
     # joined: every encoded channel plus their join; streamed: one channel's cast and bytes
     assert joined_peak >= 5.5 * channel
@@ -281,12 +306,12 @@ def test_without_an_sform_the_affine_is_the_pixdim_diagonal(rng):
     assert np.array_equal(back.data, read_nifti(write_nifti(v)).data)
 
 
-@pytest.mark.parametrize("write", [write_nifti, write_volume_stack])
-def test_integer_datatype_codes_are_rejected(rng, write, tmp_path):
+@pytest.mark.parametrize("kind", ["volume", "stack"])
+def test_integer_datatype_codes_are_rejected(rng, kind, tmp_path):
     v = Volume(rng.random((3, 3, 3)))
-    obj = VolumeStack((v,)) if write is write_volume_stack else v
+    obj = VolumeStack((v,)) if kind == "stack" else v
     with pytest.raises(UnsupportedDatatype, match="16"):
-        write(obj, 16)
+        write_nifti(obj, 16)
     with pytest.raises(UnsupportedDatatype):
         write_nifti_file(tmp_path / "v.nii", obj, 16)
     assert not (tmp_path / "v.nii").exists()
@@ -310,7 +335,7 @@ def test_other_dimensions_are_rejected_by_both_readers(rng):
     for read in (read_nifti, read_volume_stack):
         with pytest.raises(UnsupportedDimension, match="dim"):
             read(blob)
-    stack_blob = write_volume_stack(VolumeStack((Volume(rng.random((3, 3, 3))),) * 2))
+    stack_blob = write_nifti(VolumeStack((Volume(rng.random((3, 3, 3))),) * 2))
     with pytest.raises(UnsupportedDimension, match="3D scalar"):
         read_nifti(stack_blob)
 
@@ -340,6 +365,6 @@ def test_independent_offset_dump_agrees(rng):
 
 def test_vector_file_layout(rng):
     stack = VolumeStack(tuple(Volume(rng.random((3, 3, 3))) for _ in range(3)))
-    dump = header_dump(write_volume_stack(stack))
+    dump = header_dump(write_nifti(stack))
     assert dump["dim"][:6] == (5, 3, 3, 3, 1, 3)
     assert dump["intent_code"] == 1007  # vector-valued voxels

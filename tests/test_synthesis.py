@@ -12,16 +12,6 @@ import synthbrain as sb
 from conftest import sphere_labels
 
 
-def test_zero_spread_gives_exact_shift_values():
-    cfg = sb.ContrastConfig(mu_scale=0.0, sigma_scale=0.0)
-    params = sb.sample_contrast_params(np.random.default_rng(0), (0, 1, 2, 3), cfg)
-    for lab in (1, 2, 3):
-        mu, sigma = params.table[lab]
-        assert mu == cfg.mu_shift
-        assert sigma == cfg.sigma_shift
-    assert params.table[0] == (0.0, 0.0)
-
-
 def test_sampling_deterministic_under_seed():
     labels = (0, 2, 3, 7)
     a = sb.sample_contrast_params(np.random.default_rng(99), labels)
@@ -30,17 +20,10 @@ def test_sampling_deterministic_under_seed():
 
 
 def test_mean_intensity_concentrates_around_shift():
-    cfg = sb.ContrastConfig(mu_scale=0.1)
     rng = np.random.default_rng(0)
-    draws = [sb.sample_contrast_params(rng, (0, 1), cfg).table[1][0] for _ in range(10_000)]
-    assert abs(np.mean(draws) - 0.5) < 0.005
-    assert abs(np.std(draws) - 0.1) < 0.005
-
-
-def test_label_shift_biases_named_label():
-    cfg = sb.ContrastConfig(mu_scale=0.0, label_shift={4: 0.25})
-    params = sb.sample_contrast_params(np.random.default_rng(0), (0, 1, 4), cfg)
-    assert params.table[4][0] == pytest.approx(params.table[1][0] + 0.25)
+    draws = [sb.sample_contrast_params(rng, (0, 1)).table[1][0] for _ in range(10_000)]
+    assert abs(np.mean(draws) - 0.5) < 0.0125
+    assert abs(np.std(draws) - 0.25) < 0.0125
 
 
 def test_single_label_prenormalized_is_constant():
