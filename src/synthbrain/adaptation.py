@@ -9,6 +9,7 @@ least squares over all voxels IS the training optimum — no gradient loop.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# voxels per design block: 8.6 MB at 33 rows
+_SLAB_VOXELS = 32_768
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,35 @@ def _voxel_order(features: VolumeStack) -> str:
     return "F" if features.channels[0].data.flags.f_contiguous else "C"
 
 
-def _design_matrix(features: VolumeStack, concat_input: Volume | None, order: str) -> np.ndarray:
-    """Channel-first ``(k + 1, nvox)`` inputs: one row per input channel, then ones.
+def _slabs(features: VolumeStack, concat_input: Volume | None, target: VolumeStack | None = None):
+    """Yield ``(x, y, flat)`` per slab of voxels in :func:`_voxel_order`'s
+    flattening: the channel-first ``(k + 1, s)`` design block (a row per
+    feature channel, then the concatenated input, then ones), the ``(m, s)``
+    target rows (none without a target) and the slab's slice of the grid.
 
-    Each row is one copy of a channel; a voxel-first matrix took strided
-    writes, ~4x slower to build at 64³ x 32 channels.
+    Grids in that layout are sliced without a copy (one in the other layout
+    is copied once, whole); the blocks are reused from slab to slab.
     """
-    rows = [ch.data.ravel(order) for ch in features.channels]
+    order = _voxel_order(features)
+    grids = [ch.data.ravel(order) for ch in features.channels]
     if concat_input is not None:
         check_same_geometry(features, concat_input)
-        rows.append(concat_input.data.ravel(order))
-    rows.append(np.ones(rows[0].size))
-    return np.stack(rows)
+        grids.append(concat_input.data.ravel(order))
+    targets = []
+    if target is not None:
+        check_same_geometry(features, target)
+        targets = [ch.data.ravel(order) for ch in target.channels]
+    nvox = grids[0].size
+    x = np.empty((len(grids) + 1, min(nvox, _SLAB_VOXELS)))
+    x[-1] = 1.0
+    y = np.empty((len(targets), x.shape[1]))
+    for lo in range(0, nvox, _SLAB_VOXELS):
+        flat = slice(lo, min(lo + _SLAB_VOXELS, nvox))
+        s = flat.stop - lo
+        for block, sources in ((x, grids), (y, targets)):
+            for row, grid in zip(block, sources):
+                row[:s] = grid[flat]
+        yield x[:, :s], y[:, :s], flat
 
 
 def fit_adapter(
@@ -103,24 +123,25 @@ def fit_adapter(
     """Ridge least squares over voxels: min ||XW + b - Y||^2 + ridge*||W||^2.
 
     The bias column is never regularized. ``ridge=0`` demands a full-rank
-    system and raises :class:`SingularSystem` otherwise.
+    system and raises :class:`SingularSystem` otherwise. The normal
+    equations are summed one voxel slab at a time.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     target = _as_stack(target)
-    check_same_geometry(features, target)
-    order = _voxel_order(features)
-    xt = _design_matrix(features, concat_input, order)
-    yt = np.stack([ch.data.ravel(order) for ch in target.channels])
-    k, nvox = xt.shape[0] - 1, xt.shape[1]
+    k = features.channel_count + (concat_input is not None)
+    nvox = math.prod(features.dims)
     if nvox <= k:
         raise ValueError(f"{nvox} voxels cannot determine {k} input channels")
 
-    gram = xt @ xt.T
+    gram = np.zeros((k + 1, k + 1))
+    rhs = np.zeros((k + 1, target.channel_count))
+    for xt, yt, _ in _slabs(features, concat_input, target):
+        gram += xt @ xt.T
+        rhs += xt @ yt.T
     reg = np.zeros(k + 1)
     reg[:k] = ridge
     gram += np.diag(reg)
-    rhs = xt @ yt.T
 
     if ridge == 0.0:
         cond = np.linalg.cond(gram)
@@ -135,10 +156,9 @@ def fit_adapter(
     return LinearAdapter(wb[:k], wb[k], uses_input=concat_input is not None, softmax=softmax)
 
 
-def apply_adapter(
-    adapter: LinearAdapter, features: VolumeStack, concat_input: Volume | None = None
-) -> VolumeStack:
-    """Forward pass of the head; softmax heads return per-voxel probabilities."""
+def _head(adapter: LinearAdapter, features: VolumeStack, concat_input: Volume | None):
+    """The head's forward pass on one design block, once the inputs are
+    checked against what the head was fitted on."""
     if adapter.uses_input != (concat_input is not None):
         raise ChannelMismatch(
             "adapter was fitted "
@@ -150,14 +170,29 @@ def apply_adapter(
         raise ChannelMismatch(
             f"adapter expects {expected} feature channels, got {features.channel_count}"
         )
-    order = _voxel_order(features)
-    wb = np.vstack([adapter.weights, adapter.bias])
-    out = wb.T @ _design_matrix(features, concat_input, order)
-    if adapter.softmax:
-        out -= out.max(axis=0, keepdims=True)
-        np.exp(out, out=out)
-        out /= out.sum(axis=0, keepdims=True)
+    wbt = np.vstack([adapter.weights, adapter.bias]).T
+
+    def forward(xt: np.ndarray) -> np.ndarray:
+        out = wbt @ xt
+        if adapter.softmax:
+            out -= out.max(axis=0, keepdims=True)
+            np.exp(out, out=out)
+            out /= out.sum(axis=0, keepdims=True)
+        return out
+
+    return forward
+
+
+def apply_adapter(
+    adapter: LinearAdapter, features: VolumeStack, concat_input: Volume | None = None
+) -> VolumeStack:
+    """Forward pass of the head; softmax heads return per-voxel probabilities."""
+    forward = _head(adapter, features, concat_input)
     dims = features.dims
+    out = np.empty((adapter.out_channels, math.prod(dims)))
+    for xt, _, flat in _slabs(features, concat_input):
+        out[:, flat] = forward(xt)
+    order = _voxel_order(features)
     return VolumeStack(tuple(
         Volume._adopt(row.reshape(dims, order=order), features.spacing, features.grid_to_world)
         for row in out
@@ -172,12 +207,19 @@ def fit_residual(
 ) -> dict:
     """Training-set residuals (mean absolute / mean squared) of a fitted head."""
     target = _as_stack(target)
-    pred = apply_adapter(adapter, features, concat_input)
-    diff = pred.as_array() - target.as_array()
-    return {
-        "residual_l1": float(np.mean(np.abs(diff))),
-        "residual_l2": float(np.mean(diff ** 2)),
-    }
+    forward = _head(adapter, features, concat_input)
+    if target.channel_count != adapter.out_channels:
+        raise ChannelMismatch(
+            f"adapter has {adapter.out_channels} outputs, target has {target.channel_count} channels"
+        )
+    l1 = l2 = 0.0
+    for xt, yt, _ in _slabs(features, concat_input, target):
+        # the target rows are refilled for each slab, so they can take the residual
+        diff = np.subtract(forward(xt), yt, out=yt)
+        l2 += float(np.vdot(diff, diff))
+        l1 += float(np.abs(diff, out=diff).sum())
+    count = target.channel_count * math.prod(features.dims)
+    return {"residual_l1": l1 / count, "residual_l2": l2 / count}
 
 
 # -- task losses ----------------------------------------------------------------

@@ -137,7 +137,8 @@ def _prepare(subject: SubjectRecord, n: int, base_seed: int, schedule, threads):
     nthreads = 1 if threads is None else threads
     if nthreads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if subject.labels.label_set in ((), (0,)):
+    # the condition of an empty label set, without computing the set
+    if not subject.labels.data.any():
         raise EmptyLabelSet(f"subject {subject.id!r} has no foreground labels")
     cfgs = _normalize_schedule(schedule, n)
     # one deformation per batch, drawn with the first sample's ranges

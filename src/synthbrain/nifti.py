@@ -16,7 +16,9 @@ from __future__ import annotations
 import gzip
 import itertools
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +101,11 @@ class NiftiHeader:
         return m
 
 
+_GZIP_MAGIC = b"\x1f\x8b"
+
+
 def _maybe_decompress(stream: bytes) -> bytes:
-    if stream[:2] == b"\x1f\x8b":
+    if stream[:2] == _GZIP_MAGIC:
         return gzip.decompress(stream)
     return stream
 
@@ -170,29 +175,30 @@ def read_header(stream: bytes) -> NiftiHeader:
     )
 
 
-def _decode(stream: bytes, stack: bool) -> tuple[NiftiHeader, np.ndarray]:
-    """Header and values, shaped ``dim[1:dim[0] + 1]`` in the on-disk
-    (Fortran) order: scaled values as float64, unscaled ones as a read-only
-    view of the stream in the stored dtype, for the caller to convert once.
-    Only a ``stack`` read accepts a 5D image."""
-    stream = _maybe_decompress(stream)
-    hdr = read_header(stream)
+def _layout(hdr: NiftiHeader, size: int, stack: bool) -> tuple[tuple[int, ...], np.dtype]:
+    """Shape ``dim[1:dim[0] + 1]`` and stored dtype of the data, checked against
+    the ``size`` bytes that hold it. Only a ``stack`` read accepts a 5D image."""
     if hdr.dim[0] == 5 and not stack:
         raise UnsupportedDimension("dim[0] = 5, expected a 3D scalar image")
     shape = hdr.dim[1 : hdr.dim[0] + 1]
     dtype = _DTYPES[hdr.datatype].newbyteorder(hdr.byte_order)
-    nvals = math.prod(shape)
-    nbytes = nvals * dtype.itemsize
-    if len(stream) < hdr.vox_offset + nbytes:
+    nbytes = math.prod(shape) * dtype.itemsize
+    if size < hdr.vox_offset + nbytes:
         raise TruncatedData(
-            f"data needs {nbytes} bytes at offset {hdr.vox_offset}, "
-            f"stream holds {len(stream)}"
+            f"data needs {nbytes} bytes at offset {hdr.vox_offset}, stream holds {size}"
         )
-    values = np.frombuffer(stream, dtype=dtype, count=nvals, offset=hdr.vox_offset)
+    return shape, dtype
+
+
+def _values(raw, hdr: NiftiHeader, dtype: np.dtype, shape) -> np.ndarray:
+    """The stored values in ``raw``, shaped in the on-disk (Fortran) order:
+    scaled values as float64, unscaled ones as a read-only view of ``raw``
+    in the stored dtype, for the caller to convert once."""
+    values = np.frombuffer(raw, dtype=dtype, count=math.prod(shape))
     scaling = hdr.scaling
     if scaling is not None:
         values = values.astype(np.float64) * scaling[0] + scaling[1]
-    return hdr, values.reshape(shape, order="F")
+    return values.reshape(shape, order="F")
 
 
 def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMap:
@@ -202,7 +208,10 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
     non-negative values comes back as a :class:`LabelMap`, everything else
     as a :class:`Volume`. Pass True/False to force.
     """
-    hdr, data = _decode(stream, stack=False)
+    stream = _maybe_decompress(stream)
+    hdr = read_header(stream)
+    shape, dtype = _layout(hdr, len(stream), stack=False)
+    data = _values(memoryview(stream)[hdr.vox_offset :], hdr, dtype, shape)
     if as_labels is None:
         integral = _DTYPES[hdr.datatype].kind in "iu"
         as_labels = integral and hdr.scaling is None and (data.size == 0 or data.min() >= 0)
@@ -210,16 +219,27 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
     return kind._adopt(data, hdr.spacing, hdr.affine)
 
 
+def _stack(hdr: NiftiHeader, size: int, block) -> VolumeStack:
+    """Decode a stack from ``block(offset, nbytes)``, the data bytes at an
+    offset, one channel at a time into one float64 array; channels are
+    read-only views of it. A 3D image is one channel."""
+    shape, dtype = _layout(hdr, size, stack=True)
+    dims, count = shape[:3], shape[4] if len(shape) == 5 else 1
+    nbytes = math.prod(dims) * dtype.itemsize
+    data = np.empty(dims + (1, count), order="F")
+    for c in range(count):
+        data[:, :, :, 0, c] = _values(block(hdr.vox_offset + c * nbytes, nbytes), hdr, dtype, dims)
+    return VolumeStack(tuple(
+        Volume._adopt(data[:, :, :, 0, c], hdr.spacing, hdr.affine) for c in range(count)
+    ))
+
+
 def read_volume_stack(stream: bytes) -> VolumeStack:
     """Decode a 5D single-timepoint vector NIfTI into a stack of channels,
     each a read-only view of the one decoded array; a 3D file is one channel."""
-    hdr, data = _decode(stream, stack=True)
-    data = data.astype(np.float64, copy=False)
-    if data.ndim == 3:
-        data = data[:, :, :, None, None]
-    return VolumeStack(tuple(
-        Volume._adopt(data[:, :, :, 0, c], hdr.spacing, hdr.affine) for c in range(data.shape[4])
-    ))
+    stream = _maybe_decompress(stream)
+    view = memoryview(stream)
+    return _stack(read_header(stream), len(stream), lambda offset, n: view[offset : offset + n])
 
 
 def _datatype_code(datatype: str) -> int:
@@ -234,10 +254,15 @@ def _encode(data: np.ndarray, code: int) -> bytes:
     if dtype.kind == "f":
         # one cast, then one reorder of the (smaller) cast values
         return np.asarray(data).astype(dtype).tobytes(order="F")
-    # integer targets: round, then clamp into the representable range
-    flat = np.asarray(data, dtype=np.float64).ravel(order="F")
+    # integer targets: round float input, then clamp into the representable
+    # range while casting; integer input is clamped in its own dtype
+    data = np.asarray(data)
+    if data.dtype.kind == "f":
+        data = np.rint(data)
     info = np.iinfo(dtype)
-    return np.clip(np.rint(flat), info.min, info.max).astype(dtype).tobytes()
+    out = np.empty(data.shape, dtype, order="F")
+    np.clip(data, info.min, info.max, out=out, casting="unsafe")
+    return out.tobytes(order="F")
 
 
 def _pack_header(dim, pixdim, code, affine, intent_code=0) -> bytes:
@@ -296,24 +321,39 @@ def write_nifti(v: Volume | LabelMap | VolumeStack, datatype: str = "float32") -
     return b"".join(_parts(v, datatype))
 
 
-def _read_file(path, decode, **kwargs):
-    """``decode`` on a file's bytes; OS errors name the path, decoding errors get it."""
-    with open(path, "rb") as fh:
-        try:
-            return decode(fh.read(), **kwargs)
-        except (SynthBrainError, ValueError) as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
+@contextmanager
+def _naming(path):
+    """Decoding errors raised inside get the path; OS errors name it already."""
+    try:
+        yield
+    except (SynthBrainError, ValueError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_nifti_file(path, as_labels: bool | None = None) -> Volume | LabelMap:
     """:func:`read_nifti` on a file; a decoding error names the path."""
-    return _read_file(path, read_nifti, as_labels=as_labels)
+    with open(path, "rb") as fh, _naming(path):
+        return read_nifti(fh.read(), as_labels=as_labels)
 
 
 def read_volume_stack_file(path) -> VolumeStack:
-    """:func:`read_volume_stack` on a file; a decoding error names the path."""
-    return _read_file(path, read_volume_stack)
+    """:func:`read_volume_stack` on a file; a decoding error names the path.
+
+    An uncompressed file is read one channel block at a time, so only the
+    decoded array and one channel's bytes are held; a gzip file is
+    decompressed whole.
+    """
+    with open(path, "rb") as fh, _naming(path):
+        head = fh.read(DATA_OFFSET)
+        if head[:2] == _GZIP_MAGIC or not fh.seekable():
+            return read_volume_stack(head + fh.read())
+
+        def block(offset: int, nbytes: int) -> bytes:
+            fh.seek(offset)
+            return fh.read(nbytes)
+
+        return _stack(read_header(head), os.fstat(fh.fileno()).st_size, block)
 
 
 def write_nifti_file(path, v, datatype: str = "float32") -> None:

@@ -239,3 +239,44 @@ def header_dump(blob: bytes) -> dict:
         "srow": np.array([srow_x, srow_y, srow_z, (0, 0, 0, 1)]),
         "magic": magic,
     }
+
+
+# -- one-layer head from one full design matrix ----------------------------------
+
+def _design(features, concat=None) -> np.ndarray:
+    """Channel-first ``(k + 1, nvox)`` inputs: a row per channel, then ones."""
+    rows = [np.asarray(f, dtype=np.float64).ravel() for f in features]
+    if concat is not None:
+        rows.append(np.asarray(concat, dtype=np.float64).ravel())
+    rows.append(np.ones(rows[0].size))
+    return np.stack(rows)
+
+
+def full_matrix_fit(features, targets, concat=None, ridge=1e-6):
+    """Ridge normal equations over the whole grid at once: ``(weights, bias)``.
+
+    ``features`` and ``targets`` are lists of equal-shape arrays; the bias
+    row is not regularized.
+    """
+    xt = _design(features, concat)
+    yt = np.stack([np.asarray(t, dtype=np.float64).ravel() for t in targets])
+    k = xt.shape[0] - 1
+    gram = xt @ xt.T + np.diag([ridge] * k + [0.0])
+    wb = np.linalg.solve(gram, xt @ yt.T)
+    return wb[:k], wb[k]
+
+
+def full_matrix_apply(weights, bias, features, concat=None, softmax=False) -> np.ndarray:
+    """``(m, nvox)`` outputs of the head, normalized per voxel when ``softmax``."""
+    out = np.vstack([weights, bias]).T @ _design(features, concat)
+    if softmax:
+        out = np.exp(out - out.max(axis=0, keepdims=True))
+        out /= out.sum(axis=0, keepdims=True)
+    return out
+
+
+def full_matrix_residual(weights, bias, features, targets, concat=None, softmax=False):
+    """Mean absolute and mean squared training residuals."""
+    pred = full_matrix_apply(weights, bias, features, concat, softmax)
+    diff = pred - np.stack([np.asarray(t, dtype=np.float64).ravel() for t in targets])
+    return {"residual_l1": float(np.mean(np.abs(diff))), "residual_l2": float(np.mean(diff ** 2))}

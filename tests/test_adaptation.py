@@ -1,12 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 import synthbrain as sb
 
 from conftest import smooth_volume, sphere_labels
+from reference_impls import full_matrix_apply, full_matrix_fit, full_matrix_residual
 
 
 def _stack(n, channels, seed=0):
@@ -138,6 +141,92 @@ def test_apply_channel_checks():
         sb.apply_adapter(adapter, _stack(10, 2, seed=1))
     with pytest.raises(sb.ChannelMismatch):
         sb.apply_adapter(adapter, feats, concat_input=smooth_volume(10, 3))
+    for call in (sb.fit_residual, lambda *a: sb.apply_adapter(*a[:2])):
+        with pytest.raises(sb.ChannelMismatch):
+            call(adapter, _stack(10, 2, seed=1), smooth_volume(10, 2))
+    # residuals against a target with another channel count than the head's outputs
+    with pytest.raises(sb.ChannelMismatch, match="outputs"):
+        sb.fit_residual(adapter, feats, _stack(10, 2, seed=7))
+
+
+# -- slab sums against one full design matrix -------------------------------------
+
+def _layout(stack, layout):
+    return sb.VolumeStack(tuple(
+        c.with_data(np.asfortranarray(c.data) if layout == "F" else c.data) for c in stack.channels
+    ))
+
+
+def _arrays(stack):
+    return [c.data for c in stack.channels]
+
+
+# 36³ cuts into a full 32 768-voxel slab and a partial one
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("case", ["one output", "three outputs", "concat"])
+def test_slab_fit_matches_the_full_matrix_fit_on_planted_maps(layout, case):
+    feats = _layout(_stack(36, 5, seed=3), layout)
+    rng = np.random.default_rng(4)
+    outputs = 3 if case == "three outputs" else 1
+    w, b = rng.normal(0.0, 1.0, (5, outputs)), rng.normal(0.0, 1.0, outputs)
+    x = np.stack([c.data.ravel() for c in feats.channels], axis=1)
+    image = smooth_volume(36, 77) if case == "concat" else None
+    y = x @ w + b + (0.8 * image.data.reshape(-1, 1) if image is not None else 0.0)
+    target = sb.VolumeStack(tuple(sb.Volume(col.reshape(feats.dims)) for col in y.T))
+    got = sb.fit_adapter(feats, target, concat_input=image, ridge=0.0)
+    ref_w, ref_b = full_matrix_fit(
+        _arrays(feats), _arrays(target), None if image is None else image.data, ridge=0.0)
+    assert np.abs(got.weights - ref_w).max() <= 1e-10
+    assert np.abs(got.bias - ref_b).max() <= 1e-10
+
+
+def _tanh_stack(n, layout):
+    """A perfbench-like feature stack: tanh of one noisy image smoothed at 8
+    widths and 4 gains, so its 32 channels are strongly collinear."""
+    image = np.random.default_rng(11).random((n, n, n))
+    chans = []
+    for c in range(32):
+        smooth = gaussian_filter(image, 0.5 + 0.5 * (c % 8))
+        chans.append(sb.Volume(np.tanh((1 + c // 8) * 2.0 * (smooth - 0.5))))
+    return _layout(sb.VolumeStack(tuple(chans)), layout), image
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("head", ["linear", "softmax", "concat"])
+def test_slab_fit_matches_the_full_matrix_fit_on_a_collinear_stack(layout, head):
+    feats, image = _tanh_stack(36, layout)
+    softmax = head == "softmax"
+    concat = sb.Volume(gaussian_filter(image, 1.0)) if head == "concat" else None
+    outputs = 3 if softmax else 1
+    target = sb.VolumeStack(tuple(
+        sb.Volume(gaussian_filter(image, 1.0 + i)) for i in range(outputs)))
+    concat_data = None if concat is None else concat.data
+    adapter = sb.fit_adapter(feats, target, concat_input=concat, softmax=softmax)
+    ref_w, ref_b = full_matrix_fit(_arrays(feats), _arrays(target), concat_data)
+    got = sb.fit_residual(adapter, feats, target, concat)
+    ref = full_matrix_residual(ref_w, ref_b, _arrays(feats), _arrays(target), concat_data, softmax)
+    for name in ("residual_l1", "residual_l2"):
+        assert got[name] == pytest.approx(ref[name], rel=1e-6)
+    # the same head applied slab by slab and in one product
+    out = sb.apply_adapter(adapter, feats, concat)
+    want = full_matrix_apply(adapter.weights, adapter.bias, _arrays(feats), concat_data, softmax)
+    assert np.abs(np.stack([c.data.ravel() for c in out.channels]) - want).max() <= 1e-9
+
+
+def test_fit_holds_one_design_block_beyond_its_inputs():
+    feats, image = _tanh_stack(48, "F")
+    target = sb.Volume(np.asfortranarray(image))
+    tracemalloc.start()
+    try:
+        adapter = sb.fit_adapter(feats, target)
+        sb.fit_residual(adapter, feats, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 design block of 33 rows by a 32 768-voxel slab and the
+    # target's size; a full (33, 48³) matrix is 29 MB
+    block = 33 * 32_768 * 8
+    assert peak <= block + target.data.nbytes
 
 
 # -- task losses -----------------------------------------------------------------

@@ -117,6 +117,17 @@ def test_singular_fit_exits_5(tmp_path):
     assert rc == 5
 
 
+def test_truncated_features_exit_2_naming_the_file(tmp_path, capsys):
+    feats = sb.VolumeStack(tuple(smooth_volume(12, i) for i in range(3)))
+    f_path, t_path = tmp_path / "f.nii", tmp_path / "t.nii"
+    f_path.write_bytes(sb.write_nifti(feats, "float32")[:-4])
+    sb.write_nifti_file(t_path, smooth_volume(12, 5), "float32")
+    rc = main(["fit-adapter", "--features", str(f_path), "--target", str(t_path),
+               "--out", str(tmp_path / "a.json")])
+    assert rc == 2
+    assert f"{f_path}: data needs" in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
+
 def test_bad_usage_exits_64(tmp_path, subject_files, capsys):
     _, labels, mprage = subject_files
     assert main(["generate", str(labels), str(mprage), "--out", str(tmp_path / "o")]) == 64  # no --seed

@@ -59,8 +59,10 @@ def test_batch_indexes_the_warped_labels_once(monkeypatch):
 
     monkeypatch.setattr(np, "unique", counting_unique)
     sb.generate_batch(subject, 4, base_seed=2, threads=2)
-    # the input map is only checked for emptiness; the warped map is indexed once
-    assert [a is subject.labels.data for a in unique_args] == [True, False]
+    # the input map is only checked for emptiness, without np.unique or its
+    # label set; the warped map is indexed once
+    assert [a is subject.labels.data for a in unique_args] == [False]
+    assert "label_set" not in vars(subject.labels)
     assert "_label_index" not in vars(subject.labels)
 
 

@@ -1,6 +1,8 @@
 import gzip
+import os
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -368,3 +370,86 @@ def test_vector_file_layout(rng):
     dump = header_dump(write_nifti(stack))
     assert dump["dim"][:6] == (5, 3, 3, 3, 1, 3)
     assert dump["intent_code"] == 1007  # vector-valued voxels
+
+
+# -- the file reader against the stream reader ------------------------------------
+
+def _variant(blob: bytes, byte_order: str, scaled: bool) -> bytes:
+    """``blob`` with ``scl_slope``/``scl_inter`` set when ``scaled``, stored in
+    ``byte_order``."""
+    from synthbrain.nifti import _HDR_FMT
+
+    if scaled:
+        blob = _patch(blob, 112, "<2f", 0.5, -3.0)
+    if byte_order == "<":
+        return blob
+    hdr = read_header(blob)
+    fields = struct.unpack_from("<" + _HDR_FMT, blob, 0)
+    dtype = np.dtype({2: "u1", 4: "i2", 16: "f4"}[hdr.datatype])
+    data = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), offset=352)
+    return struct.pack(">" + _HDR_FMT, *fields) + blob[348:352] + data.astype(
+        dtype.newbyteorder(">")).tobytes()
+
+
+def _same_stack(a: VolumeStack, b: VolumeStack) -> bool:
+    return a.channel_count == b.channel_count and same_geometry(a, b) and all(
+        x.data.dtype == y.data.dtype and x.data.tobytes() == y.data.tobytes()
+        for x, y in zip(a.channels, b.channels))
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("dtype", ["uint8", "int16", "float32"])
+@pytest.mark.parametrize("byte_order", ["<", ">"])
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("ndim", [3, 5])
+def test_the_file_reader_matches_the_stream_reader(tmp_path, rng, suffix, dtype, byte_order,
+                                                   scaled, ndim):
+    chans = [Volume(rng.uniform(0.0, 200.0, (5, 4, 3))) for _ in range(3 if ndim == 5 else 1)]
+    obj = VolumeStack(tuple(chans)) if ndim == 5 else chans[0]
+    blob = _variant(write_nifti(obj, dtype), byte_order, scaled)
+    path = tmp_path / f"v{suffix}"
+    path.write_bytes(gzip.compress(blob, mtime=0) if suffix == ".nii.gz" else blob)
+    assert _same_stack(read_volume_stack_file(path), read_volume_stack(path.read_bytes()))
+    # a truncated file fails as its bytes do, naming the path
+    cut = blob[:-3]
+    path.write_bytes(gzip.compress(cut, mtime=0) if suffix == ".nii.gz" else cut)
+    with pytest.raises(TruncatedData) as from_stream:
+        read_volume_stack(path.read_bytes())
+    with pytest.raises(TruncatedData) as from_file:
+        read_volume_stack_file(path)
+    assert str(from_file.value) == f"{path}: {from_stream.value}"
+
+
+def test_a_stack_file_is_read_one_channel_block_at_a_time(tmp_path, rng):
+    stack = VolumeStack(tuple(Volume(rng.random((64, 64, 64))) for _ in range(32)))
+    path = tmp_path / "features.nii"
+    write_nifti_file(path, stack)
+    block = 64 ** 3 * 4
+    back, peak = _traced_peak(read_volume_stack_file, path)
+    # the decoded float64 array and the bytes of one channel; the whole file
+    # and its decode took 32 blocks more
+    decoded = 32 * 64 ** 3 * 8
+    assert peak <= decoded + 2 * block
+    assert _same_stack(back, read_volume_stack(path.read_bytes()))
+
+
+def test_a_stack_is_read_from_a_pipe(tmp_path, rng):
+    blob = write_nifti(VolumeStack(tuple(Volume(rng.random((4, 5, 6))) for _ in range(3))))
+    fifo = tmp_path / "features.nii"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(blob,))
+    writer.start()
+    try:
+        back = read_volume_stack_file(fifo)
+    finally:
+        writer.join()
+    assert _same_stack(back, read_volume_stack(blob))
+
+def test_integer_images_are_encoded_without_float64_copies(rng):
+    labels = LabelMap(rng.integers(0, 40_000, (96, 96, 96)).astype(np.int32))
+    payload = 96 ** 3 * 2
+    blob, peak = _traced_peak(write_nifti, labels, "int16")
+    # the cast values and their bytes; the float64 cast, rint and clip took 12x
+    assert peak <= 2.5 * payload
+    clipped = np.minimum(labels.data, 32767).astype("<i2")
+    assert blob[352:] == clipped.tobytes(order="F")
