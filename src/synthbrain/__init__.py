@@ -21,10 +21,8 @@ from .adaptation import (
 )
 from .corruption import (
     SEVERITY_LEVELS,
-    BiasField,
     CorruptionRecord,
     SeverityConfig,
-    apply_bias,
     apply_corruption,
     corrupt,
     sample_corruption_record,

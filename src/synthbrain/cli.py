@@ -122,6 +122,8 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
     Each level's overrides are applied together, so the file's order cannot
     matter; a value its preset or the deformation config rejects
     (``mild.p_low_field = 2``, ``deformation.squaring_steps = 0``) is a usage error.
+    ``deformation.*`` keys set the shared deformation of the graded levels;
+    ``off`` keeps its all-zero ranges (a raised ``svf_mu_min`` would exceed them).
     """
     presets = {name: SeverityConfig.by_name(name) for name in SEVERITY_LEVELS + ("off",)}
     hints = typing.get_type_hints(SeverityConfig)
@@ -150,7 +152,7 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
             raise _UsageError(f"unknown severity field {fld!r} in config key {key}")
     for name, cfg in presets.items():
         try:
-            if deform_over:
+            if deform_over and name != "off":
                 over[name]["deformation"] = dataclasses.replace(cfg.deformation, **deform_over)
             presets[name] = dataclasses.replace(cfg, **over[name])
         except ValueError as exc:

@@ -4,13 +4,16 @@ Three severity presets (mild / medium / severe) control how aggressive each
 stage is. Every random draw is captured in a :class:`CorruptionRecord`, and
 ``apply_corruption`` replays a record bit-exactly — ``corrupt`` itself is
 implemented as sample-record-then-replay, so the round trip is an identity
-by construction. Records double as ground truth for downstream tasks
-(e.g. the true bias field for bias estimation).
+by construction. Records double as ground truth for downstream tasks:
+``CorruptionRecord.bias_field`` gives the true bias field for bias
+estimation, built by the same routine the replay multiplies in (SynthSeg's
+model: the exp of a small Gaussian log grid, upsampled).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,15 +25,12 @@ from .volume import (
     _corner_aligned_weights,
     _linear_weights,
     _per_axis,
-    check_same_geometry,
     minmax_normalize,
 )
 
 __all__ = [
     "SeverityConfig",
-    "BiasField",
     "CorruptionRecord",
-    "apply_bias",
     "sample_corruption_record",
     "apply_corruption",
     "corrupt",
@@ -71,11 +71,15 @@ class SeverityConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.p_low_field + self.p_anisotropic > 1.0:
             raise ValueError("p_low_field + p_anisotropic must not exceed 1")
-        for name in ("bias_mu", "bias_sigma", "noise_sigma",
-                     "low_field_spacing", "anisotropic_spacing"):
+        # each range is finite and ordered (NaN fails), its min above a floor
+        for name, floor, strict in (("bias_mu", -math.inf, True),
+                                    ("bias_sigma", 0.0, False), ("noise_sigma", 0.0, False),
+                                    ("low_field_spacing", 0.0, True),
+                                    ("anisotropic_spacing", 0.0, True)):
             lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} range has min {lo} > max {hi}")
+            if not ((lo > floor if strict else lo >= floor) and lo <= hi < math.inf):
+                raise ValueError(f"{name} range ({lo}, {hi}) must be finite, with "
+                                 f"min <= max and min {'>' if strict else '>='} {floor}")
 
     @classmethod
     def mild(cls) -> "SeverityConfig":
@@ -106,45 +110,24 @@ class SeverityConfig:
             ) from None
 
 
-@dataclass(frozen=True)
-class BiasField:
-    """Smooth multiplicative intensity field: exp of an upsampled coarse log-grid."""
+def _bias(coarse, like) -> np.ndarray:
+    """The multiplicative field on ``like``'s grid, as a fresh array.
 
-    coarse_log: np.ndarray
-    field: Volume
-    mu: float = 0.0
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        coarse = np.asarray(self.coarse_log, dtype=np.float64)
-        if coarse.ndim != 3 or max(coarse.shape) > 8:
-            raise ValueError(f"coarse grid must be 3D with <= 8 points per axis, got {coarse.shape}")
-        if not np.all(np.isfinite(coarse)):
-            raise ValueError("coarse log-field contains NaN/Inf")
-        if self.field.data.min() <= 0:
-            raise ValueError("bias field must be strictly positive")
-        coarse = coarse.copy()
-        coarse.setflags(write=False)
-        object.__setattr__(self, "coarse_log", coarse)
-
-    @classmethod
-    def from_coarse(cls, coarse_log: np.ndarray, like,
-                    mu: float = 0.0, sigma: float = 0.0) -> "BiasField":
-        """Trilinear-upsample a coarse log grid onto ``like``'s grid and exponentiate.
-
-        The grid is stretched so coarse corners land exactly on volume corners.
-        """
-        coarse = np.asarray(coarse_log, dtype=np.float64)
-        log_full = _per_axis(coarse, [_corner_aligned_weights(n, c)
-                                      for c, n in zip(coarse.shape, like.dims)])
-        return cls(coarse, Volume._adopt(np.exp(log_full), like.spacing, like.grid_to_world),
-                   float(mu), float(sigma))
-
-
-def apply_bias(v: Volume, b: BiasField) -> Volume:
-    """Voxelwise product with the multiplicative field."""
-    check_same_geometry(v, b.field)
-    return Volume._adopt(v.data * b.field.data, v.spacing, v.grid_to_world)
+    The exp of the coarse log grid, trilinearly upsampled with coarse
+    corners on volume corners. A record may come from outside (JSON), so
+    the grid is checked; upsampled log values are convex combinations of
+    the coarse ones, so the field is positive where the coarse minimum is.
+    """
+    coarse = np.asarray(coarse, dtype=np.float64)
+    if coarse.ndim != 3 or max(coarse.shape) > 8:
+        raise ValueError(f"coarse grid must be 3D with <= 8 points per axis, got {coarse.shape}")
+    if not np.all(np.isfinite(coarse)):
+        raise ValueError("coarse log-field contains NaN/Inf")
+    if np.exp(coarse.min()) <= 0:
+        raise ValueError("bias field must be strictly positive")
+    field = _per_axis(coarse, [_corner_aligned_weights(n, c)
+                               for c, n in zip(coarse.shape, like.dims)])
+    return np.exp(field, out=field)
 
 
 def _resample_through(data: np.ndarray, ratios) -> np.ndarray:
@@ -226,14 +209,11 @@ class CorruptionRecord:
             renormalized=bool(d.get("renormalized", False)),
         )
 
-    def bias_field(self, like) -> BiasField | None:
-        """Reconstruct the ground-truth bias field on ``like``'s grid."""
+    def bias_field(self, like) -> Volume | None:
+        """The ground-truth multiplicative bias field on ``like``'s grid."""
         if self.bias is None:
             return None
-        return BiasField.from_coarse(
-            np.asarray(self.bias["coarse"], dtype=np.float64), like,
-            self.bias.get("mu", 0.0), self.bias.get("sigma", 0.0),
-        )
+        return Volume._adopt(_bias(self.bias["coarse"], like), like.spacing, like.grid_to_world)
 
 
 def sample_corruption_record(
@@ -283,7 +263,9 @@ def apply_corruption(v: Volume, record: CorruptionRecord) -> Volume:
     """Replay a record: bias, then resolution, then noise, then renormalize."""
     out = v
     if record.bias is not None:
-        out = apply_bias(out, record.bias_field(v))
+        field = _bias(record.bias["coarse"], v)
+        field *= v.data
+        out = Volume._adopt(field, v.spacing, v.grid_to_world)
     if record.resolution is not None:
         out = _apply_resolution(out, tuple(record.resolution["target_spacing"]))
     if record.noise is not None:

@@ -24,7 +24,7 @@ provenance-free fields fall back to fixed-point inversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -66,8 +66,10 @@ DEFAULT_SQUARING_STEPS = 7
 # velocity fields are integrated and composed, and fields inverted, on a grid
 # this many times coarser per axis
 _INTEGRATION_DOWNSIZE = 2
-# fixed-point inversion stops once its mean on-grid update is below this (voxel)
+# fixed-point inversion stops once its mean on-grid update is below this (voxel),
+# or after this many updates
 _INVERSION_TOL = 1e-3
+_INVERSION_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,19 @@ class DeformationConfig:
     squaring_steps: int = DEFAULT_SQUARING_STEPS
 
     def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("rot_max", "scale_max", "shear_max", "trans_max", "svf_sigma_max"):
+            if values[name] < 0:
+                raise ValueError(f"{name} must be >= 0, got {values[name]}")
+        # a scaling drawn at or below 0 would reflect or collapse the image
+        if self.scale_max >= 1:
+            raise ValueError(f"scale_max must be < 1, got {self.scale_max}")
+        if not 0 <= self.svf_mu_min <= self.svf_mu_max:
+            raise ValueError(f"svf_mu_min must be in [0, svf_mu_max = {self.svf_mu_max}], "
+                             f"got {self.svf_mu_min}")
         if self.squaring_steps < 1:
             raise ValueError(f"squaring_steps must be >= 1, got {self.squaring_steps}")
         if self.svf_control_spacing <= 0:
@@ -387,7 +402,7 @@ def build_deformation(
     return DeformationField._adopt(_per_axis(t, upsample), svf.grid_spacing, g2w, provenance)
 
 
-def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
+def invert(fld: DeformationField) -> DeformationField:
     """Inverse map of a deformation field.
 
     Provenance-bearing fields are inverted analytically (affine inverse plus
@@ -395,9 +410,9 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
     ``u⁻¹(x) <- -u(x + u⁻¹(x))`` (Chen et al., Med. Phys. 2008) is iterated on
     the nodes of :func:`_half_grid`, reading the full-resolution ``u``, and
     upsampled once. It stops once the mean update is below ``_INVERSION_TOL``
-    voxel, or after ``iterations`` updates. Convergence is judged only at
-    nodes whose iterates land on the grid — elsewhere the lookup says nothing
-    about the fixed point. :class:`NotInvertible` is raised when the map
+    voxel, or after ``_INVERSION_ITERATIONS`` updates. Convergence is judged
+    only at nodes whose iterates land on the grid — elsewhere the lookup says
+    nothing about the fixed point. :class:`NotInvertible` is raised when the map
     ``x + u(x)`` reverses orientation (its Jacobian determinant is <= 0 at
     half of the nodes or more), when no iterate lands on the grid, or when
     the final update still moves points by more than one voxel on average.
@@ -421,7 +436,7 @@ def invert(fld: DeformationField, iterations: int = 20) -> DeformationField:
     if np.median(np.linalg.det(grad + np.eye(3))) <= 0.0:
         raise NotInvertible("the field reverses orientation at most of its nodes")
     residual = 0.0
-    for _ in range(iterations):
+    for _ in range(_INVERSION_ITERATIONS):
         # clipped to the grid, so an iterate a hair past a face reads the face
         # displacement instead of flipping to the identity extension
         prev, inv = inv, -sample_trilinear(fld.displacement, np.clip(pts, 0.0, last))

@@ -202,19 +202,17 @@ def dice(pred: LabelMap, ref: LabelMap, labels=None) -> DiceScores:
     return DiceScores(per, float(np.mean(list(per.values()))))
 
 
-def norm_l2_bias(b_est, b_true, mask=None) -> float:
-    """Scale-invariant L2 distance between bias fields.
+def norm_l2_bias(b_est: Volume, b_true: Volume, mask=None) -> float:
+    """Scale-invariant L2 distance between two bias-field volumes.
 
     The estimate is first rescaled by the closed-form optimal scalar
     w = sum(true*est)/sum(est^2), so any positive global scaling of the
     estimate scores 0 against itself.
     """
-    est = getattr(b_est, "field", b_est)
-    true = getattr(b_true, "field", b_true)
-    check_same_geometry(est, true)
-    m = _mask_array(mask, est.dims)
-    e = est.data[m] if m is not None else est.data.ravel()
-    t = true.data[m] if m is not None else true.data.ravel()
+    check_same_geometry(b_est, b_true)
+    m = _mask_array(mask, b_est.dims)
+    e = b_est.data[m] if m is not None else b_est.data.ravel()
+    t = b_true.data[m] if m is not None else b_true.data.ravel()
     ss_e = float((e * e).sum())
     if ss_e == 0.0:
         raise ZeroEstimate("estimated bias field is identically zero over the mask")

@@ -249,20 +249,23 @@ def _datatype_code(datatype: str) -> int:
     return codes[datatype]
 
 
-def _encode(data: np.ndarray, code: int) -> bytes:
+def _encode(data: np.ndarray, code: int) -> memoryview:
+    """``data`` cast to a little-endian NIfTI type in Fortran order, as a byte
+    view of the one cast array: writers take it as they take bytes."""
     dtype = _DTYPES[code].newbyteorder("<")
-    if dtype.kind == "f":
-        # one cast, then one reorder of the (smaller) cast values
-        return np.asarray(data).astype(dtype).tobytes(order="F")
-    # integer targets: round float input, then clamp into the representable
-    # range while casting; integer input is clamped in its own dtype
     data = np.asarray(data)
-    if data.dtype.kind == "f":
-        data = np.rint(data)
-    info = np.iinfo(dtype)
-    out = np.empty(data.shape, dtype, order="F")
-    np.clip(data, info.min, info.max, out=out, casting="unsafe")
-    return out.tobytes(order="F")
+    if dtype.kind == "f":
+        out = data.astype(dtype, order="F")
+    else:
+        # integer targets: round float input, then clamp into the representable
+        # range while casting; integer input is clamped in its own dtype
+        if data.dtype.kind == "f":
+            data = np.rint(data)
+        info = np.iinfo(dtype)
+        out = np.empty(data.shape, dtype, order="F")
+        np.clip(data, info.min, info.max, out=out, casting="unsafe")
+    # the transpose of a Fortran-ordered array is C-contiguous, bytes in file order
+    return memoryview(out.T).cast("B")
 
 
 def _pack_header(dim, pixdim, code, affine, intent_code=0) -> bytes:

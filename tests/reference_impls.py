@@ -280,3 +280,34 @@ def full_matrix_residual(weights, bias, features, targets, concat=None, softmax=
     pred = full_matrix_apply(weights, bias, features, concat, softmax)
     diff = pred - np.stack([np.asarray(t, dtype=np.float64).ravel() for t in targets])
     return {"residual_l1": float(np.mean(np.abs(diff))), "residual_l2": float(np.mean(diff ** 2))}
+
+
+# -- the multiplicative bias field as first built ---------------------------------
+
+def _upsampling_weights(n: int, m: int) -> np.ndarray:
+    """(n, m) linear weights from ``m`` nodes onto ``n`` voxels, end nodes on end voxels."""
+    x = np.clip(np.arange(n) * ((m - 1) / max(n - 1, 1)), 0.0, m - 1.0)
+    i0 = np.floor(x).astype(np.int64)
+    i1 = np.minimum(i0 + 1, m - 1)
+    w = np.zeros((n, m))
+    w[np.arange(n), i0] = 1.0 - (x - i0)
+    w[np.arange(n), i1] += x - i0
+    return w
+
+
+def bias_from_coarse(coarse, dims) -> np.ndarray:
+    """exp of a coarse log grid upsampled onto ``dims``, one axis at a time
+    from the last, then exponentiated into a new array: the arithmetic and
+    order of the field as first built, so agreement is bit for bit."""
+    data = np.asarray(coarse, dtype=np.float64)
+    nodes = data.shape
+    for axis in (2, 1, 0):
+        # the axis to resample is always the last: each product puts its result first
+        data = np.tensordot(_upsampling_weights(dims[axis], nodes[axis]), data, axes=(1, 2))
+    return np.exp(data)
+
+
+def apply_bias(data: np.ndarray, coarse) -> np.ndarray:
+    """The image times its bias field, multiplied in that order."""
+    data = np.asarray(data, dtype=np.float64)
+    return data * bias_from_coarse(coarse, data.shape)

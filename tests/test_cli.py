@@ -328,11 +328,36 @@ def test_malformed_dotted_config_value_exits_64(tmp_path, subject_files, capsys,
     assert line.split(" = ")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule", ["mild,severe", "off,mild"])
+def test_deformation_keys_leave_the_off_level_without_deformation(tmp_path, subject_files,
+                                                                  capsys, schedule):
+    # a min above the off level's all-zero ranges is valid for the graded levels
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("deformation.svf_mu_min = 0.04\ndeformation.rot_max = 10\n")
+    out = tmp_path / "o"
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--schedule", schedule, "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    moved = np.abs(sb.read_volume_stack_file(out / "deformation.nii").as_array()).max()
+    assert (moved == 0.0) == schedule.startswith("off")
+
+
+# from "nan" on, each used to crash, exit 2 with numpy's message, or run
+# (a scale range reaching 0 reflects the image)
 @pytest.mark.parametrize("line,field", [("mild.p_low_field = 2", "p_low_field"),
                                         ("severe.noise_sigma_min = 20", "noise_sigma"),
                                         ("deformation.squaring_steps = 0", "squaring_steps"),
                                         ("deformation.svf_control_spacing = 0",
-                                         "svf_control_spacing")])
+                                         "svf_control_spacing"),
+                                        ("deformation.svf_sigma_max = nan", "svf_sigma_max"),
+                                        ("mild.noise_sigma_max = nan", "noise_sigma"),
+                                        ("deformation.svf_mu_min = 0.1", "svf_mu_min"),
+                                        ("deformation.scale_max = 1.5", "scale_max"),
+                                        ("deformation.svf_sigma_max = -2", "svf_sigma_max"),
+                                        ("medium.bias_sigma_min = -0.1", "bias_sigma"),
+                                        ("severe.low_field_spacing_min = 0",
+                                         "low_field_spacing")])
 def test_out_of_range_dotted_config_value_exits_64(tmp_path, subject_files, capsys, line, field):
     _, labels, mprage = subject_files
     cfg = tmp_path / "run.cfg"
@@ -341,6 +366,7 @@ def test_out_of_range_dotted_config_value_exits_64(tmp_path, subject_files, caps
                "--seed", "3", "--out", str(tmp_path / "o")])
     assert rc == 64
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("line, name", [("deformation.bogus = 1", "bogus"),

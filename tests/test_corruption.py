@@ -1,19 +1,16 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
 import synthbrain as sb
-from synthbrain.corruption import SeverityConfig, sample_corruption_record
+from synthbrain.corruption import SEVERITY_LEVELS, SeverityConfig, sample_corruption_record
 
 from conftest import smooth_volume, sphere_labels
-from reference_impls import gather_trilinear
-
-
-def _draw_bias(rng, cfg, like):
-    return sample_corruption_record(rng, cfg, like).bias_field(like)
+from reference_impls import apply_bias, bias_from_coarse, gather_trilinear
 
 
 def _draw_stage(stage, v, rng, cfg):
@@ -60,17 +57,23 @@ def test_invalid_probabilities_rejected():
 
 # -- multiplicative bias ------------------------------------------------------------
 
+def _bias_record(coarse):
+    return sb.CorruptionRecord("custom", bias={"coarse": np.asarray(coarse).tolist()})
+
+
 def test_bias_field_positive_and_smooth():
     v = smooth_volume(24, 0)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        b = _draw_bias(rng, SeverityConfig.severe(), v)
-        assert b.field.data.min() > 0.0
-    assert b.coarse_log.shape == (4, 4, 4)
+        record = sample_corruption_record(rng, SeverityConfig.severe(), v)
+        b = record.bias_field(v)
+        assert isinstance(b, sb.Volume) and sb.same_geometry(b, v)
+        assert b.data.min() > 0.0
+    assert np.shape(record.bias["coarse"]) == (4, 4, 4)
 
 
 def test_bias_log_spread_matches_request():
-    # pool log-field voxels over many draws with a pinned (mu, sigma)
+    # pool log-field values over many draws with a pinned (mu, sigma)
     cfg = SeverityConfig(
         "mild", p_low_field=0.0, p_anisotropic=0.0,
         bias_mu=(0.1, 0.1), bias_sigma=(0.3, 0.3), noise_sigma=(0.0, 0.0),
@@ -78,28 +81,79 @@ def test_bias_log_spread_matches_request():
     v = smooth_volume(8, 0)
     rng = np.random.default_rng(42)
     logs = np.concatenate(
-        [_draw_bias(rng, cfg, v).coarse_log.ravel() for _ in range(400)]
+        [np.ravel(sample_corruption_record(rng, cfg, v).bias["coarse"]) for _ in range(400)]
     )
     assert abs(logs.mean() - 0.1) < 0.01
     assert abs(logs.std() - 0.3) < 0.01
 
 
-@pytest.mark.parametrize("coarse_shape, dims", [
+_ORACLE_GRIDS = [
     ((4, 4, 4), (7, 5, 9)),
     ((2, 3, 4), (1, 6, 4)),
     # (n-1) * ((c-1)/(n-1)) rounds just past c-1 for c=8, n=26 and c=4, n=188;
     # the end face must still take the end coarse value
     ((8, 3, 4), (26, 5, 188)),
-])
+]
+
+
+@pytest.mark.parametrize("coarse_shape, dims", _ORACLE_GRIDS)
 def test_bias_field_matches_trilinear_oracle(coarse_shape, dims):
     coarse = np.random.default_rng(7).normal(0.0, 0.4, coarse_shape)
-    b = sb.BiasField.from_coarse(coarse, sb.Volume(np.zeros(dims)))
+    b = _bias_record(coarse).bias_field(sb.Volume(np.zeros(dims)))
     idx = np.stack(np.meshgrid(*[np.arange(n, dtype=float) for n in dims], indexing="ij"), -1)
     scale = [(c - 1) / max(n - 1, 1) for c, n in zip(coarse_shape, dims)]
     pts = np.minimum(idx * scale, np.asarray(coarse_shape, dtype=float) - 1.0)
-    assert np.max(np.abs(b.field.data - np.exp(gather_trilinear(coarse, pts)))) <= 1e-12
+    assert np.max(np.abs(b.data - np.exp(gather_trilinear(coarse, pts)))) <= 1e-12
     corner = tuple(-1 if n > 1 else 0 for n in dims)
-    assert np.allclose(np.log(b.field.data[-1, -1, -1]), coarse[corner], atol=1e-12)
+    assert np.allclose(np.log(b.data[-1, -1, -1]), coarse[corner], atol=1e-12)
+
+
+@pytest.mark.parametrize("coarse_shape, dims", _ORACLE_GRIDS)
+def test_bias_matches_the_first_arithmetic_bit_for_bit(coarse_shape, dims):
+    v = sb.Volume(np.random.default_rng(3).random(dims), spacing=(1.0, 1.2, 0.9))
+    records = [_bias_record(np.random.default_rng(seed).normal(0.0, 0.4, coarse_shape))
+               for seed in range(3)]
+    for level in SEVERITY_LEVELS:
+        rng = np.random.default_rng(len(level))
+        for _ in range(4):
+            drawn = sample_corruption_record(rng, SeverityConfig.by_name(level), v)
+            records.append(sb.CorruptionRecord(level, bias=drawn.bias))
+    for record in records:
+        coarse = record.bias["coarse"]
+        assert np.array_equal(record.bias_field(v).data, bias_from_coarse(coarse, dims))
+        assert np.array_equal(sb.apply_corruption(v, record).data, apply_bias(v.data, coarse))
+
+
+@pytest.mark.parametrize("coarse, message", [
+    (np.full((4, 4, 4), np.nan), "contains NaN/Inf"),
+    (np.zeros((4, 4)), "must be 3D"),
+    (np.zeros((9, 4, 4)), "<= 8 points per axis"),
+    (np.full((4, 4, 4), -1000.0), "strictly positive"),
+])
+def test_an_outside_record_with_a_bad_coarse_grid_is_rejected(coarse, message):
+    v = smooth_volume(8, 0)
+    wire = json.loads(json.dumps(_bias_record(coarse).to_json_dict()))
+    record = sb.CorruptionRecord.from_json_dict(wire)
+    with pytest.raises(ValueError, match=message):
+        record.bias_field(v)
+    with pytest.raises(ValueError, match=message):
+        sb.apply_corruption(v, record)
+
+
+def test_bias_replay_holds_one_field_beyond_its_input():
+    v = _painted(64)
+    record = sb.CorruptionRecord("severe", bias=sample_corruption_record(
+        np.random.default_rng(0), SeverityConfig.severe(), v).bias)
+    volume = v.data.nbytes
+    tracemalloc.start()
+    try:
+        out = sb.apply_corruption(v, record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one volume: the field, with the input multiplied into it
+    assert peak <= 1.25 * volume
+    assert np.array_equal(out.data, apply_bias(v.data, record.bias["coarse"]))
 
 
 # sha256 of four successive records' JSON, as drawn by the earlier path that
@@ -123,23 +177,6 @@ def test_corruption_records_are_byte_stable(level, seed):
         for _ in range(4)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == _RECORD_DIGESTS[level, seed]
-
-
-def test_apply_bias_multiplies():
-    v = smooth_volume(16, 1)
-    rng = np.random.default_rng(3)
-    b = _draw_bias(rng, SeverityConfig.severe(), v)
-    out = sb.apply_bias(v, b)
-    assert np.allclose(out.data, v.data * b.field.data, atol=1e-12)
-    assert np.allclose(out.data / np.maximum(b.field.data, 1e-12), v.data, atol=1e-9)
-
-
-def test_bias_geometry_checked():
-    v = smooth_volume(16, 1)
-    b = _draw_bias(np.random.default_rng(0), SeverityConfig.severe(), v)
-    other = smooth_volume(12, 0)
-    with pytest.raises(sb.GeometryMismatch):
-        sb.apply_bias(other, b)
 
 
 # -- resolution degradation ----------------------------------------------------------
@@ -352,4 +389,4 @@ def test_corruption_results_are_read_only_and_own_their_data():
     full = sb.apply_corruption(v, record)
     assert not full.data.flags.writeable
     assert not np.shares_memory(full.data, v.data)
-    assert not v.data.flags.writeable and not record.bias_field(v).field.data.flags.writeable
+    assert not v.data.flags.writeable and not record.bias_field(v).data.flags.writeable

@@ -251,13 +251,6 @@ def test_masked_norm_l2_bias_uses_only_masked_voxels(rng):
     assert sb.norm_l2_bias(est, true, mask=m) != pytest.approx(sb.norm_l2_bias(est, true))
 
 
-def test_norm_l2_bias_accepts_bias_field_objects():
-    v = smooth_volume(8, 0)
-    cfg = sb.SeverityConfig.severe()
-    b = sb.sample_corruption_record(np.random.default_rng(1), cfg, v).bias_field(v)
-    assert sb.norm_l2_bias(b, b) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_norm_l2_bias_zero_estimate_rejected():
     z = _vol(np.zeros((4, 4, 4)))
     t = _vol(np.ones((4, 4, 4)))

@@ -445,6 +445,21 @@ def test_a_stack_is_read_from_a_pipe(tmp_path, rng):
         writer.join()
     assert _same_stack(back, read_volume_stack(blob))
 
+@pytest.mark.parametrize("kind, dtype", [("volume", "float32"), ("labels", "int16")])
+def test_a_written_channel_is_held_once(tmp_path, rng, kind, dtype):
+    if kind == "volume":
+        image = Volume(rng.random((96, 96, 96)))
+    else:
+        image = LabelMap(rng.integers(0, 2035, (96, 96, 96)).astype(np.int32))
+    payload = 96 ** 3 * np.dtype(dtype).itemsize
+    path = tmp_path / "image.nii"
+    _, peak = _traced_peak(write_nifti_file, path, image, dtype)
+    # the cast values only; their bytes as a second copy took 2x
+    assert peak <= 1.2 * payload
+    want = image.data.astype(np.dtype(dtype).newbyteorder("<")).tobytes(order="F")
+    assert path.read_bytes()[352:] == want
+
+
 def test_integer_images_are_encoded_without_float64_copies(rng):
     labels = LabelMap(rng.integers(0, 40_000, (96, 96, 96)).astype(np.int32))
     payload = 96 ** 3 * 2
