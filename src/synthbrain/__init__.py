@@ -88,6 +88,7 @@ from .metrics import (
 )
 from .nifti import (
     NiftiHeader,
+    StackReader,
     read_header,
     read_nifti,
     read_nifti_file,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -72,45 +73,59 @@ class LinearAdapter:
         return self.weights.shape[1]
 
 
-def _as_stack(x) -> VolumeStack:
-    return x if isinstance(x, VolumeStack) else VolumeStack((x,))
+def _as_stack(x):
+    return VolumeStack((x,)) if isinstance(x, Volume) else x
 
 
-def _voxel_order(features: VolumeStack) -> str:
-    """The order voxels are flattened in: the first channel's own layout
-    (Fortran for data read from NIfTI), so its rows copy contiguously."""
+def _voxel_order(features) -> str:
+    """The order voxels are flattened in: a stack file's (Fortran), else the
+    first channel's own layout (Fortran for data read from NIfTI), so its
+    rows copy contiguously."""
+    if not isinstance(features, VolumeStack):
+        return "F"
     return "F" if features.channels[0].data.flags.f_contiguous else "C"
 
 
-def _slabs(features: VolumeStack, concat_input: Volume | None, target: VolumeStack | None = None):
+def _rows(stack, order: str) -> list:
+    """Per channel of ``stack``, a function giving its values at voxels
+    ``[lo, hi)`` of ``order``'s flattening. A :class:`~synthbrain.nifti.StackReader`
+    decodes them from its file, never the whole stack; an in-memory grid in
+    the other layout is copied once, whole."""
+    if not isinstance(stack, VolumeStack):
+        if order == "F":
+            return [partial(stack.values, c) for c in range(stack.channel_count)]
+        stack = stack.read()
+    return [lambda lo, hi, g=ch.data.ravel(order): g[lo:hi] for ch in stack.channels]
+
+
+def _slabs(features, concat_input: Volume | None, target=None):
     """Yield ``(x, y, flat)`` per slab of voxels in :func:`_voxel_order`'s
     flattening: the channel-first ``(k + 1, s)`` design block (a row per
     feature channel, then the concatenated input, then ones), the ``(m, s)``
     target rows (none without a target) and the slab's slice of the grid.
 
-    Grids in that layout are sliced without a copy (one in the other layout
-    is copied once, whole); the blocks are reused from slab to slab.
+    Each row is filled from :func:`_rows`; the blocks are reused from slab
+    to slab.
     """
     order = _voxel_order(features)
-    grids = [ch.data.ravel(order) for ch in features.channels]
+    sources = _rows(features, order)
     if concat_input is not None:
         check_same_geometry(features, concat_input)
-        grids.append(concat_input.data.ravel(order))
+        sources += _rows(_as_stack(concat_input), order)
     targets = []
     if target is not None:
         check_same_geometry(features, target)
-        targets = [ch.data.ravel(order) for ch in target.channels]
-    nvox = grids[0].size
-    x = np.empty((len(grids) + 1, min(nvox, _SLAB_VOXELS)))
+        targets = _rows(target, order)
+    nvox = math.prod(features.dims)
+    x = np.empty((len(sources) + 1, min(nvox, _SLAB_VOXELS)))
     x[-1] = 1.0
     y = np.empty((len(targets), x.shape[1]))
     for lo in range(0, nvox, _SLAB_VOXELS):
-        flat = slice(lo, min(lo + _SLAB_VOXELS, nvox))
-        s = flat.stop - lo
-        for block, sources in ((x, grids), (y, targets)):
-            for row, grid in zip(block, sources):
-                row[:s] = grid[flat]
-        yield x[:, :s], y[:, :s], flat
+        hi = min(lo + _SLAB_VOXELS, nvox)
+        for block, reads in ((x, sources), (y, targets)):
+            for row, read in zip(block, reads):
+                row[: hi - lo] = read(lo, hi)
+        yield x[:, : hi - lo], y[:, : hi - lo], slice(lo, hi)
 
 
 def fit_adapter(
@@ -124,7 +139,9 @@ def fit_adapter(
 
     The bias column is never regularized. ``ridge=0`` demands a full-rank
     system and raises :class:`SingularSystem` otherwise. The normal
-    equations are summed one voxel slab at a time.
+    equations are summed one voxel slab at a time; ``features`` and
+    ``target`` may be :class:`~synthbrain.nifti.StackReader` objects, whose
+    slabs are decoded from their files as they are reached.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
@@ -286,8 +303,10 @@ def adapter_from_json(text: str) -> LinearAdapter:
 
 def save_adapter(path, adapter: LinearAdapter, extra: dict | None = None) -> None:
     doc = {**_adapter_doc(adapter), **(extra or {})}
+    # checked before the file is opened: a NaN would be written as a bare token
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def load_adapter(path) -> LinearAdapter:

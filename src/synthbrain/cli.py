@@ -22,6 +22,8 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import adaptation, generator, metrics
 from .corruption import SEVERITY_LEVELS, SeverityConfig
 from .deformation import DeformationConfig, DeformationField
@@ -32,8 +34,8 @@ from .errors import (
     SynthBrainError,
 )
 from .generator import SubjectRecord, severity_ladder, write_batch
-from .nifti import read_nifti_file, read_volume_stack_file
-from .volume import same_geometry
+from .nifti import StackReader, read_nifti_file
+from .volume import Volume, same_geometry
 
 __all__ = ["main"]
 
@@ -56,10 +58,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_field(path) -> DeformationField:
-    stack = read_volume_stack_file(path)
+    """A 3-channel stack file decoded channel by channel into one C-ordered displacement."""
+    stack = StackReader.open(path)
     if stack.channel_count != 3:
         raise ChannelMismatch(f"{path}: a deformation needs 3 channels, found {stack.channel_count}")
-    return DeformationField._adopt(stack.as_array(), stack.spacing, stack.grid_to_world)
+    u = np.empty(stack.dims + (3,))
+    for c in range(3):
+        u[..., c] = stack.values(c).reshape(stack.dims, order="F")
+    return DeformationField._adopt(u, stack.spacing, stack.grid_to_world)
+
+
+def _read_image(path) -> Volume:
+    """A scalar image; a non-finite voxel is an input error naming the file."""
+    image = read_nifti_file(path, as_labels=False)
+    if not np.isfinite(image.data).all():
+        raise ValueError(f"{path}: holds a non-finite voxel")
+    return image
 
 
 def _ranged(kind, low, high=math.inf, strict=False):
@@ -191,8 +205,9 @@ def _cmd_generate(args, config: dict[str, str]) -> int:
 
 
 def _load_candidates(manifest_path, mode: str, atlas_map):
-    """(stack, field) pairs from a candidates list or a generated-batch manifest.
-    Each deformation file is read once; in inter mode only ``atlas_map`` is used."""
+    """(stack reader, field) pairs from a candidates list or a generated-batch
+    manifest. Each deformation file is read once; in inter mode only
+    ``atlas_map`` is used."""
     doc = json.loads(Path(manifest_path).read_text())
     base = Path(manifest_path).parent
     if not isinstance(doc, dict) or not doc.keys() & {"candidates", "samples"}:
@@ -223,7 +238,7 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
             if key not in fields:
                 fields[key] = _read_field(base / deformation)
             fld = fields[key]
-        out.append((read_volume_stack_file(base / features), fld))
+        out.append((StackReader.open(base / features), fld))
     return out
 
 
@@ -234,7 +249,7 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
     if args.mode == "inter" and args.atlas_map is None:
         raise _UsageError("--atlas-map is required in inter mode")
 
-    reference = read_volume_stack_file(args.reference)
+    reference = StackReader.open(args.reference)
     mask = None
     if args.mask:
         mask = read_nifti_file(args.mask, as_labels=True)
@@ -243,7 +258,7 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
         mask = metrics.interior_mask(mask, erosion=args.erosion)
     atlas_map = _read_field(args.atlas_map) if args.atlas_map else None
     candidates = _load_candidates(args.candidates, args.mode, atlas_map)
-
+    # the stacks are read one channel at a time as they are scored
     report = metrics.robustness_protocol(
         reference, candidates, mode=args.mode, mask=mask,
         window=args.window, scales=args.scales,
@@ -256,10 +271,9 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
 
 
 def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
-    features = read_volume_stack_file(args.features)
-    target = read_volume_stack_file(args.target)
-    concat = read_nifti_file(args.concat_input, as_labels=False) if args.concat_input else None
-
+    # both passes decode the stacks slab by slab from their files
+    features, target = StackReader.open(args.features), StackReader.open(args.target)
+    concat = _read_image(args.concat_input) if args.concat_input else None
     adapter = adaptation.fit_adapter(features, target, concat_input=concat,
                                      ridge=args.ridge, softmax=args.softmax)
     residuals = adaptation.fit_residual(adapter, features, target, concat)
@@ -271,8 +285,8 @@ def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
 
 def _cmd_metrics(args, config: dict[str, str]) -> int:
     want_labels = args.metric == "dice"
-    pred = read_nifti_file(args.pred, as_labels=want_labels)
-    ref = read_nifti_file(args.ref, as_labels=want_labels)
+    read = (lambda path: read_nifti_file(path, as_labels=True)) if want_labels else _read_image
+    pred, ref = read(args.pred), read(args.ref)
     if want_labels:
         scores = metrics.dice(pred, ref)
         print(f"{scores.mean:.6f}")

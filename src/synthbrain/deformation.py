@@ -37,6 +37,7 @@ from .volume import (
     _Grid,
     _corner_aligned_weights,
     _per_axis,
+    _points,
     same_geometry,
     sample_nearest,
     sample_trilinear,
@@ -428,13 +429,15 @@ def invert(fld: DeformationField) -> DeformationField:
     last = np.asarray(fld.dims, dtype=np.float64) - 1.0
     inv = -sample_trilinear(fld.displacement, nodes)
     pts = nodes + inv @ to_voxel
-    # du/dx at the nodes in voxels per voxel; x -> x + u(x) has Jacobian I + du/dx
-    grad = np.zeros(pts.shape + (3,))
-    for ax in range(3):
-        if pts.shape[ax] > 1:
-            grad[..., ax] = np.gradient(nodes - pts, spacing[ax], axis=ax)
-    if np.median(np.linalg.det(grad + np.eye(3))) <= 0.0:
-        raise NotInvertible("the field reverses orientation at most of its nodes")
+    # x -> x + u(x) has Jacobian J = I + du/dx; d[j][..., i] = du_i/dx_j at the
+    # nodes, in voxels per voxel, and det J is expanded along J's first row
+    d = [np.gradient(nodes - pts, spacing[j], axis=j) if pts.shape[j] > 1
+         else np.zeros(pts.shape) for j in range(3)]
+    (a, b, c), (e, f, g), (h, k, m) = ([d[j][..., i] + (i == j) for j in range(3)]
+                                       for i in range(3))
+    det = a * (f * m - g * k) - b * (e * m - g * h) + c * (e * k - f * h)
+    if 2 * np.count_nonzero(det <= 0.0) >= det.size:
+        raise NotInvertible("the field reverses orientation at half of its nodes or more")
     residual = 0.0
     for _ in range(_INVERSION_ITERATIONS):
         # clipped to the grid, so an iterate a hair past a face reads the face
@@ -468,26 +471,34 @@ def _source_voxels(fld: DeformationField, grid_to_world: np.ndarray) -> np.ndarr
     return p
 
 
-def _pull(fld: DeformationField, grids: tuple) -> tuple:
-    """Each of ``grids`` pulled back through ``fld`` onto its grid, ``g ∘ fld``.
+def _puller(fld: DeformationField, like):
+    """A function pulling a grid on ``like``'s grid back through ``fld`` onto
+    ``fld``'s grid, ``g ∘ fld``.
 
     Label maps are sampled nearest, other data trilinearly, 0 off the grid; a
-    field, pulled back as a map, adds ``fld``'s own displacement. All share the
-    positions of one :func:`_source_voxels` call on the first grid (as a stack's
-    channels, or a subject's labels and anatomy, may). A zero field on that
-    grid returns ``grids`` itself.
+    field, pulled back as a map, adds ``fld``'s own displacement. Every grid
+    it is given (a stack's channels, a subject's labels and anatomy, the
+    candidates of one evaluation) shares the positions of one
+    :func:`_source_voxels` call, prepared for sampling once. A zero field on
+    ``like``'s grid returns each grid itself.
     """
-    if not fld.displacement.any() and same_geometry(fld, grids[0]):
-        return grids
-    p = _source_voxels(fld, grids[0].grid_to_world)
-    pulled = []
-    for g in grids:
+    if not fld.displacement.any() and same_geometry(fld, like):
+        return lambda g: g
+    at = _points(_source_voxels(fld, like.grid_to_world), like.dims)
+
+    def pull(g):
         sample = sample_nearest if isinstance(g, LabelMap) else sample_trilinear
-        data = sample(getattr(g, g._array), p)
+        data = sample(getattr(g, g._array), at)
         if isinstance(g, DeformationField):
             data = fld.displacement + data
-        pulled.append(type(g)._adopt(data, fld.spacing, fld.grid_to_world))
-    return tuple(pulled)
+        return type(g)._adopt(data, fld.spacing, fld.grid_to_world)
+
+    return pull
+
+
+def _pull(fld: DeformationField, grids: tuple) -> tuple:
+    """Each of ``grids`` pulled back through ``fld`` by one :func:`_puller` on the first."""
+    return tuple(map(_puller(fld, grids[0]), grids))
 
 
 def warp_volume(v: Volume, fld: DeformationField) -> Volume:
@@ -511,4 +522,4 @@ def warp_stack(stack: VolumeStack, fld: DeformationField) -> VolumeStack:
     The channels share one grid, so the sampling positions are computed once.
     """
     channels = _pull(fld, stack.channels)
-    return stack if channels is stack.channels else VolumeStack(channels)
+    return stack if channels[0] is stack.channels[0] else VolumeStack(channels)

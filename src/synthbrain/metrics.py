@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import binary_erosion, uniform_filter
 
-from .deformation import DeformationField, invert, warp_stack
+from .deformation import DeformationField, _puller, invert
 from .errors import (
     ChannelMismatch,
     EmptyLabelSet,
@@ -24,7 +24,7 @@ from .errors import (
     TooSmallForScales,
     ZeroEstimate,
 )
-from .volume import LabelMap, Volume, VolumeStack, check_same_geometry
+from .volume import LabelMap, Volume, check_same_geometry
 
 __all__ = [
     "l1",
@@ -79,16 +79,20 @@ def psnr(pred: Volume, ref: Volume, peak: float = 1.0, mask=None) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _ssim_cs_maps(a, b, window):
-    """Per-window SSIM and contrast-structure maps over valid (fully inside) centers."""
+def _centres(x: np.ndarray, window: int) -> np.ndarray:
+    """``x`` at the valid centres: those of the windows fully inside the grid."""
     r = window // 2
-    crop = tuple(slice(r, n - r) for n in a.shape)
+    return x[tuple(slice(r, n - r) for n in x.shape)]
 
-    def win_mean(x):
-        return uniform_filter(x, size=window, mode="constant")[crop]
 
-    mu_a, mu_b = win_mean(a), win_mean(b)
-    e_aa, e_bb, e_ab = win_mean(a * a), win_mean(b * b), win_mean(a * b)
+def _win_mean(x: np.ndarray, window: int) -> np.ndarray:
+    return _centres(uniform_filter(x, size=window, mode="constant"), window)
+
+
+def _ssim_cs_maps(a, mu_a, e_aa, b, window):
+    """Per-window SSIM and contrast-structure maps over valid centres, given
+    ``a``'s own window means ``mu_a`` and ``e_aa`` (of ``a * a``)."""
+    mu_b, e_bb, e_ab = _win_mean(b, window), _win_mean(b * b, window), _win_mean(a * b, window)
     # raw (unclamped) moments keep ssim(a, a) == 1 bitwise: for identical
     # inputs cov and the variances are the very same floats
     var_a = e_aa - mu_a * mu_a
@@ -97,17 +101,6 @@ def _ssim_cs_maps(a, b, window):
     lum = (2.0 * mu_a * mu_b + _C1) / (mu_a * mu_a + mu_b * mu_b + _C1)
     cs = (2.0 * cov + _C2) / (var_a + var_b + _C2)
     return lum * cs, cs
-
-
-def _valid_center_mask(mask, dims, window):
-    if mask is None:
-        return None
-    r = window // 2
-    crop = tuple(slice(r, n - r) for n in dims)
-    m = mask[crop]
-    if not m.any():
-        raise EmptyMask("mask selects no fully-interior window centers")
-    return m
 
 
 def ssim(a: Volume, b: Volume, window: int = 7, mask=None) -> float:
@@ -128,7 +121,7 @@ def _downsample2(x: np.ndarray) -> np.ndarray:
 
 
 def ms_ssim(a: Volume, b: Volume, scales: int = 3, window: int = 7, mask=None) -> float:
-    """Multi-scale SSIM over dyadic downsamplings.
+    """Multi-scale SSIM over dyadic downsamplings (Wang, Simoncelli and Bovik, Asilomar 2003).
 
     Each scale averages per-window terms over the fully-inside uniform
     windows (population variance); a mask, when given, selects which window
@@ -141,41 +134,72 @@ def ms_ssim(a: Volume, b: Volume, scales: int = 3, window: int = 7, mask=None) -
     return _ssim_and_ms_ssim(a, b, scales, window, mask)[1]
 
 
-def _ssim_and_ms_ssim(a, b, scales, window, mask=None) -> tuple[float, float]:
-    """``(ssim, ms_ssim)`` from one pass: the first scale's SSIM is read off
-    the same window statistics that MS-SSIM's first scale filters."""
-    check_same_geometry(a, b)
+def _scale_weights(dims, scales: int, window: int) -> np.ndarray:
+    """MS-SSIM's per-scale exponents, once ``dims`` are checked to host the scales."""
     if not 1 <= scales <= len(_MS_WEIGHTS):
         raise TooSmallForScales(f"scales must be in [1, {len(_MS_WEIGHTS)}], got {scales}")
     if window < 1:
         raise TooSmallForScales(f"window must be >= 1, got {window}")
-    if min(a.dims) < window * 2 ** (scales - 1):
+    if min(dims) < window * 2 ** (scales - 1):
         raise TooSmallForScales(
-            f"dims {a.dims} cannot host {scales} dyadic scales of window {window}"
+            f"dims {tuple(dims)} cannot host {scales} dyadic scales of window {window}"
         )
     weights = np.asarray(_MS_WEIGHTS[:scales])
-    weights = weights / weights.sum()
+    return weights / weights.sum()
 
-    xa, xb = a.data, b.data
-    m = _mask_array(mask, a.dims)
-    result = 1.0
+
+def _mask_pyramid(m: np.ndarray | None, scales: int, window: int) -> list:
+    """Per scale, the valid window centres the mask ``m`` selects (None without one);
+    the mask is downsampled with the images."""
+    if m is None:
+        return [None] * scales
+    centres = []
     for s in range(scales):
-        ssim_map, cs_map = _ssim_cs_maps(xa, xb, window)
-        mc = _valid_center_mask(m, xa.shape, window)
+        centres.append(_centres(m, window))
+        if not centres[-1].any():
+            raise EmptyMask("mask selects no fully-interior window centers")
+        if s < scales - 1:
+            m = _downsample2(m.astype(np.float64)) > 0.5
+            if not m.any():
+                raise EmptyMask(f"mask vanished at scale {s + 1}")
+    return centres
+
+
+def _reference_pyramid(x: np.ndarray, scales: int, window: int) -> list:
+    """Per scale, the reference image with its window means of ``x`` and ``x * x``:
+    the half of the SSIM statistics that every image scored against it shares."""
+    levels = []
+    for s in range(scales):
+        levels.append((x, _win_mean(x, window), _win_mean(x * x, window)))
+        if s < scales - 1:
+            x = _downsample2(x)
+    return levels
+
+
+def _scored(reference: list, b: np.ndarray, centres: list, weights, window) -> tuple[float, float]:
+    """``(ssim, ms_ssim)`` of ``b`` against a :func:`_reference_pyramid`, from one
+    pass: the first scale's SSIM is read off the statistics MS-SSIM's first scale uses."""
+    scales = len(reference)
+    result = 1.0
+    for s, ((xa, mu_a, e_aa), mc) in enumerate(zip(reference, centres)):
+        ssim_map, cs_map = _ssim_cs_maps(xa, mu_a, e_aa, b, window)
         if s == 0:
             first = _masked_mean(ssim_map, mc)
         if s < scales - 1:
             result *= max(_masked_mean(cs_map, mc), 0.0) ** weights[s]
-            xa, xb = _downsample2(xa), _downsample2(xb)
-            if m is not None:
-                m = _downsample2(m.astype(np.float64)) > 0.5
-                if not m.any():
-                    raise EmptyMask(f"mask vanished at scale {s + 1}")
+            b = _downsample2(b)
         else:
             val = first if s == 0 else _masked_mean(ssim_map, mc)
             w = float(weights[s])
             result *= val if w == 1.0 else math.copysign(abs(val) ** w, val)
     return first, float(result)
+
+
+def _ssim_and_ms_ssim(a, b, scales, window, mask=None) -> tuple[float, float]:
+    check_same_geometry(a, b)
+    weights = _scale_weights(a.dims, scales, window)
+    centres = _mask_pyramid(_mask_array(mask, a.dims), scales, window)
+    return _scored(_reference_pyramid(a.data, scales, window), b.data, centres, weights, window)
 
 
 @dataclass(frozen=True)
@@ -258,7 +282,8 @@ class MetricReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        # a NaN would be written as a bare token, which is not JSON
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def to_text(self) -> str:
         lines = [f"{'metric':<10}{'mean':>10}  (±std)"]
@@ -268,7 +293,7 @@ class MetricReport:
 
 
 def robustness_protocol(
-    reference: VolumeStack,
+    reference,
     candidates,
     mode: str = "intra",
     mask=None,
@@ -277,32 +302,52 @@ def robustness_protocol(
 ) -> MetricReport:
     """Score candidate feature stacks against a clean reference, channelwise.
 
-    ``candidates`` is a list of (VolumeStack, DeformationField) pairs; each
+    ``candidates`` is a list of (stack, DeformationField) pairs; each
     stack is first mapped into the reference frame — through the inverse of
     its own deformation (``mode="intra"``) or by the given atlas mapping
     (``mode="inter"``) — then every channel contributes one L1/SSIM/MS-SSIM
-    value against the matching reference channel. Each distinct field object
-    is inverted at most once, however many candidates share it; SSIM and
-    MS-SSIM of a channel come from one pass over its window statistics.
+    value against the matching reference channel, candidate by candidate.
+    Stacks are :class:`VolumeStack` objects or :class:`~synthbrain.nifti.StackReader`
+    objects on files, read one channel at a time.
+
+    Shared work is done once: each distinct field object is inverted once,
+    and the candidates on one grid that it warps share one set of sampling
+    positions. For them, the reference's channel ``c`` and its half of the
+    SSIM window statistics are computed once; then each candidate's channel
+    ``c`` is read, warped, scored and dropped. The mask pyramid is built once.
     """
     if mode not in ("intra", "inter"):
         raise ValueError(f"mode must be 'intra' or 'inter', got {mode!r}")
-    rows: list[tuple[float, float, float]] = []  # (l1, ssim, ms_ssim) per channel
-    # id(field) -> (field, the field its candidates are warped through);
-    # holding the field keeps its id from reuse
-    through: dict[int, tuple[DeformationField, DeformationField]] = {}
-    for stack, fld in candidates:
+    candidates = list(candidates)
+    for stack, _ in candidates:
         if stack.channel_count != reference.channel_count:
             raise ChannelMismatch(
                 f"candidate has {stack.channel_count} channels, "
                 f"reference has {reference.channel_count}"
             )
-        if id(fld) not in through:
-            through[id(fld)] = (fld, invert(fld) if mode == "intra" else fld)
-        warped = warp_stack(stack, through[id(fld)][1])
-        for ref_c, cand_c in zip(reference.channels, warped.channels):
-            rows.append((l1(ref_c, cand_c, mask),
-                         *_ssim_and_ms_ssim(ref_c, cand_c, scales, window, mask=mask)))
-    if not rows:
+    if not candidates:
         raise ValueError("no candidates to score")
-    return MetricReport(dict(zip(("l1", "ssim", "ms_ssim"), zip(*rows))), masked=mask is not None)
+    weights = _scale_weights(reference.dims, scales, window)
+    m = _mask_array(mask, reference.dims)
+    centres = _mask_pyramid(m, scales, window)
+    # id(field) -> (field, candidate indices by grid); holding the field
+    # keeps its id from reuse
+    groups: dict[int, tuple[DeformationField, dict[tuple, list[int]]]] = {}
+    for i, (stack, fld) in enumerate(candidates):
+        grid = (stack.dims, stack.grid_to_world.tobytes())
+        groups.setdefault(id(fld), (fld, {}))[1].setdefault(grid, []).append(i)
+    rows: list[list] = [[] for _ in candidates]  # (l1, ssim, ms_ssim) per channel
+    for fld, by_grid in groups.values():
+        through = invert(fld) if mode == "intra" else fld
+        for members in by_grid.values():
+            pull = _puller(through, candidates[members[0]][0])
+            for c in range(reference.channel_count):
+                ref = reference.channel(c)
+                pyramid = _reference_pyramid(ref.data, scales, window)
+                for i in members:
+                    warped = pull(candidates[i][0].channel(c))
+                    check_same_geometry(ref, warped)
+                    rows[i].append((_masked_mean(np.abs(ref.data - warped.data), m),
+                                    *_scored(pyramid, warped.data, centres, weights, window)))
+    values = zip(*(row for channels in rows for row in channels))
+    return MetricReport(dict(zip(("l1", "ssim", "ms_ssim"), values)), masked=mask is not None)

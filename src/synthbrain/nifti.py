@@ -31,10 +31,11 @@ from .errors import (
     UnsupportedDatatype,
     UnsupportedDimension,
 )
-from .volume import LabelMap, Volume, VolumeStack
+from .volume import LabelMap, Volume, VolumeStack, _geometry
 
 __all__ = [
     "NiftiHeader",
+    "StackReader",
     "read_nifti",
     "write_nifti",
     "read_volume_stack",
@@ -219,27 +220,90 @@ def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMa
     return kind._adopt(data, hdr.spacing, hdr.affine)
 
 
-def _stack(hdr: NiftiHeader, size: int, block) -> VolumeStack:
-    """Decode a stack from ``block(offset, nbytes)``, the data bytes at an
-    offset, one channel at a time into one float64 array; channels are
-    read-only views of it. A 3D image is one channel."""
-    shape, dtype = _layout(hdr, size, stack=True)
-    dims, count = shape[:3], shape[4] if len(shape) == 5 else 1
-    nbytes = math.prod(dims) * dtype.itemsize
-    data = np.empty(dims + (1, count), order="F")
-    for c in range(count):
-        data[:, :, :, 0, c] = _values(block(hdr.vox_offset + c * nbytes, nbytes), hdr, dtype, dims)
-    return VolumeStack(tuple(
-        Volume._adopt(data[:, :, :, 0, c], hdr.spacing, hdr.affine) for c in range(count)
-    ))
+class StackReader:
+    """A channel stack in NIfTI form, decoded one channel block at a time.
+
+    It holds the header, the geometry (``dims``, ``spacing``,
+    ``grid_to_world``) and ``channel_count``; the data stay where they are
+    until a channel, or a voxel range of one, is asked for. Channels are the
+    slowest axis, so each is one block of the data. A 3D image is one channel.
+    Every block is checked finite as it is decoded. Built by :meth:`open` on
+    a file or by :meth:`from_bytes` on a byte stream; a gzip stream is
+    decompressed whole.
+    """
+
+    def __init__(self, head: bytes, size: int, block, name=None):
+        """``block(offset, nbytes)`` gives the bytes at an offset of the ``size``
+        bytes that start with ``head``; decoding errors name ``name``."""
+        self.name, self._block = name, block
+        with _naming(name):
+            self.header = read_header(head)
+            shape, self._dtype = _layout(self.header, size, stack=True)
+            self.spacing, self.grid_to_world = _geometry(self.header.spacing, self.header.affine)
+        self.dims = shape[:3]
+        self.channel_count = shape[4] if len(shape) == 5 else 1
+
+    @classmethod
+    def from_bytes(cls, stream: bytes, name=None) -> "StackReader":
+        stream = _maybe_decompress(stream)
+        view = memoryview(stream)
+        return cls(stream, len(stream), lambda offset, n: view[offset : offset + n], name)
+
+    @classmethod
+    def open(cls, path) -> "StackReader":
+        """A reader on the file at ``path``; a gzip file or a pipe is read whole.
+
+        Each block opens the file for its one read, so a reader holds no open
+        file: an evaluation can read any number of candidates side by side.
+        """
+        with open(path, "rb") as fh:
+            head = fh.read(DATA_OFFSET)
+            if head[:2] == _GZIP_MAGIC or not fh.seekable():
+                return cls.from_bytes(head + fh.read(), path)
+            size = os.fstat(fh.fileno()).st_size
+
+        def block(offset: int, nbytes: int) -> bytes:
+            # unbuffered: one read straight into the bytes returned
+            with open(path, "rb", buffering=0) as f:
+                f.seek(offset)
+                return f.read(nbytes)
+
+        return cls(head, size, block, path)
+
+    def values(self, c: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Channel ``c`` at voxels ``[lo, hi)`` (default: all) of the file's
+        Fortran order: scaled values as float64, unscaled ones as a read-only
+        array in the stored dtype, exact in float64."""
+        nvox = math.prod(self.dims)
+        hi = nvox if hi is None else hi
+        size = self._dtype.itemsize
+        with _naming(self.name):
+            raw = self._block(self.header.vox_offset + (c * nvox + lo) * size, (hi - lo) * size)
+            values = _values(raw, self.header, self._dtype, (hi - lo,))
+            if values.dtype.kind == "f" and not np.isfinite(values).all():
+                raise ValueError(f"channel {c} holds a non-finite voxel")
+        return values
+
+    def channel(self, c: int) -> Volume:
+        """Channel ``c`` decoded as a float64 volume."""
+        data = self.values(c).reshape(self.dims, order="F")
+        return Volume._adopt(data, self.spacing, self.grid_to_world)
+
+    def read(self) -> VolumeStack:
+        """Every channel, each a read-only view of one decoded float64 array."""
+        data = np.empty(self.dims + (self.channel_count,), order="F")
+        for c in range(self.channel_count):
+            data[..., c] = self.values(c).reshape(self.dims, order="F")
+        return VolumeStack(tuple(
+            Volume._adopt(data[..., c], self.spacing, self.grid_to_world)
+            for c in range(self.channel_count)
+        ))
 
 
 def read_volume_stack(stream: bytes) -> VolumeStack:
-    """Decode a 5D single-timepoint vector NIfTI into a stack of channels,
-    each a read-only view of the one decoded array; a 3D file is one channel."""
-    stream = _maybe_decompress(stream)
-    view = memoryview(stream)
-    return _stack(read_header(stream), len(stream), lambda offset, n: view[offset : offset + n])
+    """Decode a 5D single-timepoint vector NIfTI into a stack of channels;
+    a 3D file is one channel. A non-finite voxel is a ``ValueError``."""
+    return StackReader.from_bytes(stream).read()
 
 
 def _datatype_code(datatype: str) -> int:
@@ -326,11 +390,12 @@ def write_nifti(v: Volume | LabelMap | VolumeStack, datatype: str = "float32") -
 
 @contextmanager
 def _naming(path):
-    """Decoding errors raised inside get the path; OS errors name it already."""
+    """Decoding errors raised inside get the path (if any); OS errors name it already."""
     try:
         yield
     except (SynthBrainError, ValueError) as exc:
-        exc.args = (f"{path}: {exc}",)
+        if path is not None:
+            exc.args = (f"{path}: {exc}",)
         raise
 
 
@@ -341,22 +406,10 @@ def read_nifti_file(path, as_labels: bool | None = None) -> Volume | LabelMap:
 
 
 def read_volume_stack_file(path) -> VolumeStack:
-    """:func:`read_volume_stack` on a file; a decoding error names the path.
-
-    An uncompressed file is read one channel block at a time, so only the
-    decoded array and one channel's bytes are held; a gzip file is
-    decompressed whole.
-    """
-    with open(path, "rb") as fh, _naming(path):
-        head = fh.read(DATA_OFFSET)
-        if head[:2] == _GZIP_MAGIC or not fh.seekable():
-            return read_volume_stack(head + fh.read())
-
-        def block(offset: int, nbytes: int) -> bytes:
-            fh.seek(offset)
-            return fh.read(nbytes)
-
-        return _stack(read_header(head), os.fstat(fh.fileno()).st_size, block)
+    """Every channel of :meth:`StackReader.open`'s reader on ``path``; a
+    decoding error names the path. Only the decoded channels and one
+    channel's bytes are held."""
+    return StackReader.open(path).read()
 
 
 def write_nifti_file(path, v, datatype: str = "float32") -> None:

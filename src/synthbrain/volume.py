@@ -43,6 +43,25 @@ __all__ = [
 _Fresh = namedtuple("_Fresh", "array")
 
 
+def _geometry(spacing, grid_to_world) -> tuple[tuple[float, float, float], np.ndarray]:
+    """Checked spacing and read-only ``grid_to_world`` (default ``diag(spacing)``)."""
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing components must be finite and > 0, got {spacing}")
+    if grid_to_world is None:
+        affine = np.diag(spacing + (1.0,))
+    else:
+        affine = np.array(grid_to_world, dtype=np.float64)
+    if affine.shape != (4, 4) or not np.allclose(affine[3], [0, 0, 0, 1]):
+        raise ValueError("grid_to_world must be a 4x4 homogeneous affine")
+    if not np.isfinite(affine).all():
+        raise ValueError(f"grid_to_world entries must be finite, got {affine.tolist()}")
+    if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
+        raise ValueError("grid_to_world upper-left 3x3 block is singular")
+    affine.setflags(write=False)
+    return spacing, affine
+
+
 class _Grid:
     """Base of the grid types: a frozen dataclass whose fields start with its
     array (attribute ``_array``, ``(nx, ny, nz)`` or, when ``_vector``,
@@ -64,21 +83,8 @@ class _Grid:
             raise ValueError(f"{self._array} must have shape {want}, got {data.shape}")
         if min(data.shape) < 1:
             raise ValueError(f"voxel counts must be positive, got {data.shape}")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
-            raise ValueError(f"spacing components must be finite and > 0, got {spacing}")
-        if self.grid_to_world is None:
-            affine = np.diag(spacing + (1.0,))
-        else:
-            affine = np.array(self.grid_to_world, dtype=np.float64)
-        if affine.shape != (4, 4) or not np.allclose(affine[3], [0, 0, 0, 1]):
-            raise ValueError("grid_to_world must be a 4x4 homogeneous affine")
-        if not np.isfinite(affine).all():
-            raise ValueError(f"grid_to_world entries must be finite, got {affine.tolist()}")
-        if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
-            raise ValueError("grid_to_world upper-left 3x3 block is singular")
+        spacing, affine = _geometry(self.spacing, self.grid_to_world)
         data.setflags(write=False)
-        affine.setflags(write=False)
         object.__setattr__(self, self._array, data)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "grid_to_world", affine)
@@ -199,6 +205,10 @@ class VolumeStack:
     def grid_to_world(self) -> np.ndarray:
         return self.channels[0].grid_to_world
 
+    def channel(self, c: int) -> Volume:
+        """Channel ``c``, as :meth:`nifti.StackReader.channel` decodes it from a file."""
+        return self.channels[c]
+
     def as_array(self) -> np.ndarray:
         """Channel-last (nx, ny, nz, c) copy of the stack."""
         return np.stack([ch.data for ch in self.channels], axis=-1)
@@ -252,61 +262,72 @@ def world_coordinate_grid(dims, affine: np.ndarray) -> np.ndarray:
 
 # -- sampling -----------------------------------------------------------------
 
-def sample_trilinear(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation at (..., 3) voxel coordinates.
+# positions prepared for sampling one grid: the (3, N) C-ordered coordinates
+# map_coordinates takes, with outside (and NaN) points parked on voxel 0, the
+# mask of those points (None when there are none) and the points' own shape
+_Points = namedtuple("_Points", "coords outside shape")
 
-    ``data`` is scalar ``(nx, ny, nz)`` or channel-last ``(nx, ny, nz, c)``;
-    the result has shape ``pts.shape[:-1]``, plus ``(c,)`` for channel data.
-    Points outside ``[0, n-1]`` on any axis evaluate to 0 (zero padding).
-    """
-    data = np.asarray(data, dtype=np.float64)
+
+def _points(pts: np.ndarray, dims) -> _Points:
+    """``pts``, (..., 3) voxel coordinates, prepared for sampling a grid of ``dims``."""
     p = np.asarray(pts, dtype=np.float64)
     # map_coordinates wants (3, npts) and rejects a lone 0-d point
     coords = np.array(p.reshape(-1, 3).T, order="C")
     inside = np.ones(coords.shape[1], dtype=bool)
     for axis in range(3):
-        inside &= (coords[axis] >= 0.0) & (coords[axis] <= data.shape[axis] - 1.0)
+        inside &= (coords[axis] >= 0.0) & (coords[axis] <= dims[axis] - 1.0)
     # an explicit mask, not mode="constant", which fades to zero over the
-    # last half voxel; outside (and NaN) points are parked on voxel 0
+    # last half voxel
     outside = None if inside.all() else ~inside
     if outside is not None:
         coords[:, outside] = 0.0
-    channels = data[None] if data.ndim == 3 else np.moveaxis(data, -1, 0)
-    out = np.empty((channels.shape[0], coords.shape[1]))
+    return _Points(coords, outside, p.shape[:-1])
+
+
+def sample_trilinear(data: np.ndarray, pts) -> np.ndarray:
+    """Trilinear interpolation at (..., 3) voxel coordinates.
+
+    ``data`` is scalar ``(nx, ny, nz)`` or channel-last ``(nx, ny, nz, c)``;
+    the result has shape ``pts.shape[:-1]``, plus ``(c,)`` for channel data.
+    Points outside ``[0, n-1]`` on any axis evaluate to 0 (zero padding).
+    ``pts`` may also be :func:`_points`' preparation of them for this grid,
+    which every grid sampled at the same points can share.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    at = pts if isinstance(pts, _Points) else _points(pts, data.shape)
+    # positions mostly run in C order, so a grid in Fortran order (as NIfTI
+    # decodes it) is copied to C order first: the values are the same and the
+    # lookups stay local (one 160³ warp: 0.39 s from Fortran order, 0.24 s from C)
+    channels = np.ascontiguousarray(data)[None] if data.ndim == 3 else np.moveaxis(data, -1, 0)
+    out = np.empty((channels.shape[0], at.coords.shape[1]))
     for c, channel in enumerate(channels):
-        map_coordinates(channel, coords, output=out[c], order=1, mode="nearest",
+        map_coordinates(channel, at.coords, output=out[c], order=1, mode="nearest",
                         prefilter=False)
-    if outside is not None:
-        out[:, outside] = 0.0
+    if at.outside is not None:
+        out[:, at.outside] = 0.0
     if data.ndim == 3:
-        return out[0].reshape(p.shape[:-1])
-    return out.T.reshape(p.shape[:-1] + data.shape[3:])
+        return out[0].reshape(at.shape)
+    return out.T.reshape(at.shape + data.shape[3:])
 
 
-def sample_nearest(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def sample_nearest(data: np.ndarray, pts) -> np.ndarray:
     """Nearest-neighbour sampling; ties break toward the lower index.
 
-    Outside ``[0, n-1]^3`` the background label 0 is returned.
+    Outside ``[0, n-1]^3`` the background label 0 is returned. ``pts`` is
+    taken as by :func:`sample_trilinear`.
     """
     data = np.ascontiguousarray(data)
     nx, ny, nz = data.shape
-    p = np.asarray(pts, dtype=np.float64)
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-
-    inside = (
-        (x >= 0.0) & (x <= nx - 1.0)
-        & (y >= 0.0) & (y <= ny - 1.0)
-        & (z >= 0.0) & (z <= nz - 1.0)
-    )
+    at = pts if isinstance(pts, _Points) else _points(pts, data.shape)
+    x, y, z = at.coords
     # ceil(p - 0.5) rounds halves down, i.e. toward the lower index
     ix = np.clip(np.ceil(x - 0.5), 0, nx - 1).astype(np.int64)
     iy = np.clip(np.ceil(y - 0.5), 0, ny - 1).astype(np.int64)
     iz = np.clip(np.ceil(z - 0.5), 0, nz - 1).astype(np.int64)
-
-    # asarray: one point indexes a scalar, which cannot be zeroed in place
-    out = np.asarray(data.ravel()[ix * (ny * nz) + iy * nz + iz])
-    out[~inside] = 0
-    return out
+    out = data.ravel()[ix * (ny * nz) + iy * nz + iz]
+    if at.outside is not None:
+        out[at.outside] = 0
+    return out.reshape(at.shape)
 
 
 # Trilinear interpolation at the points of an axis-aligned grid is separable:

@@ -5,6 +5,7 @@ windows, explicit loops, offset-level struct parsing) and shares no code
 with the package, so agreement is meaningful.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -311,3 +312,119 @@ def apply_bias(data: np.ndarray, coarse) -> np.ndarray:
     """The image times its bias field, multiplied in that order."""
     data = np.asarray(data, dtype=np.float64)
     return data * bias_from_coarse(coarse, data.shape)
+
+
+# -- the evaluation protocol as first built ---------------------------------------
+# Kept verbatim as a bit-for-bit oracle for the one-channel-at-a-time protocol:
+# every candidate's stack warped whole, every pair's SSIM statistics taken from
+# scratch. Unlike the rest of this file it calls the package for the field's
+# inverse and its sampling positions, which it does not test.
+
+_PARENT_C1 = 0.01 ** 2
+_PARENT_C2 = 0.03 ** 2
+
+
+def _parent_mask_array(mask, dims):
+    if mask is None:
+        return None
+    return np.asarray(getattr(mask, "data", mask)).astype(bool)
+
+
+def _parent_masked_mean(x, m) -> float:
+    return float(x[m].mean() if m is not None else x.mean())
+
+
+def _parent_ssim_cs_maps(a, b, window):
+    from scipy.ndimage import uniform_filter
+
+    r = window // 2
+    crop = tuple(slice(r, n - r) for n in a.shape)
+
+    def win_mean(x):
+        return uniform_filter(x, size=window, mode="constant")[crop]
+
+    mu_a, mu_b = win_mean(a), win_mean(b)
+    e_aa, e_bb, e_ab = win_mean(a * a), win_mean(b * b), win_mean(a * b)
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
+    lum = (2.0 * mu_a * mu_b + _PARENT_C1) / (mu_a * mu_a + mu_b * mu_b + _PARENT_C1)
+    cs = (2.0 * cov + _PARENT_C2) / (var_a + var_b + _PARENT_C2)
+    return lum * cs, cs
+
+
+def _parent_downsample2(x):
+    nx, ny, nz = (d - d % 2 for d in x.shape)
+    return x[:nx, :ny, :nz].reshape(nx // 2, 2, ny // 2, 2, nz // 2, 2).mean(axis=(1, 3, 5))
+
+
+def parent_ssim_and_ms_ssim(a, b, scales, window, mask=None):
+    """``(ssim, ms_ssim)`` of two volumes, one pass over both at every scale."""
+    weights = np.asarray(_FULL_MS_WEIGHTS[:scales])
+    weights = weights / weights.sum()
+    xa, xb = a.data, b.data
+    m = _parent_mask_array(mask, a.dims)
+    result = 1.0
+    for s in range(scales):
+        ssim_map, cs_map = _parent_ssim_cs_maps(xa, xb, window)
+        r = window // 2
+        mc = None if m is None else m[tuple(slice(r, n - r) for n in xa.shape)]
+        if s == 0:
+            first = _parent_masked_mean(ssim_map, mc)
+        if s < scales - 1:
+            result *= max(_parent_masked_mean(cs_map, mc), 0.0) ** weights[s]
+            xa, xb = _parent_downsample2(xa), _parent_downsample2(xb)
+            if m is not None:
+                m = _parent_downsample2(m.astype(np.float64)) > 0.5
+        else:
+            val = first if s == 0 else _parent_masked_mean(ssim_map, mc)
+            w = float(weights[s])
+            result *= val if w == 1.0 else math.copysign(abs(val) ** w, val)
+    return first, float(result)
+
+
+def _parent_sample_trilinear(data, pts):
+    from scipy.ndimage import map_coordinates
+
+    p = np.asarray(pts, dtype=np.float64)
+    coords = np.array(p.reshape(-1, 3).T, order="C")
+    inside = np.ones(coords.shape[1], dtype=bool)
+    for axis in range(3):
+        inside &= (coords[axis] >= 0.0) & (coords[axis] <= data.shape[axis] - 1.0)
+    coords[:, ~inside] = 0.0
+    out = np.empty(coords.shape[1])
+    map_coordinates(np.asarray(data, dtype=np.float64), coords, output=out, order=1,
+                    mode="nearest", prefilter=False)
+    out[~inside] = 0.0
+    return out.reshape(p.shape[:-1])
+
+
+def _parent_warp_stack(stack, fld):
+    import synthbrain as sb
+
+    if not fld.displacement.any() and sb.same_geometry(fld, stack):
+        return stack
+    p = sb.deformation._source_voxels(fld, stack.grid_to_world)
+    return sb.VolumeStack(tuple(
+        sb.Volume(_parent_sample_trilinear(ch.data, p), fld.spacing, fld.grid_to_world)
+        for ch in stack.channels
+    ))
+
+
+def parent_robustness_protocol(reference, candidates, mode="intra", mask=None, window=7,
+                               scales=3):
+    """Per-channel ``{"l1", "ssim", "ms_ssim"}`` value tuples, candidate-major,
+    for in-memory stacks; each distinct field object is inverted once."""
+    import synthbrain as sb
+
+    rows = []
+    through = {}
+    for stack, fld in candidates:
+        if id(fld) not in through:
+            through[id(fld)] = (fld, sb.invert(fld) if mode == "intra" else fld)
+        warped = _parent_warp_stack(stack, through[id(fld)][1])
+        for ref_c, cand_c in zip(reference.channels, warped.channels):
+            m = _parent_mask_array(mask, ref_c.dims)
+            rows.append((_parent_masked_mean(np.abs(ref_c.data - cand_c.data), m),
+                         *parent_ssim_and_ms_ssim(ref_c, cand_c, scales, window, mask)))
+    return dict(zip(("l1", "ssim", "ms_ssim"), zip(*rows)))

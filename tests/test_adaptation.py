@@ -352,3 +352,31 @@ def test_saved_adapter_is_its_json_text(tmp_path):
     sb.save_adapter(path, adapter, extra=extra)
     doc = {**json.loads(sb.adapter_to_json(adapter)), **extra}
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_nan_residual_is_refused_before_the_file_is_written(tmp_path):
+    adapter = sb.LinearAdapter(np.eye(2), np.zeros(2))
+    path = tmp_path / "a.json"
+    with pytest.raises(ValueError):
+        sb.save_adapter(path, adapter, extra={"residuals": {"residual_l1": math.nan}})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_stack_reader_fits_as_its_decoded_stack(tmp_path, order):
+    feats = sb.VolumeStack(tuple(smooth_volume(36, i) for i in range(4)))
+    target = smooth_volume(36, 9)
+    path = tmp_path / "f.nii"
+    sb.write_nifti_file(path, feats, "float32")
+    decoded = sb.read_volume_stack_file(path)
+    # a target in the other layout, or a stack file next to in-memory features
+    target = target.with_data(np.asarray(target.data, order=order))
+    reader = sb.StackReader.open(path)
+    got = sb.fit_adapter(reader, target)
+    want = sb.fit_adapter(decoded, target)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert sb.fit_residual(got, reader, target) == sb.fit_residual(want, decoded, target)
+    c_ordered = sb.VolumeStack(tuple(ch.with_data(np.ascontiguousarray(ch.data))
+                                     for ch in decoded.channels))
+    on_file = sb.fit_adapter(c_ordered, reader)
+    assert on_file.weights.tobytes() == sb.fit_adapter(c_ordered, decoded).weights.tobytes()

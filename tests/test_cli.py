@@ -1,6 +1,7 @@
 import gzip
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -677,3 +678,158 @@ def test_fit_adapter_end_to_end(tmp_path, capsys):
     assert np.abs(adapter.weights[:, 0] - w).max() < 1e-4
     payload = json.loads(out.read_text())
     assert payload["residuals"]["residual_l1"] < 1e-5
+
+
+# -- streamed stacks: same bytes, bounded memory --------------------------------------
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("head", ["linear", "concat", "softmax"])
+def test_fit_adapter_from_a_file_equals_the_in_memory_fit(tmp_path, capsys, suffix, head):
+    # 36^3 cuts into a full voxel slab and a partial one
+    feats = sb.VolumeStack(tuple(smooth_volume(36, i, sigma=1.0 + i % 3) for i in range(6)))
+    outputs = 3 if head == "softmax" else 1
+    target = sb.VolumeStack(tuple(smooth_volume(36, 20 + i) for i in range(outputs)))
+    f_path, t_path, c_path = (tmp_path / f"{name}{suffix}" for name in ("f", "t", "c"))
+    sb.write_nifti_file(f_path, feats, "float32")
+    sb.write_nifti_file(t_path, target, "float32")
+    sb.write_nifti_file(c_path, smooth_volume(36, 40), "float32")
+    argv = ["fit-adapter", "--features", str(f_path), "--target", str(t_path),
+            "--out", str(tmp_path / "a.json")]
+    argv += {"linear": [], "concat": ["--concat-input", str(c_path)], "softmax": ["--softmax"]}[head]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # the same fit on the decoded stacks
+    features, targets = sb.read_volume_stack_file(f_path), sb.read_volume_stack_file(t_path)
+    concat = sb.read_nifti_file(c_path, as_labels=False) if head == "concat" else None
+    adapter = sb.fit_adapter(features, targets, concat_input=concat, softmax=head == "softmax")
+    residuals = sb.fit_residual(adapter, features, targets, concat)
+    sb.save_adapter(tmp_path / "b.json", adapter, extra={"residuals": residuals})
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_file_backed_fit_holds_no_float64_stack(tmp_path, capsys):
+    n, count = 48, 32
+    rng = np.random.default_rng(3)
+    f_path, t_path = tmp_path / "f.nii", tmp_path / "t.nii"
+    sb.write_nifti_file(f_path, sb.VolumeStack(tuple(
+        sb.Volume(rng.random((n, n, n))) for _ in range(count))), "float32")
+    sb.write_nifti_file(t_path, sb.Volume(rng.random((n, n, n))), "float32")
+    peak = _traced_peak(["fit-adapter", "--features", str(f_path), "--target", str(t_path),
+                         "--out", str(tmp_path / "a.json")])
+    capsys.readouterr()
+    # one (33, 32 768) float64 design block and less than a float64 channel
+    # beside it; decoding the stack took its 28 MB
+    block, channel = (count + 1) * 32_768 * 8, n ** 3 * 8
+    assert peak <= block + channel < count * channel
+
+
+def test_a_deformation_file_is_decoded_into_one_c_ordered_array(tmp_path):
+    from synthbrain.cli import _read_field
+
+    rng = np.random.default_rng(2)
+    fld = sb.DeformationField(rng.normal(0.0, 1.0, (48, 40, 32, 3)))
+    path = tmp_path / "deformation.nii"
+    sb.write_nifti_file(path, fld.channels(), "float32")
+    tracemalloc.start()
+    try:
+        back = _read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the displacement and one channel's bytes; a decoded stack and its
+    # channel-last copy took twice the displacement
+    assert peak <= fld.displacement.nbytes * 1.25
+    assert back.displacement.flags.c_contiguous
+    assert back.displacement.tobytes() == fld.displacement.astype("<f4").astype(float).tobytes()
+
+
+def test_evaluate_peak_does_not_grow_with_the_channel_count(tmp_path, subject_files, capsys):
+    subject, labels, _ = subject_files
+    rng = np.random.default_rng(5)
+    cfg = sb.DeformationConfig(rot_max=0.0, scale_max=0.0, shear_max=0.0)
+    fld = sb.build_deformation(sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, subject.mprage))
+    sb.write_nifti_file(tmp_path / "deformation.nii", fld.channels(), "float32")
+    peaks = {}
+    for count in (4, 16):
+        stack = sb.VolumeStack(tuple(smooth_volume(24, 10 + c) for c in range(count)))
+        sb.write_nifti_file(tmp_path / f"ref{count}.nii", stack, "float32")
+        entries = []
+        for i in range(2):
+            name = f"cand{count}_{i}.nii"
+            sb.write_nifti_file(tmp_path / name, sb.warp_stack(stack, fld), "float32")
+            entries.append({"features": name, "deformation": "deformation.nii"})
+        manifest = tmp_path / f"cands{count}.json"
+        manifest.write_text(json.dumps({"candidates": entries}))
+        peaks[count] = _traced_peak([
+            "evaluate", "--reference", str(tmp_path / f"ref{count}.nii"),
+            "--candidates", str(manifest), "--mask", str(labels), "--scales", "2",
+            "--out", str(tmp_path / f"r{count}.json")])
+    capsys.readouterr()
+    # holding the stacks took 12 more channels of each of three stacks and
+    # of the warped one
+    assert peaks[16] - peaks[4] < 24 ** 3 * 8
+
+
+# -- non-finite input voxels ------------------------------------------------------------
+
+def _with_nan(path, index=0):
+    """Overwrite one float32 voxel of a NIfTI file with NaN."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<f", blob, 352 + 4 * index, float("nan"))
+    path.write_bytes(bytes(blob))
+
+
+def test_a_nan_candidate_voxel_makes_evaluate_exit_2_naming_the_file(tmp_path, subject_files,
+                                                                    capsys):
+    _, labels, mprage = subject_files
+    out = tmp_path / "batch"
+    assert main(["generate", str(labels), str(mprage), "--n", "2", "--seed", "4",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    _with_nan(out / "sample_000.nii", index=24 ** 3 // 2)
+    report = tmp_path / "report.json"
+    rc = main(["evaluate", "--reference", str(out / "target.nii"),
+               "--candidates", str(out / "manifest.json"), "--mask", str(labels),
+               "--scales", "2", "--out", str(report)])
+    assert rc == 2
+    assert "sample_000.nii" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("metric", ["l1", "psnr", "ssim", "msssim", "norml2"])
+def test_a_nan_voxel_makes_metrics_exit_2_naming_the_file(tmp_path, capsys, metric):
+    pred, ref = tmp_path / "pred.nii", tmp_path / "ref.nii"
+    sb.write_nifti_file(pred, smooth_volume(16, 0), "float32")
+    sb.write_nifti_file(ref, smooth_volume(16, 1), "float32")
+    _with_nan(pred, index=100)
+    rc = main(["metrics", "--pred", str(pred), "--ref", str(ref), "--metric", metric])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "pred.nii" in captured.err and "nan" not in captured.out
+
+
+@pytest.mark.parametrize("nan_in", ["features", "target", "concat"])
+def test_a_nan_voxel_makes_fit_adapter_exit_2_naming_the_file(tmp_path, capsys, nan_in):
+    paths = {name: tmp_path / f"{name}.nii" for name in ("features", "target", "concat")}
+    sb.write_nifti_file(paths["features"], sb.VolumeStack(
+        tuple(smooth_volume(12, i) for i in range(3))), "float32")
+    sb.write_nifti_file(paths["target"], smooth_volume(12, 5), "float32")
+    sb.write_nifti_file(paths["concat"], smooth_volume(12, 6), "float32")
+    # the last voxel of the last channel: read in the last slab
+    _with_nan(paths[nan_in], index=(3 if nan_in == "features" else 1) * 12 ** 3 - 1)
+    out = tmp_path / "a.json"
+    rc = main(["fit-adapter", "--features", str(paths["features"]),
+               "--target", str(paths["target"]), "--concat-input", str(paths["concat"]),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"{nan_in}.nii" in capsys.readouterr().err
+    assert not out.exists()

@@ -403,6 +403,16 @@ def test_uninvertible_field_raises(n):
         sb.invert(fld)
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_a_field_mirroring_one_axis_is_not_inverted(axis):
+    # det(I + du/dx) = -1 at every node
+    n = 16
+    disp = np.zeros((n, n, n, 3))
+    disp[..., axis] = (n - 1) - 2.0 * np.indices((n, n, n))[axis]
+    with pytest.raises(sb.NotInvertible, match="orientation"):
+        sb.invert(sb.DeformationField(disp))
+
+
 # -- warping ---------------------------------------------------------------------
 
 def test_identity_warp_returns_input_object(subject32):

@@ -408,3 +408,96 @@ def test_robustness_protocol_inverts_a_shared_field_once(monkeypatch, mode, inve
     report = sb.robustness_protocol(f, [(moved, fld)] * 3, mode=mode)
     assert len(calls) == inverts
     assert len(report.values["l1"]) == 3 * f.channel_count
+
+
+# -- one channel at a time, bit for bit against the protocol as first built -----------
+
+def _evaluation_inputs():
+    """A 4-channel reference, two fields (one with provenance, one as read from a
+    file) and candidates: c0 and c2 through the first field, c1 through the
+    second, and c3, c2's channels on a shifted grid, through the first."""
+    subject = make_subject(n=32, seed=11)
+    reference = sb.VolumeStack((subject.mprage,) + tuple(smooth_volume(32, 60 + c)
+                                                          for c in range(3)))
+    rng = np.random.default_rng(11)
+    cfg = DeformationConfig(rot_max=5.0, scale_max=0.05, shear_max=0.05)
+    fields = [sb.build_deformation(sb.sample_affine(rng, cfg),
+                                   sb.sample_svf(rng, cfg, subject.mprage)) for _ in range(2)]
+    fields[1] = sb.DeformationField(fields[1].displacement)
+    noisy = sb.VolumeStack(tuple(
+        ch.with_data(ch.data + rng.normal(0.0, 0.02, ch.dims)) for ch in reference.channels))
+    c0, c1, c2 = (sb.warp_stack(s, f) for s, f in ((reference, fields[0]), (noisy, fields[1]),
+                                                   (noisy, fields[0])))
+    shifted = np.eye(4)
+    shifted[0, 3] = 1.5
+    c3 = sb.VolumeStack(tuple(sb.Volume(ch.data, grid_to_world=shifted) for ch in c2.channels))
+    candidates = [(c0, fields[0]), (c1, fields[1]), (c2, fields[0]), (c3, fields[0])]
+    return subject, reference, candidates
+
+
+@pytest.mark.parametrize("storage", ["memory", ".nii", ".nii.gz"])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("case", ["intra, one field", "intra, two fields", "inter, two fields"])
+def test_protocol_matches_the_first_protocol_bit_for_bit(tmp_path, storage, masked, case):
+    subject, reference, candidates = _evaluation_inputs()
+    mode = case.split(",")[0]
+    if case == "intra, one field":
+        candidates = [candidates[0], candidates[2]]
+    mask = sb.interior_mask(subject.labels, erosion=2) if masked else None
+    if storage != "memory":
+        paths = [tmp_path / f"s{i}{storage}" for i in range(len(candidates) + 1)]
+        for path, stack in zip(paths, [reference] + [s for s, _ in candidates]):
+            sb.write_nifti_file(path, stack, "float32")
+        stacks = [sb.read_volume_stack_file(p) for p in paths]
+        want = ref.parent_robustness_protocol(
+            stacks[0], [(s, f) for s, (_, f) in zip(stacks[1:], candidates)], mode, mask)
+        readers = [sb.StackReader.open(p) for p in paths]
+        report = sb.robustness_protocol(
+            readers[0], [(r, f) for r, (_, f) in zip(readers[1:], candidates)], mode, mask)
+    else:
+        want = ref.parent_robustness_protocol(reference, candidates, mode, mask)
+        report = sb.robustness_protocol(reference, candidates, mode, mask)
+    assert report.values == want
+    assert len(want["l1"]) == 4 * len(candidates)
+    assert report.to_json() == sb.MetricReport(want, masked=masked).to_json()
+
+
+def test_ssim_and_ms_ssim_match_the_first_pass_bit_for_bit():
+    subject, reference, candidates = _evaluation_inputs()
+    mask = sb.interior_mask(subject.labels, erosion=2)
+    for (a, b), (window, scales) in zip(zip(reference.channels, candidates[1][0].channels),
+                                        [(7, 3), (5, 2), (3, 1), (7, 2)]):
+        for m in (None, mask):
+            want = ref.parent_ssim_and_ms_ssim(a, b, scales, window, m)
+            assert sb.ssim(a, b, window=window, mask=m) == want[0]
+            assert sb.ms_ssim(a, b, scales=scales, window=window, mask=m) == want[1]
+
+
+def test_stacks_are_decoded_by_field_group_then_channel():
+    _, reference, candidates = _evaluation_inputs()
+    decoded = []
+
+    class Counting:
+        def __init__(self, stack, name):
+            self.stack, self.name = stack, name
+            self.channel_count, self.dims = stack.channel_count, stack.dims
+            self.spacing, self.grid_to_world = stack.spacing, stack.grid_to_world
+
+        def channel(self, c):
+            decoded.append((self.name, c))
+            return self.stack.channel(c)
+
+    pairs = [(Counting(s, f"c{i}"), f) for i, (s, f) in enumerate(candidates)]
+    report = sb.robustness_protocol(Counting(reference, "ref"), pairs)
+    # each candidate channel once, the reference's once per field and grid:
+    # c0 and c2 share the first field and a grid, c3 has its own grid
+    groups = [("c0", "c2"), ("c3",), ("c1",)]
+    assert decoded == [(name, c) for group in groups for c in range(4)
+                       for name in ("ref",) + group]
+    assert report.values == sb.robustness_protocol(reference, candidates).values
+
+
+def test_a_nan_in_a_report_is_refused_as_json():
+    report = sb.MetricReport({"l1": (0.5, math.nan)})
+    with pytest.raises(ValueError):
+        report.to_json()

@@ -12,6 +12,7 @@ from synthbrain import (
     BadMagic,
     LabelMap,
     NonPositivePixdim,
+    StackReader,
     TruncatedData,
     UnsupportedDatatype,
     UnsupportedDimension,
@@ -468,3 +469,58 @@ def test_integer_images_are_encoded_without_float64_copies(rng):
     assert peak <= 2.5 * payload
     clipped = np.minimum(labels.data, 32767).astype("<i2")
     assert blob[352:] == clipped.tobytes(order="F")
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_a_stack_reader_decodes_channels_and_voxel_ranges(tmp_path, rng, suffix, scaled):
+    stack = VolumeStack(tuple(Volume(rng.uniform(0.0, 200.0, (5, 4, 3))) for _ in range(3)))
+    blob = _variant(write_nifti(stack, "int16" if scaled else "float32"), "<", scaled)
+    path = tmp_path / f"s{suffix}"
+    path.write_bytes(gzip.compress(blob, mtime=0) if suffix == ".nii.gz" else blob)
+    whole = read_volume_stack(blob)
+    reader = StackReader.open(path)
+    assert (reader.dims, reader.channel_count) == ((5, 4, 3), 3)
+    assert same_geometry(reader, whole)
+    for c, ch in enumerate(whole.channels):
+        assert reader.channel(c).data.tobytes(order="F") == ch.data.tobytes(order="F")
+        flat = ch.data.ravel(order="F")
+        for lo, hi in ((0, 60), (7, 23), (59, 60)):
+            got = np.asarray(reader.values(c, lo, hi), dtype=np.float64)
+            assert got.tobytes() == flat[lo:hi].tobytes()
+    assert _same_stack(reader.read(), whole)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts this process's open files")
+def test_stack_readers_hold_no_open_file(tmp_path, rng):
+    path = tmp_path / "s.nii"
+    write_nifti_file(path, VolumeStack(tuple(Volume(rng.random((4, 4, 4))) for _ in range(2))))
+    before = len(os.listdir("/proc/self/fd"))
+    readers = [StackReader.open(path) for _ in range(50)]
+    for reader in readers:
+        reader.channel(1)
+    assert len(os.listdir("/proc/self/fd")) == before
+    # nor does one whose header fails to decode
+    path.write_bytes(b"\x00" * 400)
+    with pytest.raises(BadMagic, match=re.escape(str(path))):
+        StackReader.open(path)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_stack_voxel_is_rejected_naming_file_and_channel(tmp_path, rng, value):
+    chans = [rng.random((4, 4, 4)) for _ in range(3)]
+    chans[2][1, 2, 3] = value
+    blob = write_nifti(VolumeStack(tuple(Volume(c) for c in chans)))
+    with pytest.raises(ValueError, match="channel 2 holds a non-finite voxel"):
+        read_volume_stack(blob)
+    path = tmp_path / "s.nii"
+    path.write_bytes(blob)
+    reader = StackReader.open(path)
+    reader.channel(1)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: channel 2")):
+        reader.channel(2)
+    # the voxel range that holds it, and only that one
+    reader.values(2, 0, 32)
+    with pytest.raises(ValueError):
+        reader.values(2, 32, 64)

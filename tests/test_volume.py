@@ -15,7 +15,7 @@ from synthbrain import (
     same_geometry,
     spatial_gradient,
 )
-from synthbrain.volume import _per_axis, sample_nearest, sample_trilinear
+from synthbrain.volume import _per_axis, _points, sample_nearest, sample_trilinear
 
 from reference_impls import gather_trilinear
 
@@ -246,6 +246,25 @@ def test_nearest_ties_toward_lower_index():
     assert sample_nearest(lm.data, np.array([0.5, 0.0, 0.0])) == lm.data[0, 0, 0]
     assert sample_nearest(lm.data, np.array([0.51, 0.0, 0.0])) == lm.data[1, 0, 0]
     assert sample_nearest(lm.data, np.array([-0.2, 0, 0])) == 0
+
+
+def test_nearest_nan_point_is_background():
+    lm = LabelMap(np.full((3, 3, 3), 7, dtype=np.int32))
+    out = sample_nearest(lm.data, np.array([[np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+    assert out.tolist() == [0, 7]
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 3, 2, 3)])
+def test_prepared_points_sample_as_the_raw_points(rng, shape):
+    data = rng.random((6, 5, 4))
+    labels = rng.integers(0, 9, (6, 5, 4)).astype(np.int32)
+    pts = rng.uniform(-1.0, 6.5, shape)
+    at = _points(pts, data.shape)
+    for sample, grid in ((sample_trilinear, data), (sample_nearest, labels),
+                         (sample_trilinear, np.stack([data, 2 * data], axis=-1))):
+        want = sample(grid, pts)
+        got = sample(grid, at)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- gradient / normalization ---------------------------------------------------
