@@ -35,7 +35,7 @@ from .errors import (
 )
 from .generator import SubjectRecord, severity_ladder, write_batch
 from .nifti import StackReader, read_nifti_file
-from .volume import Volume, same_geometry
+from .volume import same_geometry
 
 __all__ = ["main"]
 
@@ -66,14 +66,6 @@ def _read_field(path) -> DeformationField:
     for c in range(3):
         u[..., c] = stack.values(c).reshape(stack.dims, order="F")
     return DeformationField._adopt(u, stack.spacing, stack.grid_to_world)
-
-
-def _read_image(path) -> Volume:
-    """A scalar image; a non-finite voxel is an input error naming the file."""
-    image = read_nifti_file(path, as_labels=False)
-    if not np.isfinite(image.data).all():
-        raise ValueError(f"{path}: holds a non-finite voxel")
-    return image
 
 
 def _ranged(kind, low, high=math.inf, strict=False):
@@ -215,6 +207,8 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
     section, file_key = ("candidates", "features") if "candidates" in doc else ("samples", "file")
     if not isinstance(doc[section], list) or not all(isinstance(e, dict) for e in doc[section]):
         raise _UsageError(f"{manifest_path}: {section!r} is not a list of objects")
+    if not doc[section]:
+        raise _UsageError(f"{manifest_path}: {section!r} is empty")
     entries = []
     for i, e in enumerate(doc[section]):
         if file_key not in e:
@@ -273,7 +267,7 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
 def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
     # both passes decode the stacks slab by slab from their files
     features, target = StackReader.open(args.features), StackReader.open(args.target)
-    concat = _read_image(args.concat_input) if args.concat_input else None
+    concat = read_nifti_file(args.concat_input, as_labels=False) if args.concat_input else None
     adapter = adaptation.fit_adapter(features, target, concat_input=concat,
                                      ridge=args.ridge, softmax=args.softmax)
     residuals = adaptation.fit_residual(adapter, features, target, concat)
@@ -285,8 +279,7 @@ def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
 
 def _cmd_metrics(args, config: dict[str, str]) -> int:
     want_labels = args.metric == "dice"
-    read = (lambda path: read_nifti_file(path, as_labels=True)) if want_labels else _read_image
-    pred, ref = read(args.pred), read(args.ref)
+    pred, ref = (read_nifti_file(path, as_labels=want_labels) for path in (args.pred, args.ref))
     if want_labels:
         scores = metrics.dice(pred, ref)
         print(f"{scores.mean:.6f}")

@@ -338,6 +338,8 @@ def robustness_protocol(
         groups.setdefault(id(fld), (fld, {}))[1].setdefault(grid, []).append(i)
     rows: list[list] = [[] for _ in candidates]  # (l1, ssim, ms_ssim) per channel
     for fld, by_grid in groups.values():
+        # every candidate of the group is pulled onto the field's grid
+        check_same_geometry(reference, fld)
         through = invert(fld) if mode == "intra" else fld
         for members in by_grid.values():
             pull = _puller(through, candidates[members[0]][0])
@@ -346,7 +348,6 @@ def robustness_protocol(
                 pyramid = _reference_pyramid(ref.data, scales, window)
                 for i in members:
                     warped = pull(candidates[i][0].channel(c))
-                    check_same_geometry(ref, warped)
                     rows[i].append((_masked_mean(np.abs(ref.data - warped.data), m),
                                     *_scored(pyramid, warped.data, centres, weights, window)))
     values = zip(*(row for channels in rows for row in channels))

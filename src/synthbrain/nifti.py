@@ -9,6 +9,10 @@ emits little-endian. Geometry is taken from the sform rows when
 ``sform_code >= 1``, otherwise from ``pixdim``; qform is ignored.
 A gzip container (``.nii.gz`` or a 1f-8b byte prefix) is handled
 transparently at the byte-stream boundary.
+
+Every read goes through :class:`StackReader`, and one rule holds on every
+read: a non-finite float voxel (stored, or made by the scaling) is a
+``ValueError`` naming the file and the channel.
 """
 
 from __future__ import annotations
@@ -62,15 +66,12 @@ class NiftiHeader:
 
     dim: tuple[int, ...]
     datatype: int
-    bitpix: int
     pixdim: tuple[float, ...]
     vox_offset: int
     scl_slope: float
     scl_inter: float
     sform_code: int
     srow: np.ndarray  # (3, 4)
-    magic: bytes
-    intent_code: int
     byte_order: str  # "<" or ">"
 
     @property
@@ -126,7 +127,7 @@ def read_header(stream: bytes) -> NiftiHeader:
 
     fields = struct.unpack_from(byte_order + _HDR_FMT, stream, 0)
     dim = fields[7:15]
-    intent_code, datatype, bitpix = fields[18], fields[19], fields[20]
+    datatype, bitpix = fields[19], fields[20]
     pixdim = fields[22:30]
     vox_offset, scl_slope, scl_inter = fields[30], fields[31], fields[32]
     sform_code = fields[45]
@@ -163,24 +164,19 @@ def read_header(stream: bytes) -> NiftiHeader:
     return NiftiHeader(
         dim=tuple(int(d) for d in dim),
         datatype=int(datatype),
-        bitpix=int(bitpix),
         pixdim=tuple(float(p) for p in pixdim),
         vox_offset=int(vox_offset),
         scl_slope=float(scl_slope),
         scl_inter=float(scl_inter),
         sform_code=int(sform_code),
         srow=srow,
-        magic=magic,
-        intent_code=int(intent_code),
         byte_order=byte_order,
     )
 
 
-def _layout(hdr: NiftiHeader, size: int, stack: bool) -> tuple[tuple[int, ...], np.dtype]:
+def _layout(hdr: NiftiHeader, size: int) -> tuple[tuple[int, ...], np.dtype]:
     """Shape ``dim[1:dim[0] + 1]`` and stored dtype of the data, checked against
-    the ``size`` bytes that hold it. Only a ``stack`` read accepts a 5D image."""
-    if hdr.dim[0] == 5 and not stack:
-        raise UnsupportedDimension("dim[0] = 5, expected a 3D scalar image")
+    the ``size`` bytes that hold it."""
     shape = hdr.dim[1 : hdr.dim[0] + 1]
     dtype = _DTYPES[hdr.datatype].newbyteorder(hdr.byte_order)
     nbytes = math.prod(shape) * dtype.itemsize
@@ -191,45 +187,16 @@ def _layout(hdr: NiftiHeader, size: int, stack: bool) -> tuple[tuple[int, ...], 
     return shape, dtype
 
 
-def _values(raw, hdr: NiftiHeader, dtype: np.dtype, shape) -> np.ndarray:
-    """The stored values in ``raw``, shaped in the on-disk (Fortran) order:
-    scaled values as float64, unscaled ones as a read-only view of ``raw``
-    in the stored dtype, for the caller to convert once."""
-    values = np.frombuffer(raw, dtype=dtype, count=math.prod(shape))
-    scaling = hdr.scaling
-    if scaling is not None:
-        values = values.astype(np.float64) * scaling[0] + scaling[1]
-    return values.reshape(shape, order="F")
-
-
-def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMap:
-    """Decode a 3D scalar NIfTI byte stream.
-
-    ``as_labels=None`` auto-detects: an unscaled integer datatype with
-    non-negative values comes back as a :class:`LabelMap`, everything else
-    as a :class:`Volume`. Pass True/False to force.
-    """
-    stream = _maybe_decompress(stream)
-    hdr = read_header(stream)
-    shape, dtype = _layout(hdr, len(stream), stack=False)
-    data = _values(memoryview(stream)[hdr.vox_offset :], hdr, dtype, shape)
-    if as_labels is None:
-        integral = _DTYPES[hdr.datatype].kind in "iu"
-        as_labels = integral and hdr.scaling is None and (data.size == 0 or data.min() >= 0)
-    kind = LabelMap if as_labels else Volume
-    return kind._adopt(data, hdr.spacing, hdr.affine)
-
-
 class StackReader:
     """A channel stack in NIfTI form, decoded one channel block at a time.
 
     It holds the header, the geometry (``dims``, ``spacing``,
     ``grid_to_world``) and ``channel_count``; the data stay where they are
     until a channel, or a voxel range of one, is asked for. Channels are the
-    slowest axis, so each is one block of the data. A 3D image is one channel.
-    Every block is checked finite as it is decoded. Built by :meth:`open` on
-    a file or by :meth:`from_bytes` on a byte stream; a gzip stream is
-    decompressed whole.
+    slowest axis, so each is one block of the data. A 3D image is one channel,
+    and :meth:`image` decodes it as a volume or a label map. Every block is
+    checked finite as it is decoded. Built by :meth:`open` on a file or by
+    :meth:`from_bytes` on a byte stream; a gzip stream is decompressed whole.
     """
 
     def __init__(self, head: bytes, size: int, block, name=None):
@@ -238,7 +205,7 @@ class StackReader:
         self.name, self._block = name, block
         with _naming(name):
             self.header = read_header(head)
-            shape, self._dtype = _layout(self.header, size, stack=True)
+            shape, self._dtype = _layout(self.header, size)
             self.spacing, self.grid_to_world = _geometry(self.header.spacing, self.header.affine)
         self.dims = shape[:3]
         self.channel_count = shape[4] if len(shape) == 5 else 1
@@ -273,16 +240,34 @@ class StackReader:
     def values(self, c: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Channel ``c`` at voxels ``[lo, hi)`` (default: all) of the file's
         Fortran order: scaled values as float64, unscaled ones as a read-only
-        array in the stored dtype, exact in float64."""
+        array in the stored dtype, exact in float64. A non-finite voxel among
+        them is a ``ValueError``."""
         nvox = math.prod(self.dims)
         hi = nvox if hi is None else hi
         size = self._dtype.itemsize
         with _naming(self.name):
             raw = self._block(self.header.vox_offset + (c * nvox + lo) * size, (hi - lo) * size)
-            values = _values(raw, self.header, self._dtype, (hi - lo,))
+            values = np.frombuffer(raw, dtype=self._dtype, count=hi - lo)
+            scaling = self.header.scaling
+            if scaling is not None:
+                values = values.astype(np.float64) * scaling[0] + scaling[1]
             if values.dtype.kind == "f" and not np.isfinite(values).all():
                 raise ValueError(f"channel {c} holds a non-finite voxel")
         return values
+
+    def image(self, as_labels: bool | None = None) -> Volume | LabelMap:
+        """A 3D file as a :class:`LabelMap` or a :class:`Volume`. ``as_labels=None``
+        picks a label map for an unscaled integer datatype with non-negative
+        values; True/False forces the choice."""
+        with _naming(self.name):
+            if self.header.dim[0] == 5:
+                raise UnsupportedDimension("dim[0] = 5, expected a 3D scalar image")
+            data = self.values(0).reshape(self.dims, order="F")
+            if as_labels is None:
+                integral = self._dtype.kind in "iu"
+                as_labels = integral and self.header.scaling is None and data.min() >= 0
+            kind = LabelMap if as_labels else Volume
+            return kind._adopt(data, self.spacing, self.grid_to_world)
 
     def channel(self, c: int) -> Volume:
         """Channel ``c`` decoded as a float64 volume."""
@@ -298,6 +283,11 @@ class StackReader:
             Volume._adopt(data[..., c], self.spacing, self.grid_to_world)
             for c in range(self.channel_count)
         ))
+
+
+def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMap:
+    """Decode a 3D scalar NIfTI byte stream: :meth:`StackReader.image`."""
+    return StackReader.from_bytes(stream).image(as_labels)
 
 
 def read_volume_stack(stream: bytes) -> VolumeStack:
@@ -390,19 +380,18 @@ def write_nifti(v: Volume | LabelMap | VolumeStack, datatype: str = "float32") -
 
 @contextmanager
 def _naming(path):
-    """Decoding errors raised inside get the path (if any); OS errors name it already."""
+    """Decoding errors raised inside get the path (if any) once; OS errors name it already."""
     try:
         yield
     except (SynthBrainError, ValueError) as exc:
-        if path is not None:
+        if path is not None and not str(exc).startswith(f"{path}: "):
             exc.args = (f"{path}: {exc}",)
         raise
 
 
 def read_nifti_file(path, as_labels: bool | None = None) -> Volume | LabelMap:
-    """:func:`read_nifti` on a file; a decoding error names the path."""
-    with open(path, "rb") as fh, _naming(path):
-        return read_nifti(fh.read(), as_labels=as_labels)
+    """:meth:`StackReader.image` of the file at ``path``; a decoding error names the path."""
+    return StackReader.open(path).image(as_labels)
 
 
 def read_volume_stack_file(path) -> VolumeStack:

@@ -239,6 +239,7 @@ def header_dump(blob: bytes) -> dict:
         "sform_code": sform_code,
         "srow": np.array([srow_x, srow_y, srow_z, (0, 0, 0, 1)]),
         "magic": magic,
+        "byte_order": bo,
     }
 
 

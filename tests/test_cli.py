@@ -189,6 +189,8 @@ def test_manifest_entry_without_a_file_exits_64(tmp_path, capsys, doc, entry):
     ({"candidates": [{"features": None, "deformation": "d.nii"}]},
      "candidates[0]: 'features' and 'deformation' must be strings"),
     ([{"features": "r.nii"}], "neither 'candidates' nor 'samples' present"),
+    ({"samples": [], "deformation": "d.nii"}, "'samples' is empty"),
+    ({"candidates": []}, "'candidates' is empty"),
 ])
 def test_malformed_manifest_exits_64_naming_it(tmp_path, capsys, doc, message):
     ref_path = tmp_path / "r.nii"
@@ -605,6 +607,25 @@ def test_evaluate_mask_on_another_grid_exits_3(tmp_path, subject_files, capsys, 
     assert not (tmp_path / "report.json").exists()
 
 
+def test_a_reference_off_the_fields_grid_exits_3_before_inverting(tmp_path, subject_files,
+                                                                  capsys, monkeypatch):
+    _, labels, mprage = subject_files
+    out = tmp_path / "batch"
+    assert main(["generate", str(labels), str(mprage), "--n", "2",
+                 "--seed", "4", "--out", str(out)]) == 0
+    reference = tmp_path / "reference.nii"
+    target = sb.read_nifti_file(out / "target.nii")
+    sb.write_nifti_file(reference, sb.Volume(target.data, (2.0, 2.0, 2.0)), "float32")
+    calls, invert = [], sb.metrics.invert
+    monkeypatch.setattr(sb.metrics, "invert", lambda fld: calls.append(fld) or invert(fld))
+    capsys.readouterr()
+    rc = main(["evaluate", "--reference", str(reference), "--candidates",
+               str(out / "manifest.json"), "--scales", "2", "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert calls == []
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_evaluate_inter_mode_with_atlas_map(tmp_path, capsys):
     ref = sb.VolumeStack((smooth_volume(16, 0),))
     ident = sb.identity_field(ref.channels[0])
@@ -803,6 +824,18 @@ def test_a_nan_candidate_voxel_makes_evaluate_exit_2_naming_the_file(tmp_path, s
     assert rc == 2
     assert "sample_000.nii" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_a_nan_anatomy_voxel_makes_generate_exit_2_naming_the_file(tmp_path, subject_files,
+                                                                   capsys):
+    _, labels, mprage = subject_files
+    _with_nan(mprage, index=24 ** 3 // 2)
+    out = tmp_path / "batch"
+    rc = main(["generate", str(labels), str(mprage), "--n", "2", "--seed", "4",
+               "--out", str(out)])
+    assert rc == 2
+    assert f"{mprage}: channel 0 holds a non-finite voxel" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("metric", ["l1", "psnr", "ssim", "msssim", "norml2"])

@@ -187,8 +187,11 @@ def test_non_finite_values_are_rejected_for_integer_datatypes(tmp_path, value, d
         with pytest.raises(ValueError, match=dtype):
             write_nifti_file(tmp_path / "v.nii", obj, dtype)
         assert not (tmp_path / "v.nii").exists()
-    # a float datatype stores them as they are
-    assert np.array_equal(read_nifti(write_nifti(v)).data, v.data, equal_nan=True)
+    # a float datatype stores them as they are, and the reader refuses them
+    stored = np.frombuffer(write_nifti(v), dtype="<f4", offset=352)
+    assert np.array_equal(stored, v.data.ravel(), equal_nan=True)
+    with pytest.raises(ValueError, match="non-finite voxel"):
+        read_nifti(write_nifti(v))
 
 
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
