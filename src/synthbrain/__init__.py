@@ -90,9 +90,7 @@ from .nifti import (
     NiftiHeader,
     StackReader,
     read_header,
-    read_nifti,
     read_nifti_file,
-    read_volume_stack,
     read_volume_stack_file,
     write_nifti,
     write_nifti_file,

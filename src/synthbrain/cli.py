@@ -22,8 +22,6 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import adaptation, generator, metrics
 from .corruption import SEVERITY_LEVELS, SeverityConfig
 from .deformation import DeformationConfig, DeformationField
@@ -55,17 +53,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; route through our usage code instead
     def error(self, message):
         raise _UsageError(message)
-
-
-def _read_field(path) -> DeformationField:
-    """A 3-channel stack file decoded channel by channel into one C-ordered displacement."""
-    stack = StackReader.open(path)
-    if stack.channel_count != 3:
-        raise ChannelMismatch(f"{path}: a deformation needs 3 channels, found {stack.channel_count}")
-    u = np.empty(stack.dims + (3,))
-    for c in range(3):
-        u[..., c] = stack.values(c).reshape(stack.dims, order="F")
-    return DeformationField._adopt(u, stack.spacing, stack.grid_to_world)
 
 
 def _ranged(kind, low, high=math.inf, strict=False):
@@ -230,7 +217,7 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
         else:
             key = (base / deformation).resolve()
             if key not in fields:
-                fields[key] = _read_field(base / deformation)
+                fields[key] = StackReader.open(base / deformation).field()
             fld = fields[key]
         out.append((StackReader.open(base / features), fld))
     return out
@@ -250,7 +237,7 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
         if not same_geometry(mask, reference):
             raise GeometryMismatch(f"{args.mask}: the mask's grid is not the reference's")
         mask = metrics.interior_mask(mask, erosion=args.erosion)
-    atlas_map = _read_field(args.atlas_map) if args.atlas_map else None
+    atlas_map = StackReader.open(args.atlas_map).field() if args.atlas_map else None
     candidates = _load_candidates(args.candidates, args.mode, atlas_map)
     # the stacks are read one channel at a time as they are scored
     report = metrics.robustness_protocol(

@@ -149,8 +149,11 @@ def _apply_resolution(v: Volume, target_spacing) -> Volume:
 
     Each degraded axis is blurred (slice-profile FWHM = target spacing),
     subsampled at the target spacing and trilinearly upsampled back, so the
-    output dims always equal the input dims.
+    output dims always equal the input dims. A record may come from outside
+    (JSON), so the spacing is checked: three finite values > 0.
     """
+    if len(target_spacing) != 3 or not all(0 < t < math.inf for t in target_spacing):
+        raise ValueError(f"target_spacing must be 3 finite values > 0, got {target_spacing}")
     ratios = [t / c if t > c else 1.0 for t, c in zip(target_spacing, v.spacing)]
     if all(r == 1.0 for r in ratios):
         return v
@@ -162,7 +165,13 @@ def _apply_resolution(v: Volume, target_spacing) -> Volume:
 # -- noise ---------------------------------------------------------------------
 
 def _apply_noise(v: Volume, sigma: float, seed: int) -> Volume:
-    noisy = np.random.default_rng(seed).normal(0.0, sigma, v.dims)
+    """White noise of std ``sigma`` from the stream ``seed``, clipped to [0, 1];
+    both are checked, as a record may come from outside (JSON)."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
+    if not (0 <= seed < 2 ** 63 and seed == math.floor(seed)):
+        raise ValueError(f"noise seed must be an integer in [0, 2**63), got {seed}")
+    noisy = np.random.default_rng(int(seed)).normal(0.0, sigma, v.dims)
     noisy += v.data
     return Volume._adopt(np.clip(noisy, 0.0, 1.0, out=noisy), v.spacing, v.grid_to_world)
 
@@ -267,9 +276,9 @@ def apply_corruption(v: Volume, record: CorruptionRecord) -> Volume:
         field *= v.data
         out = Volume._adopt(field, v.spacing, v.grid_to_world)
     if record.resolution is not None:
-        out = _apply_resolution(out, tuple(record.resolution["target_spacing"]))
+        out = _apply_resolution(out, record.resolution["target_spacing"])
     if record.noise is not None:
-        out = _apply_noise(out, float(record.noise["sigma"]), int(record.noise["seed"]))
+        out = _apply_noise(out, float(record.noise["sigma"]), record.noise["seed"])
     if record.renormalized:
         out = minmax_normalize(out)
     return out

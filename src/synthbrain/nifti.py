@@ -7,12 +7,14 @@ single-file ``.nii`` with data at ``vox_offset`` (written at 352).
 The reader detects both endiannesses via ``sizeof_hdr``; the writer always
 emits little-endian. Geometry is taken from the sform rows when
 ``sform_code >= 1``, otherwise from ``pixdim``; qform is ignored.
-A gzip container (``.nii.gz`` or a 1f-8b byte prefix) is handled
-transparently at the byte-stream boundary.
+A gzip container (``.nii.gz`` or a 1f-8b byte prefix) is recognised where
+bytes enter a reader; :func:`read_header` takes uncompressed bytes.
 
-Every read goes through :class:`StackReader`, and one rule holds on every
-read: a non-finite float voxel (stored, or made by the scaling) is a
-``ValueError`` naming the file and the channel.
+Every read goes through :class:`StackReader`: an image (:meth:`~StackReader.image`),
+a stack (:meth:`~StackReader.read`), one channel or a voxel range of one, and a
+deformation field (:meth:`~StackReader.field`). One rule holds on every read:
+a non-finite float voxel (stored, or made by the scaling) is a ``ValueError``
+naming the file and the channel.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deformation import DeformationField
 from .errors import (
     BadMagic,
+    ChannelMismatch,
     NonPositivePixdim,
     SynthBrainError,
     TruncatedData,
@@ -40,9 +44,7 @@ from .volume import LabelMap, Volume, VolumeStack, _geometry
 __all__ = [
     "NiftiHeader",
     "StackReader",
-    "read_nifti",
     "write_nifti",
-    "read_volume_stack",
     "read_nifti_file",
     "write_nifti_file",
     "read_header",
@@ -106,15 +108,8 @@ class NiftiHeader:
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
-def _maybe_decompress(stream: bytes) -> bytes:
-    if stream[:2] == _GZIP_MAGIC:
-        return gzip.decompress(stream)
-    return stream
-
-
 def read_header(stream: bytes) -> NiftiHeader:
-    """Parse the 348-byte header, auto-detecting endianness."""
-    stream = _maybe_decompress(stream)
+    """Parse the 348-byte header of uncompressed bytes, auto-detecting endianness."""
     if len(stream) < DATA_OFFSET:
         raise TruncatedData(f"stream holds {len(stream)} bytes, need >= {DATA_OFFSET}")
     byte_order = "<"
@@ -212,7 +207,8 @@ class StackReader:
 
     @classmethod
     def from_bytes(cls, stream: bytes, name=None) -> "StackReader":
-        stream = _maybe_decompress(stream)
+        if stream[:2] == _GZIP_MAGIC:
+            stream = gzip.decompress(stream)
         view = memoryview(stream)
         return cls(stream, len(stream), lambda offset, n: view[offset : offset + n], name)
 
@@ -240,12 +236,16 @@ class StackReader:
     def values(self, c: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Channel ``c`` at voxels ``[lo, hi)`` (default: all) of the file's
         Fortran order: scaled values as float64, unscaled ones as a read-only
-        array in the stored dtype, exact in float64. A non-finite voxel among
-        them is a ``ValueError``."""
+        array in the stored dtype, exact in float64. A channel or a range
+        outside the file, or a non-finite voxel among them, is a ``ValueError``."""
         nvox = math.prod(self.dims)
         hi = nvox if hi is None else hi
         size = self._dtype.itemsize
         with _naming(self.name):
+            if not 0 <= c < self.channel_count:
+                raise ValueError(f"channel {c} is not in [0, {self.channel_count})")
+            if not 0 <= lo <= hi <= nvox:
+                raise ValueError(f"voxel range [{lo}, {hi}) is not within [0, {nvox}]")
             raw = self._block(self.header.vox_offset + (c * nvox + lo) * size, (hi - lo) * size)
             values = np.frombuffer(raw, dtype=self._dtype, count=hi - lo)
             scaling = self.header.scaling
@@ -275,25 +275,20 @@ class StackReader:
         return Volume._adopt(data, self.spacing, self.grid_to_world)
 
     def read(self) -> VolumeStack:
-        """Every channel, each a read-only view of one decoded float64 array."""
-        data = np.empty(self.dims + (self.channel_count,), order="F")
-        for c in range(self.channel_count):
-            data[..., c] = self.values(c).reshape(self.dims, order="F")
-        return VolumeStack(tuple(
-            Volume._adopt(data[..., c], self.spacing, self.grid_to_world)
-            for c in range(self.channel_count)
-        ))
+        """Every channel, each decoded by :meth:`channel`."""
+        return VolumeStack(tuple(map(self.channel, range(self.channel_count))))
 
-
-def read_nifti(stream: bytes, as_labels: bool | None = None) -> Volume | LabelMap:
-    """Decode a 3D scalar NIfTI byte stream: :meth:`StackReader.image`."""
-    return StackReader.from_bytes(stream).image(as_labels)
-
-
-def read_volume_stack(stream: bytes) -> VolumeStack:
-    """Decode a 5D single-timepoint vector NIfTI into a stack of channels;
-    a 3D file is one channel. A non-finite voxel is a ``ValueError``."""
-    return StackReader.from_bytes(stream).read()
+    def field(self) -> DeformationField:
+        """A 3-channel stack as a displacement field, decoded channel by channel
+        into one C-ordered ``(nx, ny, nz, 3)`` array; another channel count is
+        a :class:`ChannelMismatch`."""
+        with _naming(self.name):
+            if self.channel_count != 3:
+                raise ChannelMismatch(f"a deformation needs 3 channels, found {self.channel_count}")
+        u = np.empty(self.dims + (3,))
+        for c in range(3):
+            u[..., c] = self.values(c).reshape(self.dims, order="F")
+        return DeformationField._adopt(u, self.spacing, self.grid_to_world)
 
 
 def _datatype_code(datatype: str) -> int:

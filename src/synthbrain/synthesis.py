@@ -105,11 +105,10 @@ def paint(
         return Volume._adopt(out, lm.spacing, lm.grid_to_world)
 
     fg = lm.data != 0
-    vals = out[fg]
-    if not vals.size:
+    if not fg.any():
         return Volume._adopt(np.zeros(lm.dims), lm.spacing, lm.grid_to_world)
-    lo = float(vals.min())
-    hi = float(vals.max())
+    lo = float(out.min(where=fg, initial=np.inf))
+    hi = float(out.max(where=fg, initial=-np.inf))
     if hi - lo <= 0.0:
         out[...] = 0.0
     else:

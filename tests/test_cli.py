@@ -106,6 +106,20 @@ def test_two_channel_deformation_exits_4(tmp_path, capsys):
     assert "fld.nii" in capsys.readouterr().err
 
 
+def test_two_channel_atlas_map_exits_4(tmp_path, capsys):
+    ref = sb.VolumeStack((smooth_volume(16, 0),))
+    ref_path, fld_path = tmp_path / "ref.nii", tmp_path / "atlas.nii"
+    sb.write_nifti_file(ref_path, ref, "float32")
+    sb.write_nifti_file(fld_path, sb.VolumeStack(ref.channels * 2), "float32")
+    manifest = tmp_path / "cands.json"
+    manifest.write_text(json.dumps({"candidates": [{"features": "ref.nii"}]}))
+    rc = main(["evaluate", "--mode", "inter", "--reference", str(ref_path),
+               "--candidates", str(manifest), "--atlas-map", str(fld_path),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 4
+    assert f"{fld_path}: a deformation needs 3 channels, found 2" in capsys.readouterr().err
+
+
 def test_singular_fit_exits_5(tmp_path):
     v = smooth_volume(12, 0)
     feats = sb.VolumeStack((v, v))
@@ -754,15 +768,13 @@ def test_a_file_backed_fit_holds_no_float64_stack(tmp_path, capsys):
 
 
 def test_a_deformation_file_is_decoded_into_one_c_ordered_array(tmp_path):
-    from synthbrain.cli import _read_field
-
     rng = np.random.default_rng(2)
     fld = sb.DeformationField(rng.normal(0.0, 1.0, (48, 40, 32, 3)))
     path = tmp_path / "deformation.nii"
     sb.write_nifti_file(path, fld.channels(), "float32")
     tracemalloc.start()
     try:
-        back = _read_field(path)
+        back = sb.StackReader.open(path).field()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

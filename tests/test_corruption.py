@@ -140,6 +140,36 @@ def test_an_outside_record_with_a_bad_coarse_grid_is_rejected(coarse, message):
         sb.apply_corruption(v, record)
 
 
+def _from_wire(**stages) -> sb.CorruptionRecord:
+    """A record with the given stage entries, as read back from its JSON."""
+    wire = json.loads(json.dumps(sb.CorruptionRecord("severe", **stages).to_json_dict()))
+    return sb.CorruptionRecord.from_json_dict(wire)
+
+
+@pytest.mark.parametrize("stages, message", [
+    ({"resolution": {"target_spacing": [2.0, 2.0, 2.0, 9.0]}}, "target_spacing"),
+    ({"resolution": {"target_spacing": [4.0]}}, "target_spacing"),
+    ({"resolution": {"target_spacing": [2.0, np.nan, 2.0]}}, "target_spacing"),
+    ({"resolution": {"target_spacing": [2.0, 0.0, 2.0]}}, "target_spacing"),
+    ({"resolution": {"target_spacing": [-2.0, 2.0, 2.0]}}, "target_spacing"),
+    ({"resolution": {"target_spacing": [2.0, 2.0, np.inf]}}, "target_spacing"),
+    ({"noise": {"sigma": np.nan, "seed": 1}}, "sigma"),
+    ({"noise": {"sigma": -0.1, "seed": 1}}, "sigma"),
+    ({"noise": {"sigma": 0.1, "seed": 1.5}}, "seed"),
+    ({"noise": {"sigma": 0.1, "seed": -1}}, "seed"),
+    ({"noise": {"sigma": 0.1, "seed": 2 ** 63}}, "seed"),
+])
+def test_an_outside_record_with_a_bad_stage_entry_is_rejected(stages, message):
+    with pytest.raises(ValueError, match=message):
+        sb.apply_corruption(smooth_volume(8, 0), _from_wire(**stages))
+
+
+def test_an_integer_valued_float_seed_is_that_integer():
+    v = smooth_volume(12, 0)
+    records = [_from_wire(noise={"sigma": 0.1, "seed": seed}) for seed in (7, 7.0)]
+    assert np.array_equal(*(sb.apply_corruption(v, r).data for r in records))
+
+
 def test_bias_replay_holds_one_field_beyond_its_input():
     v = _painted(64)
     record = sb.CorruptionRecord("severe", bias=sample_corruption_record(

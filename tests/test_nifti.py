@@ -19,9 +19,7 @@ from synthbrain import (
     Volume,
     VolumeStack,
     read_header,
-    read_nifti,
     read_nifti_file,
-    read_volume_stack,
     read_volume_stack_file,
     same_geometry,
     write_nifti,
@@ -39,21 +37,21 @@ def _patch(blob: bytes, offset: int, fmt: str, *values) -> bytes:
 
 def test_float32_round_trip_is_bit_exact(rng):
     v = Volume(rng.standard_normal((5, 4, 3)), spacing=(1.0, 1.25, 2.0))
-    back = read_nifti(write_nifti(v, "float32"))
+    back = StackReader.from_bytes(write_nifti(v, "float32")).image()
     assert isinstance(back, Volume)
     # float32 storage quantizes once; a second trip changes nothing
     assert np.array_equal(back.data, v.data.astype("<f4").astype(np.float64))
-    again = read_nifti(write_nifti(back, "float32"))
+    again = StackReader.from_bytes(write_nifti(back, "float32")).image()
     assert np.array_equal(again.data, back.data)
     assert same_geometry(back, v)
 
 
 def test_integer_round_trip_and_clamping():
     v = Volume(np.array([[[-5.0, 0.4, 300.0]]]).reshape(1, 1, 3))
-    back = read_nifti(write_nifti(v, "uint8"), as_labels=False)
+    back = StackReader.from_bytes(write_nifti(v, "uint8")).image(as_labels=False)
     assert list(back.data.ravel()) == [0.0, 0.0, 255.0]  # clamp + round
     lm = LabelMap(np.arange(8, dtype=np.int32).reshape(2, 2, 2))
-    back_lm = read_nifti(write_nifti(lm, "int16"))
+    back_lm = StackReader.from_bytes(write_nifti(lm, "int16")).image()
     assert isinstance(back_lm, LabelMap)  # auto-detected: unscaled non-negative ints
     assert np.array_equal(back_lm.data, lm.data)
 
@@ -92,7 +90,7 @@ def test_fortran_axis_order_on_disk(rng):
 def test_scl_slope_and_inter_are_applied():
     lm = LabelMap(np.ones((2, 2, 2), dtype=np.int32))
     blob = _patch(write_nifti(lm, "int16"), 112, "<2f", 2.0, 1.0)
-    back = read_nifti(blob)
+    back = StackReader.from_bytes(blob).image()
     assert isinstance(back, Volume)  # scaled data is not a label map
     assert (back.data == 3.0).all()
     # a valid slope with a non-finite intercept is an error, as in nibabel
@@ -100,7 +98,7 @@ def test_scl_slope_and_inter_are_applied():
         bad = _patch(blob, 116, "<f", inter)
         for as_labels in (None, False, True):
             with pytest.raises(ValueError, match="scl_inter"):
-                read_nifti(bad, as_labels=as_labels)
+                StackReader.from_bytes(bad).image(as_labels=as_labels)
 
 
 @pytest.mark.parametrize("slope", [float("nan"), float("inf"), 0.0])
@@ -108,17 +106,17 @@ def test_non_finite_slope_means_unset(slope):
     # a zero or non-finite slope means unset, and the intercept goes with it
     data = np.arange(8, dtype=np.int32).reshape(2, 2, 2)
     blob = _patch(write_nifti(LabelMap(data), "int16"), 112, "<2f", slope, 5.0)
-    back = read_nifti(blob)
+    back = StackReader.from_bytes(blob).image()
     assert isinstance(back, LabelMap)  # unscaled integers still auto-detect as labels
     assert np.array_equal(back.data, data)
-    forced = read_nifti(blob, as_labels=False)
+    forced = StackReader.from_bytes(blob).image(as_labels=False)
     assert np.array_equal(forced.data, data.astype(np.float64))
     assert read_header(blob).scaling is None
 
 
 def test_stack_round_trip(rng):
     stack = VolumeStack(tuple(Volume(rng.random((4, 4, 4))) for _ in range(3)))
-    back = read_volume_stack(write_nifti(stack, "float32"))
+    back = StackReader.from_bytes(write_nifti(stack, "float32")).read()
     assert back.channel_count == 3
     for a, b in zip(back.channels, stack.channels):
         assert np.array_equal(a.data, b.data.astype("<f4").astype(np.float64))
@@ -157,11 +155,14 @@ def test_large_stacks_are_read_and_written_without_a_stacked_copy(rng):
     payload = float64_bytes // 2
     assert len(blob) == 352 + payload
     assert write_peak <= 2.2 * payload
-    back, read_peak = _traced_peak(read_volume_stack, blob)
+    reader = StackReader.from_bytes(blob)
+    decoded = []
+    reader.values = lambda c, *a: decoded.append(c) or StackReader.values(reader, c, *a)
+    back, read_peak = _traced_peak(reader.read)
     assert read_peak <= 1.2 * float64_bytes
-    # every channel is a read-only view of the one decoded array
-    base = back.channels[0].data.base
-    assert all(ch.data.base is base and not ch.data.flags.writeable for ch in back.channels)
+    # each channel is decoded once, into a read-only array
+    assert decoded == list(range(32))
+    assert not any(ch.data.flags.writeable for ch in back.channels)
     assert np.array_equal(back.channels[31].data, stack.channels[31].data.astype("<f4"))
 
 
@@ -169,11 +170,11 @@ def test_integer_labels_are_read_without_a_float64_copy(rng):
     data = rng.integers(0, 2036, (64, 64, 64)).astype(np.int32)
     blob = write_nifti(LabelMap(data), "int16")
     for as_labels in (True, None):
-        back, peak = _traced_peak(read_nifti, blob, as_labels)
+        back, peak = _traced_peak(StackReader.from_bytes(blob).image, as_labels)
         # the int32 result alone; a float64 decode plus its rint took five times that
         assert peak <= 1.2 * data.nbytes
         assert isinstance(back, LabelMap) and np.array_equal(back.data, data)
-    volume = read_nifti(blob, as_labels=False)
+    volume = StackReader.from_bytes(blob).image(as_labels=False)
     assert volume.data.dtype == np.float64 and np.array_equal(volume.data, data)
 
 
@@ -191,7 +192,7 @@ def test_non_finite_values_are_rejected_for_integer_datatypes(tmp_path, value, d
     stored = np.frombuffer(write_nifti(v), dtype="<f4", offset=352)
     assert np.array_equal(stored, v.data.ravel(), equal_nan=True)
     with pytest.raises(ValueError, match="non-finite voxel"):
-        read_nifti(write_nifti(v))
+        StackReader.from_bytes(write_nifti(v)).image()
 
 
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
@@ -226,8 +227,8 @@ def test_big_endian_files_are_readable(rng):
     be_header = struct.pack(">" + _HDR_FMT, *fields)
     be_data = np.frombuffer(blob, dtype="<f4", offset=352).astype(">f4").tobytes()
     be_blob = be_header + blob[348:352] + be_data
-    back = read_nifti(be_blob)
-    assert np.array_equal(back.data, read_nifti(blob).data)
+    back = StackReader.from_bytes(be_blob).image()
+    assert np.array_equal(back.data, StackReader.from_bytes(blob).image().data)
     assert read_header(be_blob).byte_order == ">"
 
 
@@ -254,7 +255,7 @@ def test_header_errors_name_the_field(rng):
     with pytest.raises(NonPositivePixdim, match="pixdim"):
         read_header(_patch(blob, 80, "<f", 0.0))
     with pytest.raises(TruncatedData):
-        read_nifti(blob[:-5])
+        StackReader.from_bytes(blob[:-5]).image()
     with pytest.raises(TruncatedData):
         read_header(blob[:100])
     with pytest.raises(BadMagic, match="sizeof_hdr"):
@@ -285,7 +286,8 @@ def test_non_finite_header_fields_are_rejected(rng, case):
 def test_srow_is_not_read_without_an_sform(rng):
     v = Volume(rng.random((3, 3, 3)), spacing=(1.0, 2.0, 3.0))
     blob = _patch(_patch(write_nifti(v), 280, "<f", np.nan), 254, "<h", 0)
-    assert np.array_equal(read_nifti(blob).grid_to_world, np.diag([1.0, 2.0, 3.0, 1.0]))
+    back = StackReader.from_bytes(blob).image()
+    assert np.array_equal(back.grid_to_world, np.diag([1.0, 2.0, 3.0, 1.0]))
 
 
 def test_file_readers_name_the_path_in_decoding_errors(rng, tmp_path):
@@ -307,9 +309,9 @@ def test_without_an_sform_the_affine_is_the_pixdim_diagonal(rng):
     v = Volume(rng.random((4, 4, 4)), spacing=(1.0, 2.0, 3.0), grid_to_world=m)
     blob = _patch(write_nifti(v), 254, "<h", 0)  # sform_code
     assert read_header(blob).sform_code == 0
-    back = read_nifti(blob)
+    back = StackReader.from_bytes(blob).image()
     assert np.array_equal(back.grid_to_world, np.diag([1.0, 2.0, 3.0, 1.0]))
-    assert np.array_equal(back.data, read_nifti(write_nifti(v)).data)
+    assert np.array_equal(back.data, StackReader.from_bytes(write_nifti(v)).image().data)
 
 
 @pytest.mark.parametrize("kind", ["volume", "stack"])
@@ -326,24 +328,23 @@ def test_integer_datatype_codes_are_rejected(rng, kind, tmp_path):
 def test_a_3d_file_reads_as_a_one_channel_stack(rng):
     v = Volume(rng.random((4, 5, 6)), spacing=(1.0, 1.5, 2.0))
     blob = write_nifti(v, "float32")
-    stack = read_volume_stack(blob)
-    single = read_nifti(blob)
+    stack = StackReader.from_bytes(blob).read()
+    single = StackReader.from_bytes(blob).image()
     assert stack.channel_count == 1
     assert np.array_equal(stack.channels[0].data, single.data)
     assert same_geometry(stack, single)
-    # a read-only view of the one decoded array, as for 5D files
-    data = stack.channels[0].data
-    assert data.base is not None and not data.flags.writeable
+    # read-only, as for 5D files
+    assert not stack.channels[0].data.flags.writeable
 
 
 def test_other_dimensions_are_rejected_by_both_readers(rng):
     blob = _patch(write_nifti(Volume(rng.random((3, 3, 3)))), 40, "<h", 4)  # dim[0]
-    for read in (read_nifti, read_volume_stack):
+    for read in (StackReader.image, StackReader.read):
         with pytest.raises(UnsupportedDimension, match="dim"):
-            read(blob)
+            read(StackReader.from_bytes(blob))
     stack_blob = write_nifti(VolumeStack((Volume(rng.random((3, 3, 3))),) * 2))
     with pytest.raises(UnsupportedDimension, match="3D scalar"):
-        read_nifti(stack_blob)
+        StackReader.from_bytes(stack_blob).image()
 
 
 def test_custom_affine_survives(rng):
@@ -351,7 +352,7 @@ def test_custom_affine_survives(rng):
     m[:3, :3] = np.diag([1.0, 2.0, 3.0])
     m[:3, 3] = (-10.0, 5.0, 2.5)
     v = Volume(rng.random((4, 4, 4)), spacing=(1.0, 2.0, 3.0), grid_to_world=m)
-    back = read_nifti(write_nifti(v))
+    back = StackReader.from_bytes(write_nifti(v)).image()
     assert np.allclose(back.grid_to_world, m, atol=1e-5)
     assert np.allclose(back.spacing, (1.0, 2.0, 3.0), atol=1e-6)
 
@@ -413,12 +414,13 @@ def test_the_file_reader_matches_the_stream_reader(tmp_path, rng, suffix, dtype,
     blob = _variant(write_nifti(obj, dtype), byte_order, scaled)
     path = tmp_path / f"v{suffix}"
     path.write_bytes(gzip.compress(blob, mtime=0) if suffix == ".nii.gz" else blob)
-    assert _same_stack(read_volume_stack_file(path), read_volume_stack(path.read_bytes()))
+    whole = StackReader.from_bytes(path.read_bytes()).read()
+    assert _same_stack(read_volume_stack_file(path), whole)
     # a truncated file fails as its bytes do, naming the path
     cut = blob[:-3]
     path.write_bytes(gzip.compress(cut, mtime=0) if suffix == ".nii.gz" else cut)
     with pytest.raises(TruncatedData) as from_stream:
-        read_volume_stack(path.read_bytes())
+        StackReader.from_bytes(path.read_bytes()).read()
     with pytest.raises(TruncatedData) as from_file:
         read_volume_stack_file(path)
     assert str(from_file.value) == f"{path}: {from_stream.value}"
@@ -434,7 +436,7 @@ def test_a_stack_file_is_read_one_channel_block_at_a_time(tmp_path, rng):
     # and its decode took 32 blocks more
     decoded = 32 * 64 ** 3 * 8
     assert peak <= decoded + 2 * block
-    assert _same_stack(back, read_volume_stack(path.read_bytes()))
+    assert _same_stack(back, StackReader.from_bytes(path.read_bytes()).read())
 
 
 def test_a_stack_is_read_from_a_pipe(tmp_path, rng):
@@ -447,7 +449,7 @@ def test_a_stack_is_read_from_a_pipe(tmp_path, rng):
         back = read_volume_stack_file(fifo)
     finally:
         writer.join()
-    assert _same_stack(back, read_volume_stack(blob))
+    assert _same_stack(back, StackReader.from_bytes(blob).read())
 
 @pytest.mark.parametrize("kind, dtype", [("volume", "float32"), ("labels", "int16")])
 def test_a_written_channel_is_held_once(tmp_path, rng, kind, dtype):
@@ -481,7 +483,7 @@ def test_a_stack_reader_decodes_channels_and_voxel_ranges(tmp_path, rng, suffix,
     blob = _variant(write_nifti(stack, "int16" if scaled else "float32"), "<", scaled)
     path = tmp_path / f"s{suffix}"
     path.write_bytes(gzip.compress(blob, mtime=0) if suffix == ".nii.gz" else blob)
-    whole = read_volume_stack(blob)
+    whole = StackReader.from_bytes(blob).read()
     reader = StackReader.open(path)
     assert (reader.dims, reader.channel_count) == ((5, 4, 3), 3)
     assert same_geometry(reader, whole)
@@ -492,6 +494,21 @@ def test_a_stack_reader_decodes_channels_and_voxel_ranges(tmp_path, rng, suffix,
             got = np.asarray(reader.values(c, lo, hi), dtype=np.float64)
             assert got.tobytes() == flat[lo:hi].tobytes()
     assert _same_stack(reader.read(), whole)
+
+
+@pytest.mark.parametrize("c, lo, hi, message", [
+    (0, 10, 5, "voxel range [10, 5)"),
+    (0, -1, 5, "voxel range [-1, 5)"),
+    (0, 0, 4097, "voxel range [0, 4097)"),
+    (2, 0, None, "channel 2 is not in [0, 2)"),
+    (-1, 0, None, "channel -1 is not in [0, 2)"),
+])
+def test_a_channel_or_voxel_range_outside_the_file_is_rejected(tmp_path, rng, c, lo, hi, message):
+    path = tmp_path / "s.nii"
+    write_nifti_file(path, VolumeStack(tuple(Volume(rng.random((16, 16, 16))) for _ in range(2))))
+    for reader in (StackReader.open(path), StackReader.from_bytes(path.read_bytes(), path)):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            reader.values(c, lo, hi)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts this process's open files")
@@ -516,7 +533,7 @@ def test_a_non_finite_stack_voxel_is_rejected_naming_file_and_channel(tmp_path, 
     chans[2][1, 2, 3] = value
     blob = write_nifti(VolumeStack(tuple(Volume(c) for c in chans)))
     with pytest.raises(ValueError, match="channel 2 holds a non-finite voxel"):
-        read_volume_stack(blob)
+        StackReader.from_bytes(blob).read()
     path = tmp_path / "s.nii"
     path.write_bytes(blob)
     reader = StackReader.open(path)

@@ -1,9 +1,10 @@
 """The one NIfTI decoder against numpy, on random files and on corrupted headers.
 
-Every reader (``read_nifti``, ``read_nifti_file``, ``read_volume_stack`` and
-``StackReader.values``) must return the payload as numpy decodes it, or raise
-the same error; a corrupted header field is a ``SynthBrainError`` or a
-``ValueError``, or a file that decodes as its corrupted header says.
+Every reader (``StackReader.image`` and ``StackReader.read`` on a byte
+stream, ``read_nifti_file`` and ``StackReader.values``) must return the
+payload as numpy decodes it, or raise the same error; a corrupted header
+field is a ``SynthBrainError`` or a ``ValueError``, or a file that decodes
+as its corrupted header says.
 """
 
 import gzip
@@ -23,9 +24,7 @@ from synthbrain import (
     UnsupportedDimension,
     Volume,
     VolumeStack,
-    read_nifti,
     read_nifti_file,
-    read_volume_stack,
     write_nifti,
 )
 from synthbrain.nifti import _HDR_FMT
@@ -113,14 +112,14 @@ def test_every_reader_decodes_the_payload_as_numpy_does(scratch, file, gz, data)
     channels = [expected[c * nvox:(c + 1) * nvox].reshape(file.dims, order="F")
                 for c in range(file.channels)]
 
-    kind, stack = _outcome(read_volume_stack, file.blob)
+    kind, stack = _outcome(lambda: StackReader.from_bytes(file.blob).read())
     if finite:
         assert kind == "ok" and stack.channel_count == file.channels
         assert all(np.array_equal(ch.data, want) for ch, want in zip(stack.channels, channels))
     else:
         assert kind == "error" and "holds a non-finite voxel" in str(stack)
 
-    kind, image = _outcome(read_nifti, file.blob)
+    kind, image = _outcome(lambda: StackReader.from_bytes(file.blob).image())
     if file.ndim == 5:
         assert kind == "error" and isinstance(image, UnsupportedDimension)
     elif not finite:
@@ -187,12 +186,12 @@ def test_a_corrupted_header_field_is_an_error_or_decodes_as_the_header_says(file
     blob = bytearray(file.blob)
     struct.pack_into(file.byte_order + fmt, blob, offset, data.draw(_VALUES[fmt], label=field))
     blob = bytes(blob)
-    for read in (read_nifti, read_volume_stack):
+    for read in (StackReader.image, StackReader.read):
         # anything but these two errors escapes the call and fails the test
-        kind, got = _outcome(read, blob)
+        kind, got = _outcome(lambda: read(StackReader.from_bytes(blob)))
         if kind == "error":
             continue
-        channels = [got] if read is read_nifti else got.channels
+        channels = [got] if read is StackReader.image else got.channels
         want = _decoded_by_numpy(blob, file.scaling)
         assert len(channels) == len(want)
         assert all(np.array_equal(ch.data, w) for ch, w in zip(channels, want))

@@ -116,6 +116,38 @@ def test_threads_painting_one_fresh_map_agree_with_a_sequential_run():
         assert a.tobytes() == b.tobytes()
 
 
+def _paint_normalized_through_a_foreground_copy(lm, params, rng):
+    """``paint`` as first written: min and max of a copy of the foreground values."""
+    out = sb.paint(lm, params, rng, normalize=False).data.copy()
+    fg = lm.data != 0
+    vals = out[fg]
+    if not vals.size:
+        return np.zeros(lm.dims)
+    lo, hi = float(vals.min()), float(vals.max())
+    if hi - lo <= 0.0:
+        out[...] = 0.0
+    else:
+        out -= lo
+        out /= hi - lo
+        out[~fg] = 0.0
+        np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+@pytest.mark.parametrize("case", ["spheres", "constant", "empty"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_painted_bytes_match_the_foreground_copy_routine(case, seed):
+    lm = sphere_labels(16, (7.0, 5.0, 2.0) if case == "spheres" else (6.0,))
+    if case == "empty":
+        lm = sb.LabelMap(np.zeros((16, 16, 16), dtype=np.int32))
+    params = sb.sample_contrast_params(np.random.default_rng(seed), lm.label_set)
+    if case == "constant":
+        params = sb.ContrastParams({0: (0.0, 0.0), 1: (0.5, 0.0)})
+    got = sb.paint(lm, params, np.random.default_rng(seed)).data
+    want = _paint_normalized_through_a_foreground_copy(lm, params, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_missing_label_params_is_an_error():
     lm = sphere_labels(8, (3.0, 1.5))
     params = sb.ContrastParams({0: (0.0, 0.0), 1: (0.5, 0.1)})
