@@ -385,19 +385,40 @@ def parent_ssim_and_ms_ssim(a, b, scales, window, mask=None):
 
 
 def _parent_sample_trilinear(data, pts):
+    """Trilinear sampling as ``scipy.ndimage.map_coordinates`` (order 1,
+    ``mode="nearest"``) gives it, one channel at a time, for scalar
+    ``(nx, ny, nz)`` or channel-last ``(nx, ny, nz, c)`` data. Points outside
+    ``[0, n-1]`` on any axis, or NaN, are sampled at voxel 0 and set to 0."""
     from scipy.ndimage import map_coordinates
 
+    data = np.asarray(data, dtype=np.float64)
     p = np.asarray(pts, dtype=np.float64)
     coords = np.array(p.reshape(-1, 3).T, order="C")
     inside = np.ones(coords.shape[1], dtype=bool)
     for axis in range(3):
         inside &= (coords[axis] >= 0.0) & (coords[axis] <= data.shape[axis] - 1.0)
     coords[:, ~inside] = 0.0
-    out = np.empty(coords.shape[1])
-    map_coordinates(np.asarray(data, dtype=np.float64), coords, output=out, order=1,
-                    mode="nearest", prefilter=False)
+    channels = data[..., None] if data.ndim == 3 else data
+    out = np.empty((coords.shape[1], channels.shape[3]))
+    for c in range(channels.shape[3]):
+        values = np.empty(coords.shape[1])
+        map_coordinates(np.ascontiguousarray(channels[..., c]), coords, output=values,
+                        order=1, mode="nearest", prefilter=False)
+        out[:, c] = values
     out[~inside] = 0.0
-    return out.reshape(p.shape[:-1])
+    return out.reshape(p.shape[:-1] + data.shape[3:])
+
+
+def loop_nearest(labels, pts):
+    """Nearest-neighbour sampling point by point: halves round down, toward the
+    lower index, and points outside ``[0, n-1]`` on any axis (or NaN) give 0."""
+    out = np.zeros(pts.shape[:-1], dtype=labels.dtype)
+    top = np.asarray(labels.shape, dtype=np.float64) - 1.0
+    for i in np.ndindex(out.shape):
+        p = pts[i]
+        if np.all((p >= 0.0) & (p <= top)):
+            out[i] = labels[tuple(math.ceil(c - 0.5) for c in p)]
+    return out
 
 
 def _parent_warp_stack(stack, fld):

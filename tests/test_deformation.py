@@ -10,7 +10,13 @@ from synthbrain.deformation import DeformationConfig
 from synthbrain.volume import _per_axis, sample_trilinear, voxel_to_world, world_coordinate_grid
 
 from conftest import make_subject, smooth_volume
-from reference_impls import deformation_world, index_grid, integrate_svf_full, source_voxels_world
+from reference_impls import (
+    _parent_sample_trilinear,
+    deformation_world,
+    index_grid,
+    integrate_svf_full,
+    source_voxels_world,
+)
 
 
 def _mild_field(seed, n=32, cfg=None):
@@ -660,3 +666,60 @@ def test_built_fields_are_read_only_and_own_their_data():
         assert not fld.grid_to_world.flags.writeable, name
     assert not np.shares_memory(results["compose(field)"].displacement, t.displacement)
     assert not np.shares_memory(fixed_point.displacement, phi.displacement)
+
+
+# -- the trilinear kernel gives map_coordinates' bytes to every caller ---------------
+
+def _scipy_trilinear(data, pts):
+    """The reference sampling, taking positions prepared by ``volume._points`` too."""
+    if isinstance(pts, sb.volume._Points):
+        pts = pts.flat.reshape(pts.shape + (3,))
+    return _parent_sample_trilinear(data, pts)
+
+
+def _sampled_results(like, seed):
+    """Every caller of the trilinear kernel on ``like``'s grid, as raw arrays."""
+    rng = np.random.default_rng(seed)
+    cfg = DeformationConfig()
+    affine, svf = sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, like)
+    fwd = sb.build_deformation(affine, svf)
+    inv = sb.build_deformation(affine, svf, inverted=True)
+    outer = sb.build_deformation(sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, _offset_grid()))
+    stack = sb.VolumeStack(tuple(
+        sb.Volume(rng.random(like.dims), like.spacing, like.grid_to_world) for _ in range(3)
+    ))
+    # a provenance-free copy takes the fixed-point path
+    plain = sb.DeformationField(fwd.displacement, fwd.spacing, fwd.grid_to_world)
+    return {
+        "build_deformation": fwd.displacement,
+        "build_deformation(inverted)": inv.displacement,
+        "invert(fixed point)": sb.invert(plain).displacement,
+        "compose": sb.compose(outer, fwd).displacement,
+        "warp_stack": np.stack([ch.data for ch in sb.warp_stack(stack, fwd).channels]),
+    }
+
+
+def _sample_with_scipy(monkeypatch):
+    for module in (sb.volume, sb.deformation):
+        monkeypatch.setattr(module, "sample_trilinear", _scipy_trilinear)
+
+
+@pytest.mark.parametrize("grid", ["sheared", "phantom"])
+def test_callers_get_map_coordinates_bytes(grid, monkeypatch):
+    like = _sheared_grid((20, 18, 16)) if grid == "sheared" else make_subject(24).mprage
+    got = _sampled_results(like, 5)
+    _sample_with_scipy(monkeypatch)
+    want = _sampled_results(like, 5)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_write_batch_tree_gets_map_coordinates_bytes(tmp_path, monkeypatch):
+    subject = make_subject(64, seed=2)
+    sb.write_batch(subject, 4, 7, tmp_path / "kernel")
+    _sample_with_scipy(monkeypatch)
+    sb.write_batch(subject, 4, 7, tmp_path / "scipy")
+    names = sorted(p.name for p in (tmp_path / "kernel").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "scipy").iterdir())
+    for name in names:
+        assert (tmp_path / "kernel" / name).read_bytes() == (tmp_path / "scipy" / name).read_bytes(), name

@@ -1,7 +1,13 @@
+import re
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import synthbrain as sb
 
 from synthbrain import (
     DeformationField,
@@ -15,9 +21,10 @@ from synthbrain import (
     same_geometry,
     spatial_gradient,
 )
+from synthbrain import volume
 from synthbrain.volume import _per_axis, _points, sample_nearest, sample_trilinear
 
-from reference_impls import gather_trilinear
+from reference_impls import _parent_sample_trilinear, gather_trilinear, loop_nearest
 
 
 def test_volume_freezes_data(rng):
@@ -265,6 +272,131 @@ def test_prepared_points_sample_as_the_raw_points(rng, shape):
         want = sample(grid, pts)
         got = sample(grid, at)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _layout(data, layout):
+    """``data`` with the same values in C order, Fortran order or as a strided view."""
+    if layout == "C":
+        return np.ascontiguousarray(data)
+    if layout == "F":
+        return np.asfortranarray(data)
+    every_other = (slice(None, None, 2),) * data.ndim
+    base = np.zeros(tuple(2 * n for n in data.shape))
+    base[every_other] = data
+    return base[every_other]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(1, 7)] * 3), st.sampled_from([None, 0, 1, 2, 3, 4]),
+       st.sampled_from(["C", "F", "strided"]), st.sampled_from(["normal", "negative", "zeros"]),
+       st.integers(0, 40), st.sampled_from([None, 1, 7]), st.integers(0, 2**32 - 1))
+def test_trilinear_is_bitwise_map_coordinates(dims, channels, layout, fill, npts, chunk, seed):
+    # scalar (channels None) or channel-last data with 0-4 channels, against
+    # scipy's order-1 map_coordinates: equal values and equal sign bits, also
+    # where the sum is of zeros; chunk sizes of 1 and 7 put points on both
+    # sides of a chunk boundary
+    rng = np.random.default_rng(seed)
+    shape = dims + (() if channels is None else (channels,))
+    data = rng.standard_normal(shape)
+    data[rng.random(shape) < 0.2] = -0.0
+    if fill == "negative":
+        data = -np.abs(data)
+    elif fill == "zeros":
+        data = np.full(shape, -0.0)
+    data = _layout(data, layout)
+    hi = np.asarray(dims, dtype=float) - 1.0
+    pts = rng.uniform(-1.0, hi + 1.0, (npts, 3))
+    kind = rng.integers(0, 7, pts.shape)
+    whole = np.floor(rng.uniform(0.0, hi + 1.0, pts.shape))
+    tiny = 10.0 ** rng.uniform(-300.0, -9.0, pts.shape)  # 1 - (1 - t) is not t
+    just_out = np.where(rng.random(pts.shape) < 0.5, -1e-12, hi + 1e-12)
+    for k, value in enumerate((0.0, hi, whole, whole + tiny, np.nan, just_out), start=1):
+        pts = np.where(kind == k, value, pts)
+    with mock.patch.object(volume, "_CHUNK", chunk or volume._CHUNK):
+        got = sample_trilinear(data, pts)
+    want = _parent_sample_trilinear(data, pts)
+    assert got.shape == want.shape == (npts,) + shape[3:]
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("batch", [(3 * 8192 + 5,), (2, 8192 + 1)])
+def test_sampling_spans_chunks_as_one_pass(rng, batch):
+    # more points than one chunk, the last chunk partial
+    data = rng.standard_normal((9, 8, 7, 2))
+    labels = rng.integers(0, 9, (9, 8, 7)).astype(np.int32)
+    pts = rng.uniform(-0.5, 8.5, batch + (3,))
+    assert sample_trilinear(data, pts).tobytes() == _parent_sample_trilinear(data, pts).tobytes()
+    assert sample_nearest(labels, pts).tobytes() == loop_nearest(labels, pts).tobytes()
+
+
+@pytest.mark.parametrize("sample, data_shape, pts_shape, names", [
+    (sample_trilinear, (4, 4), (3,), "(4, 4)"),
+    (sample_trilinear, (2, 2, 2, 2, 2), (3,), "(2, 2, 2, 2, 2)"),
+    (sample_trilinear, (4, 4, 4), (5, 2), "(5, 2)"),
+    (sample_nearest, (4, 4), (3,), "(4, 4)"),
+    (sample_nearest, (4, 4, 4, 2), (3,), "(4, 4, 4, 2)"),
+    (sample_nearest, (4, 4, 4), (5, 2), "(5, 2)"),
+], ids=["trilinear-2d", "trilinear-5d", "trilinear-points", "nearest-2d", "nearest-4d",
+        "nearest-points"])
+def test_sampling_names_a_wrong_rank(sample, data_shape, pts_shape, names):
+    with pytest.raises(ValueError, match=re.escape(names)):
+        sample(np.zeros(data_shape, dtype=np.int32), np.zeros(pts_shape))
+
+
+def _traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` allocates above what is held when it starts, at its peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _held_bound(output_bytes, npts):
+    """What a sampling call may hold: its output, the inside and outside masks
+    (one byte per point each) with a byte per point to spare, and 28 per-point
+    arrays of one chunk. The trilinear kernel holds 25: the clamped x, y and z
+    rows, three lower weights, six corner offsets, eight corner offsets, two
+    transients, the gathered corner and the running sum."""
+    return output_bytes + 3 * npts + 28 * volume._CHUNK * 8
+
+
+def test_trilinear_holds_its_output_and_chunk_buffers_only(rng):
+    # a 3-channel 48³ field at 48³ points: no copy of the positions, no
+    # channel-first output
+    n = 48
+    field = rng.standard_normal((n, n, n, 3))
+    pts = volume.world_coordinate_grid((n, n, n), np.eye(4)) + rng.uniform(-0.5, 0.5, (n, n, n, 3))
+    assert _traced_peak(sample_trilinear, field, pts) <= _held_bound(field.nbytes, n ** 3)
+
+
+def test_warp_pull_holds_its_output_and_chunk_buffers_only(monkeypatch):
+    # warp_volume at 48³, measured from when its positions are built
+    n = 48
+    v = Volume(np.random.default_rng(3).random((n, n, n)))
+    rng = np.random.default_rng(4)
+    cfg = sb.DeformationConfig()
+    fld = sb.build_deformation(sb.sample_affine(rng, cfg), sb.sample_svf(rng, cfg, v))
+    held = []
+    source_voxels = sb.deformation._source_voxels
+
+    def from_here(*args):
+        p = source_voxels(*args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return p
+
+    monkeypatch.setattr(sb.deformation, "_source_voxels", from_here)
+    tracemalloc.start()
+    try:
+        sb.warp_volume(v, fld)
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _held_bound(v.data.nbytes, n ** 3)
 
 
 # -- gradient / normalization ---------------------------------------------------
