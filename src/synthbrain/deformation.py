@@ -71,6 +71,9 @@ _INTEGRATION_DOWNSIZE = 2
 # or after this many updates
 _INVERSION_TOL = 1e-3
 _INVERSION_ITERATIONS = 20
+# points per slab of the first axis when a warp adds the displacement to its
+# positions (1.5 MB of them)
+_SLAB_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -467,7 +470,12 @@ def _source_voxels(fld: DeformationField, grid_to_world: np.ndarray) -> np.ndarr
     else:
         to_grid = np.linalg.inv(grid_to_world) @ fld.grid_to_world
     p = world_coordinate_grid(fld.dims, to_grid)
-    p += fld.displacement @ _world_to_voxel_linear(grid_to_world)
+    to_voxel = _world_to_voxel_linear(grid_to_world)
+    # a slab of planes at a time, so that no second position grid is held
+    step = max(1, _SLAB_POINTS // (fld.dims[1] * fld.dims[2]))
+    for lo in range(0, fld.dims[0], step):
+        s = slice(lo, lo + step)
+        p[s] += fld.displacement[s] @ to_voxel
     return p
 
 

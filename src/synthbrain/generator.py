@@ -154,6 +154,7 @@ def _prepare(subject: SubjectRecord, n: int, base_seed: int, schedule, threads):
     label_set = warped_labels.label_set
     # built here, once, rather than by whichever sample thread paints first
     warped_labels._label_index
+    warped_labels._foreground
 
     def make_sample(i: int) -> Sample:
         rng = make_rng(base_seed, subject.id, i)

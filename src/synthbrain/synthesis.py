@@ -83,37 +83,37 @@ def paint(
 ) -> Volume:
     """Per-voxel intensities ~ N(mu_label, sigma_label), optionally normalized.
 
-    Normalization rescales the foreground (label != 0) to [0, 1] and keeps
-    background at exactly 0; a constant foreground maps to all zeros. Pass
-    ``normalize=False`` to inspect the raw draws.
+    Only the foreground (label != 0) is drawn: one standard normal per
+    foreground voxel, in C order. Background is exactly +0.0, whatever the
+    table gives label 0, and an all-background map draws nothing.
+    Normalization rescales the foreground to [0, 1]; a constant foreground
+    maps to all zeros. Pass ``normalize=False`` to inspect the raw draws.
     """
     present = lm.label_set
     missing = [lab for lab in present if lab not in params.table]
     if missing:
         raise MissingLabelParams(missing)
 
+    out = np.zeros(lm.dims)
+    fg = lm._foreground
     # one entry per present label, gathered through the map's label index
-    index = lm._label_index
+    index = lm._label_index[fg]
+    if not index.size:
+        return Volume._adopt(out, lm.spacing, lm.grid_to_world)
     mu = np.array([params.table[lab][0] for lab in present])
     sigma = np.array([params.table[lab][1] for lab in present])
 
     # mu + sigma * eps, worked out in the buffer of the fresh draw eps
-    out = rng.standard_normal(lm.dims)
-    out *= sigma[index]
-    out += mu[index]
-    if not normalize:
-        return Volume._adopt(out, lm.spacing, lm.grid_to_world)
-
-    fg = lm.data != 0
-    if not fg.any():
-        return Volume._adopt(np.zeros(lm.dims), lm.spacing, lm.grid_to_world)
-    lo = float(out.min(where=fg, initial=np.inf))
-    hi = float(out.max(where=fg, initial=-np.inf))
-    if hi - lo <= 0.0:
-        out[...] = 0.0
-    else:
-        out -= lo
-        out /= hi - lo
-        out[~fg] = 0.0
-        np.clip(out, 0.0, 1.0, out=out)
+    vals = rng.standard_normal(index.size)
+    vals *= sigma[index]
+    vals += mu[index]
+    if normalize:
+        lo, hi = float(vals.min()), float(vals.max())
+        if hi - lo <= 0.0:
+            vals[...] = 0.0
+        else:
+            vals -= lo
+            vals /= hi - lo
+            np.clip(vals, 0.0, 1.0, out=vals)
+    out[fg] = vals
     return Volume._adopt(out, lm.spacing, lm.grid_to_world)

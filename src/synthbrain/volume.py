@@ -176,6 +176,13 @@ class LabelMap(_Grid):
         index.setflags(write=False)
         return index
 
+    @cached_property
+    def _foreground(self) -> np.ndarray:
+        """Boolean mask of the voxels with a label other than 0, read-only."""
+        fg = self.data != 0
+        fg.setflags(write=False)
+        return fg
+
 
 @dataclass(frozen=True)
 class VolumeStack:
@@ -249,16 +256,20 @@ def world_coordinate_grid(dims, affine: np.ndarray) -> np.ndarray:
     """(nx, ny, nz, 3) array of ``affine`` applied to every voxel index.
 
     Same values as ``voxel_to_world`` on the index grid (bitwise on
-    axis-aligned affines), built by broadcasting one column per axis;
-    ``np.eye(4)`` gives the index grid itself.
+    axis-aligned affines); ``np.eye(4)`` gives the index grid itself. Each
+    component is ``(((0.0 + i a0) + j a1) + k a2) + a3``, summed in that
+    order, and filled whole, so that numpy's inner loops run along the last
+    axis rather than over the three components.
     """
     dims = tuple(dims)
-    out = np.zeros(dims + (3,))
-    for axis, n in enumerate(dims):
-        shape = [1, 1, 1, 3]
-        shape[axis] = n
-        out += (np.arange(n, dtype=np.float64)[:, None] * affine[:3, axis]).reshape(shape)
-    out += affine[:3, 3]
+    out = np.empty(dims + (3,))
+    i, j, k = (np.arange(n, dtype=np.float64) for n in dims)
+    for c, (a0, a1, a2, a3) in enumerate(affine[:3]):
+        # 0.0 + ..., so that a -0.0 product still starts the sum at +0.0
+        plane = (i * a0 + 0.0)[:, None] + j * a1
+        comp = out[..., c]
+        np.add(plane[:, :, None], k * a2, out=comp)
+        comp += a3
     return out
 
 

@@ -66,6 +66,17 @@ def index_grid(dims) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def broadcast_coordinate_grid(dims, affine: np.ndarray) -> np.ndarray:
+    """``affine`` on every voxel index as first built: a zero grid plus one
+    broadcast (n, 3) column per axis, then the translation, in that order."""
+    out = np.zeros(tuple(dims) + (3,))
+    for axis, n in enumerate(dims):
+        shape = [1, 1, 1, 3]
+        shape[axis] = n
+        out += (np.arange(n, dtype=np.float64)[:, None] * affine[:3, axis]).reshape(shape)
+    return out + affine[:3, 3]
+
+
 def apply_affine(affine: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """A homogeneous 4x4 affine applied to (..., 3) points."""
     return pts @ affine[:3, :3].T + affine[:3, 3]
@@ -313,6 +324,36 @@ def apply_bias(data: np.ndarray, coarse) -> np.ndarray:
     """The image times its bias field, multiplied in that order."""
     data = np.asarray(data, dtype=np.float64)
     return data * bias_from_coarse(coarse, data.shape)
+
+
+# -- contrast painting with one draw per voxel --------------------------------------
+
+def full_grid_paint(labels: np.ndarray, table: dict, rng: np.random.Generator,
+                    normalize: bool = True) -> np.ndarray:
+    """A standard normal for every voxel of ``labels`` (C order), then
+    ``eps * sigma + mu`` per label; normalized, the foreground (label != 0) is
+    rescaled to [0, 1] and the background set to 0. The rule before only the
+    foreground was drawn: on a map without label 0 the bytes are the same."""
+    out = rng.standard_normal(labels.shape)
+    sigma = np.zeros(labels.shape)
+    mu = np.zeros(labels.shape)
+    for lab, (m, s) in table.items():
+        sigma[labels == lab] = s
+        mu[labels == lab] = m
+    out *= sigma
+    out += mu
+    if not normalize:
+        return out
+    fg = labels != 0
+    if not fg.any():
+        return np.zeros(labels.shape)
+    lo, hi = float(out[fg].min()), float(out[fg].max())
+    if hi - lo <= 0.0:
+        return np.zeros(labels.shape)
+    out -= lo
+    out /= hi - lo
+    out[~fg] = 0.0
+    return np.clip(out, 0.0, 1.0)
 
 
 # -- the evaluation protocol as first built ---------------------------------------

@@ -353,6 +353,19 @@ def test_noise_reproducible_by_seed():
     assert not np.array_equal(a.data, c.data)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-9, 0.01, 0.2])
+def test_noise_replays_the_bytes_of_a_normal_draw(sigma):
+    dims = (12, 10, 8)
+    images = [np.full(dims, 0.5), np.full(dims, -0.0), np.zeros(dims), smooth_volume(12, 1).data[:, :10, :8]]
+    for seed in (0, 1, 7, 2 ** 40):
+        record = _from_wire(noise={"sigma": sigma, "seed": seed})
+        for data in images:
+            got = sb.apply_corruption(sb.Volume(data), record).data
+            want = np.clip(np.random.default_rng(seed).normal(0.0, sigma, dims) + data, 0.0, 1.0)
+            # tobytes, unlike ==, tells -0.0 from +0.0
+            assert got.tobytes() == want.tobytes()
+
+
 # -- pipeline -------------------------------------------------------------------------
 
 def test_all_off_corruption_is_identity():

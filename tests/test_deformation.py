@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from synthbrain.volume import _per_axis, sample_trilinear, voxel_to_world, world
 from conftest import make_subject, smooth_volume
 from reference_impls import (
     _parent_sample_trilinear,
+    broadcast_coordinate_grid,
     deformation_world,
     index_grid,
     integrate_svf_full,
@@ -608,6 +610,37 @@ def test_source_voxels_match_the_world_route(frame, target):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(96, 96, 96), (40, 36, 32), (97, 80, 61)])
+def test_source_voxels_slabs_match_one_full_product(dims):
+    grid = _sheared_grid(dims)
+    fld = sb.DeformationField(np.random.default_rng(1).normal(0.0, 2.0, dims + (3,)),
+                              grid.spacing, grid.grid_to_world)
+    other = np.array(grid.grid_to_world)
+    other[0, 3] += 0.7
+    other[1, 0] -= 0.03
+    for g in (grid.grid_to_world, other):
+        to_grid = np.eye(4) if g is grid.grid_to_world else np.linalg.inv(g) @ fld.grid_to_world
+        full = world_coordinate_grid(dims, to_grid)
+        full += fld.displacement @ sb.deformation._world_to_voxel_linear(g)
+        assert sb.deformation._source_voxels(fld, g).tobytes() == full.tobytes()
+
+
+def test_a_warp_holds_one_position_grid():
+    n = 96
+    fld = sb.DeformationField(np.random.default_rng(2).normal(0.0, 2.0, (n, n, n, 3)))
+    v = sb.Volume(np.random.default_rng(3).random((n, n, n)))
+    tracemalloc.start()
+    try:
+        out = sb.warp_volume(v, fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    positions = fld.displacement.nbytes
+    # the positions, the output, _points' outside mask and one slab of the
+    # displacement product; a second position grid would add 21 MB
+    assert peak <= positions + out.data.nbytes + 4 * 2 ** 20
+
+
 # -- serialization ----------------------------------------------------------------
 
 def test_field_round_trips_through_vector_nifti(tmp_path):
@@ -641,6 +674,13 @@ def test_world_coordinate_grid_matches_the_affine_map():
     ref = voxel_to_world(sheared, index_grid(dims))
     got = world_coordinate_grid(dims, sheared)
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+    # the sums of the broadcast build, bit for bit, signed zeros included
+    rng = np.random.default_rng(0)
+    signed = np.diag([-1.0, 2.0, -0.0, 1.0])
+    signed[:3, 3] = [-0.0, 0.0, -3.0]
+    for a in [sheared, signed] + [np.vstack([rng.normal(size=(3, 4)), [0, 0, 0, 1]]) for _ in range(4)]:
+        for shape in (dims, (1, 1, 1), (1, 9, 2), (33, 20, 17)):
+            assert world_coordinate_grid(shape, a).tobytes() == broadcast_coordinate_grid(shape, a).tobytes()
 
 
 def test_built_fields_are_read_only_and_own_their_data():

@@ -64,6 +64,7 @@ def test_batch_indexes_the_warped_labels_once(monkeypatch):
     assert [a is subject.labels.data for a in unique_args] == [False]
     assert "label_set" not in vars(subject.labels)
     assert "_label_index" not in vars(subject.labels)
+    assert "_foreground" not in vars(subject.labels)
 
 
 def test_batch_computes_the_warp_positions_once(subject32, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import synthbrain as sb
 
 from conftest import sphere_labels
+from reference_impls import full_grid_paint
 
 
 def test_sampling_deterministic_under_seed():
@@ -146,6 +147,61 @@ def test_painted_bytes_match_the_foreground_copy_routine(case, seed):
     got = sb.paint(lm, params, np.random.default_rng(seed)).data
     want = _paint_normalized_through_a_foreground_copy(lm, params, np.random.default_rng(seed))
     assert got.tobytes() == want.tobytes()
+
+
+def _state_after(seed, labels, draws):
+    """A fresh generator's state after the contrast draws and ``draws`` normals."""
+    rng = np.random.default_rng(seed)
+    params = sb.sample_contrast_params(rng, labels)
+    rng.standard_normal(draws)
+    return params, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_paint_draws_one_normal_per_foreground_voxel(normalize, seed):
+    lm = sphere_labels(16, (7.0, 5.0, 2.0))
+    n_fg = int(np.count_nonzero(lm.data))
+    assert 0 < n_fg < lm.data.size
+    params, want = _state_after(seed, lm.label_set, n_fg)
+    rng = np.random.default_rng(seed)
+    assert sb.sample_contrast_params(rng, lm.label_set) == params
+    sb.paint(lm, params, rng, normalize=normalize)
+    assert rng.bit_generator.state == want
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_background_is_positive_zero(normalize):
+    lm = sphere_labels(16, (7.0, 5.0, 2.0))
+    tables = [sb.sample_contrast_params(np.random.default_rng(s), lm.label_set) for s in range(4)]
+    # whatever the table gives label 0
+    tables.append(sb.ContrastParams({0: (-0.5, 0.2), 1: (0.3, 0.1), 2: (0.6, 0.1), 3: (0.9, 0.1)}))
+    for seed, params in enumerate(tables):
+        out = sb.paint(lm, params, np.random.default_rng(seed), normalize=normalize)
+        bg = out.data[lm.data == 0]
+        assert bg.size and not bg.any() and not np.signbit(bg).any()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_map_without_background_paints_as_the_full_grid_rule(normalize, seed):
+    lm = sphere_labels(16, (7.0, 5.0, 2.0))
+    lm = sb.LabelMap(lm.data + 1, lm.spacing, lm.grid_to_world)
+    assert 0 not in lm.label_set
+    params = sb.sample_contrast_params(np.random.default_rng(seed), lm.label_set)
+    got = sb.paint(lm, params, np.random.default_rng(seed), normalize=normalize).data
+    want = full_grid_paint(lm.data, params.table, np.random.default_rng(seed), normalize)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_an_all_background_map_draws_nothing(normalize):
+    lm = sb.LabelMap(np.zeros((6, 5, 4), dtype=np.int32))
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    out = sb.paint(lm, sb.ContrastParams({0: (0.0, 0.0)}), rng, normalize=normalize)
+    assert rng.bit_generator.state == before
+    assert out.data.tobytes() == np.zeros(lm.dims).tobytes()
 
 
 def test_missing_label_params_is_an_error():
