@@ -17,15 +17,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter1d
 
 from .deformation import DeformationConfig
 from .volume import (
     Volume,
     _corner_aligned_weights,
     _linear_weights,
+    _minmax,
     _per_axis,
-    minmax_normalize,
 )
 
 __all__ = [
@@ -130,54 +130,59 @@ def _bias(coarse, like) -> np.ndarray:
     return np.exp(field, out=field)
 
 
-def _resample_through(data: np.ndarray, ratios) -> np.ndarray:
-    """Downsample by per-axis ratios (>= 1) then trilinear-upsample back.
+def _acquisition(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of ``n`` voxels acquired at ``r`` times its spacing (r > 1).
 
-    Both passes replicate edges (resampling must not darken borders); per
-    axis they fold into one (n, n) down-then-up matrix.
+    Returns the (m, n) acquisition, the slice-profile Gaussian (FWHM = r
+    voxels, scipy's truncation, edges replicated) followed by linear sampling
+    at the m = floor((n - 1) / r) + 1 coarse nodes, and the (n, m) trilinear
+    upsampling back, which also replicates edges.
     """
-    def down_up(n, r):
-        coarse = np.arange(int(np.floor((n - 1) / r)) + 1)
-        return _linear_weights(np.arange(n) / r, len(coarse)) @ _linear_weights(coarse * r, n)
+    nodes = np.arange(int(np.floor((n - 1) / r)) + 1)
+    # column j is the blur of a unit impulse at voxel j, so this is the
+    # filter's matrix, truncation and edge rule included
+    blur = gaussian_filter1d(np.eye(n), r / _FWHM, axis=0, mode="nearest")
+    return _linear_weights(nodes * r, n) @ blur, _linear_weights(np.arange(n) / r, len(nodes))
 
-    return _per_axis(data, [None if r == 1.0 else down_up(n, r)
-                            for n, r in zip(data.shape, ratios)])
 
+def _apply_resolution(data: np.ndarray, spacing, target_spacing) -> np.ndarray:
+    """Acquisition at ``target_spacing``, back on the grid of ``data``.
 
-def _apply_resolution(v: Volume, target_spacing) -> Volume:
-    """Acquisition at ``target_spacing``, back on the input grid.
-
-    Each degraded axis is blurred (slice-profile FWHM = target spacing),
-    subsampled at the target spacing and trilinearly upsampled back, so the
-    output dims always equal the input dims. A record may come from outside
+    Each degraded axis is blurred (slice-profile FWHM = target spacing) and
+    sampled at the target spacing, all axes at once onto the acquired image's
+    own coarse grid; that image is then trilinearly upsampled back, so the
+    output dims always equal the input dims. Returns ``data`` itself when no
+    axis is degraded, otherwise a fresh array. A record may come from outside
     (JSON), so the spacing is checked: three finite values > 0.
     """
     if len(target_spacing) != 3 or not all(0 < t < math.inf for t in target_spacing):
         raise ValueError(f"target_spacing must be 3 finite values > 0, got {target_spacing}")
-    ratios = [t / c if t > c else 1.0 for t, c in zip(target_spacing, v.spacing)]
+    ratios = [t / c if t > c else 1.0 for t, c in zip(target_spacing, spacing)]
     if all(r == 1.0 for r in ratios):
-        return v
-    sigmas = [r / _FWHM if r > 1.0 else 0.0 for r in ratios]
-    blurred = gaussian_filter(v.data, sigmas, mode="nearest")
-    return Volume._adopt(_resample_through(blurred, ratios), v.spacing, v.grid_to_world)
+        return data
+    down, up = zip(*((None, None) if r == 1.0 else _acquisition(n, r)
+                     for n, r in zip(data.shape, ratios)))
+    # nested, so that the coarse image is freed as the upsampling consumes it
+    return _per_axis(_per_axis(data, down), up)
 
 
 # -- noise ---------------------------------------------------------------------
 
-def _apply_noise(v: Volume, sigma: float, seed: int) -> Volume:
-    """White noise of std ``sigma`` from the stream ``seed``, clipped to [0, 1];
-    both are checked, as a record may come from outside (JSON)."""
+def _apply_noise(data: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """``data`` plus white noise of std ``sigma`` from the stream ``seed``,
+    clipped to [0, 1], as a fresh array; both are checked, as a record may
+    come from outside (JSON)."""
     if not 0 <= sigma < math.inf:
         raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
     if not (0 <= seed < 2 ** 63 and seed == math.floor(seed)):
         raise ValueError(f"noise seed must be an integer in [0, 2**63), got {seed}")
     # normal(0.0, sigma, dims) computes 0.0 + sigma * z; so does this, in place
     # and from the cheaper standard draw (the + 0.0 turns a -0.0 into +0.0)
-    noisy = np.random.default_rng(int(seed)).standard_normal(v.dims)
+    noisy = np.random.default_rng(int(seed)).standard_normal(data.shape)
     noisy *= sigma
     noisy += 0.0
-    noisy += v.data
-    return Volume._adopt(np.clip(noisy, 0.0, 1.0, out=noisy), v.spacing, v.grid_to_world)
+    noisy += data
+    return np.clip(noisy, 0.0, 1.0, out=noisy)
 
 
 # -- full pipeline with replayable records --------------------------------------
@@ -273,19 +278,23 @@ def sample_corruption_record(
 
 
 def apply_corruption(v: Volume, record: CorruptionRecord) -> Volume:
-    """Replay a record: bias, then resolution, then noise, then renormalize."""
-    out = v
+    """Replay a record: bias, then resolution, then noise, then renormalize.
+
+    Each stage that runs returns a fresh array, which the next stages and
+    the renormalization work in; ``v`` itself is never written, and comes
+    back unchanged when no stage alters it.
+    """
+    data = v.data
     if record.bias is not None:
-        field = _bias(record.bias["coarse"], v)
-        field *= v.data
-        out = Volume._adopt(field, v.spacing, v.grid_to_world)
+        data = _bias(record.bias["coarse"], v)
+        data *= v.data
     if record.resolution is not None:
-        out = _apply_resolution(out, record.resolution["target_spacing"])
+        data = _apply_resolution(data, v.spacing, record.resolution["target_spacing"])
     if record.noise is not None:
-        out = _apply_noise(out, float(record.noise["sigma"]), record.noise["seed"])
+        data = _apply_noise(data, float(record.noise["sigma"]), record.noise["seed"])
     if record.renormalized:
-        out = minmax_normalize(out)
-    return out
+        data = _minmax(data, out=None if data is v.data else data)
+    return v if data is v.data else Volume._adopt(data, v.spacing, v.grid_to_world)
 
 
 def corrupt(

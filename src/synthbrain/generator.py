@@ -153,8 +153,7 @@ def _prepare(subject: SubjectRecord, n: int, base_seed: int, schedule, threads):
     target = minmax_normalize(moved)
     label_set = warped_labels.label_set
     # built here, once, rather than by whichever sample thread paints first
-    warped_labels._label_index
-    warped_labels._foreground
+    warped_labels._foreground_index
 
     def make_sample(i: int) -> Sample:
         rng = make_rng(base_seed, subject.id, i)

@@ -298,13 +298,22 @@ def _datatype_code(datatype: str) -> int:
     return codes[datatype]
 
 
+# first-axis planes per slab of the float cast in _encode
+_CAST_PLANES = 16
+
+
 def _encode(data: np.ndarray, code: int) -> memoryview:
     """``data`` cast to a little-endian NIfTI type in Fortran order, as a byte
     view of the one cast array: writers take it as they take bytes."""
     dtype = _DTYPES[code].newbyteorder("<")
     data = np.asarray(data)
     if dtype.kind == "f":
-        out = data.astype(dtype, order="F")
+        # astype(order="F") of a C-ordered grid is one transposing copy that
+        # strides through the whole grid; a slab of first-axis planes at a
+        # time stays in cache (same cast, same bytes)
+        out = np.empty(data.shape, dtype, order="F")
+        for lo in range(0, len(data), _CAST_PLANES):
+            out[lo:lo + _CAST_PLANES] = data[lo:lo + _CAST_PLANES]
     else:
         # integer targets: round float input, then clamp into the representable
         # range while casting; integer input is clamped in its own dtype

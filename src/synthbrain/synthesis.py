@@ -90,18 +90,17 @@ def paint(
     maps to all zeros. Pass ``normalize=False`` to inspect the raw draws.
     """
     present = lm.label_set
-    missing = [lab for lab in present if lab not in params.table]
+    missing = [lab for lab in present if lab != 0 and lab not in params.table]
     if missing:
         raise MissingLabelParams(missing)
 
     out = np.zeros(lm.dims)
-    fg = lm._foreground
-    # one entry per present label, gathered through the map's label index
-    index = lm._label_index[fg]
+    # one entry per present label, gathered through the map's label index;
+    # background voxels are never drawn, so label 0's entry is never read
+    index = lm._foreground_index
     if not index.size:
         return Volume._adopt(out, lm.spacing, lm.grid_to_world)
-    mu = np.array([params.table[lab][0] for lab in present])
-    sigma = np.array([params.table[lab][1] for lab in present])
+    mu, sigma = np.array([params.table[lab] if lab else (0.0, 0.0) for lab in present]).T
 
     # mu + sigma * eps, worked out in the buffer of the fresh draw eps
     vals = rng.standard_normal(index.size)
@@ -115,5 +114,5 @@ def paint(
             vals -= lo
             vals /= hi - lo
             np.clip(vals, 0.0, 1.0, out=vals)
-    out[fg] = vals
+    out[lm._foreground] = vals
     return Volume._adopt(out, lm.spacing, lm.grid_to_world)

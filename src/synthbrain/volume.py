@@ -183,6 +183,14 @@ class LabelMap(_Grid):
         fg.setflags(write=False)
         return fg
 
+    @cached_property
+    def _foreground_index(self) -> np.ndarray:
+        """:attr:`_label_index` at the :attr:`_foreground` voxels, in C order,
+        read-only: one byte per foreground voxel for up to 256 labels."""
+        index = self._label_index[self._foreground]
+        index.setflags(write=False)
+        return index
+
 
 @dataclass(frozen=True)
 class VolumeStack:
@@ -459,10 +467,22 @@ def spatial_gradient(v: Volume) -> VolumeStack:
     return VolumeStack(tuple(Volume._adopt(g, v.spacing, v.grid_to_world) for g in (gx, gy, gz)))
 
 
+def _minmax(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(data - lo) / (hi - lo)`` over the values' range, written into ``out``
+    (which may be ``data``; None makes a fresh array); constant data gives
+    zeros."""
+    lo = float(data.min())
+    hi = float(data.max())
+    if hi - lo <= 0.0:
+        if out is None:
+            return np.zeros(data.shape)
+        out[...] = 0.0
+        return out
+    out = np.subtract(data, lo, out=out)
+    out /= hi - lo
+    return out
+
+
 def minmax_normalize(v: Volume) -> Volume:
     """Affine rescale of the values to [0, 1]; constant volumes map to zero."""
-    lo = float(v.data.min())
-    hi = float(v.data.max())
-    if hi - lo <= 0.0:
-        return Volume._adopt(np.zeros(v.dims), v.spacing, v.grid_to_world)
-    return Volume._adopt((v.data - lo) / (hi - lo), v.spacing, v.grid_to_world)
+    return Volume._adopt(_minmax(v.data), v.spacing, v.grid_to_world)

@@ -326,6 +326,40 @@ def apply_bias(data: np.ndarray, coarse) -> np.ndarray:
     return data * bias_from_coarse(coarse, data.shape)
 
 
+# -- resolution degradation on the full grid -------------------------------------
+
+def _linear_at(x: np.ndarray, n: int) -> np.ndarray:
+    """(len(x), n) linear-interpolation weights at positions ``x``, edges replicated."""
+    x = np.clip(x, 0.0, n - 1.0)
+    i0 = np.floor(x).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n - 1)
+    w = np.zeros((len(x), n))
+    w[np.arange(len(x)), i0] = 1.0 - (x - i0)
+    w[np.arange(len(x)), i1] += x - i0
+    return w
+
+
+def full_grid_resolution(data: np.ndarray, spacing, target) -> np.ndarray:
+    """The resolution stage as first built: ``gaussian_filter`` on the full grid
+    (sigma = ratio / FWHM on each degraded axis, edges replicated), then per
+    axis one folded (n, n) matrix that samples at the target spacing and
+    upsamples back, applied from the last axis to the first."""
+    from scipy.ndimage import gaussian_filter
+
+    ratios = [t / c if t > c else 1.0 for t, c in zip(target, spacing)]
+    out = gaussian_filter(np.asarray(data, dtype=np.float64),
+                          [r / 2.354820045030949 if r > 1.0 else 0.0 for r in ratios],
+                          mode="nearest")
+    for axis in (2, 1, 0):
+        n, r = out.shape[axis], ratios[axis]
+        if r == 1.0:
+            continue
+        m = int(np.floor((n - 1) / r)) + 1
+        fold = _linear_at(np.arange(n) / r, m) @ _linear_at(np.arange(m) * r, n)
+        out = np.moveaxis(np.tensordot(fold, out, axes=(1, axis)), 0, axis)
+    return out
+
+
 # -- contrast painting with one draw per voxel --------------------------------------
 
 def full_grid_paint(labels: np.ndarray, table: dict, rng: np.random.Generator,

@@ -7,10 +7,15 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import synthbrain as sb
-from synthbrain.corruption import SEVERITY_LEVELS, SeverityConfig, sample_corruption_record
+from synthbrain.corruption import (
+    SEVERITY_LEVELS,
+    SeverityConfig,
+    _apply_resolution,
+    sample_corruption_record,
+)
 
 from conftest import smooth_volume, sphere_labels
-from reference_impls import apply_bias, bias_from_coarse, gather_trilinear
+from reference_impls import apply_bias, bias_from_coarse, full_grid_resolution, gather_trilinear
 
 
 def _draw_stage(stage, v, rng, cfg):
@@ -241,6 +246,41 @@ def test_resolution_matches_3d_gather_oracle(target, kind):
     assert np.max(np.abs(got - _oracle_resolution(v.data, v.spacing, target))) <= 1e-12
 
 
+@pytest.mark.parametrize("dims, target", [
+    ((64, 60, 56), (1.5, 1.5, 1.5)),
+    ((64, 60, 56), (3.0, 3.0, 3.0)),
+    ((64, 60, 56), (4.0, 4.0, 4.0)),
+    ((64, 60, 56), (6.0, 1.2, 0.9)),
+    ((64, 60, 56), (1.0, 5.5, 0.9)),
+    ((64, 60, 56), (1.0, 1.2, 7.0)),
+    ((64, 1, 56), (3.0, 3.0, 3.0)),
+])
+def test_resolution_matches_the_full_grid_route(dims, target):
+    # the acquisition on its own coarse grid is the same linear map as the
+    # full-grid blur and (n, n) down-then-up matrices, up to rounding
+    data = np.random.default_rng(len(dims) + int(10 * sum(target))).random(dims)
+    v = sb.Volume(data, spacing=(1.0, 1.2, 0.9))
+    rec = sb.CorruptionRecord("custom", resolution={"target_spacing": list(target), "kind": "x"})
+    got = sb.apply_corruption(v, rec)
+    assert got.dims == v.dims
+    assert np.max(np.abs(got.data - full_grid_resolution(data, v.spacing, target))) <= 1e-14
+
+
+@pytest.mark.parametrize("r", [1.5, 3.0, 4.0])
+def test_low_field_resolution_holds_at_most_two_grids(r):
+    data = np.random.default_rng(0).random((96, 96, 96))
+    tracemalloc.start()
+    try:
+        out = _apply_resolution(data, (1.0, 1.0, 1.0), (r, r, r))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output and its last per-axis input; the full-grid blur and (n, n)
+    # matrices took 3.03 grids
+    assert peak <= 2 * data.nbytes
+    assert out.shape == data.shape
+
+
 def _res_cfg(p_low=0.0, p_aniso=0.0, low=(1.5, 4.0), thick=(2.5, 7.0)):
     return SeverityConfig(
         "custom", p_low_field=p_low, p_anisotropic=p_aniso,
@@ -419,11 +459,42 @@ def test_severity_orders_image_fidelity():
     assert hits >= int(0.9 * trials)
 
 
+def _all_stages_record(v, seed=2):
+    cfg = SeverityConfig("severe", 1.0, 0.0, (0.02, 0.04), (0.1, 0.6), (5.0, 15.0))
+    record = sample_corruption_record(np.random.default_rng(seed), cfg, v)
+    assert record.bias and record.resolution and record.noise and record.renormalized
+    return record
+
+
+@pytest.mark.parametrize("stages", [(), ("bias",), ("resolution",), ("noise",),
+                                    ("bias", "resolution", "noise")])
+def test_renormalizing_in_the_pipeline_buffer_gives_minmax_normalize_bytes(stages):
+    v = _painted(16)
+    full = _all_stages_record(v)
+    before = v.data.tobytes()
+    params = {name: getattr(full, name) for name in stages}
+    out = sb.apply_corruption(v, sb.CorruptionRecord("severe", renormalized=True, **params))
+    raw = sb.apply_corruption(v, sb.CorruptionRecord("severe", **params))
+    assert (raw is v) == (not stages)
+    assert out.data.tobytes() == sb.minmax_normalize(raw).data.tobytes()
+    # the argument is never written, even when no stage runs and it comes back
+    assert v.data.tobytes() == before and not v.data.flags.writeable
+    assert not out.data.flags.writeable and not np.shares_memory(out.data, v.data)
+
+
+def test_a_constant_result_renormalizes_to_positive_zeros():
+    v = sb.Volume(np.full((6, 5, 4), 0.25))
+    # a zero log grid: a field of exactly 1, so the biased image stays constant
+    bias = {"mu": 0.0, "sigma": 0.0, "coarse": np.zeros((4, 4, 4)).tolist()}
+    rec = sb.CorruptionRecord("custom", bias=bias, renormalized=True)
+    out = sb.apply_corruption(v, rec)
+    assert out.data.tobytes() == np.zeros(v.dims).tobytes()
+    assert v.data.tobytes() == np.full((6, 5, 4), 0.25).tobytes()
+
+
 def test_corruption_results_are_read_only_and_own_their_data():
     v = _painted(16)
-    cfg = SeverityConfig("severe", 1.0, 0.0, (0.02, 0.04), (0.1, 0.6), (5.0, 15.0))
-    record = sample_corruption_record(np.random.default_rng(2), cfg, v)
-    assert record.bias and record.resolution and record.noise
+    record = _all_stages_record(v)
     stages = {"bias": record.bias, "resolution": record.resolution, "noise": record.noise}
     for name, params in stages.items():
         out = sb.apply_corruption(v, sb.CorruptionRecord("severe", **{name: params}))

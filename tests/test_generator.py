@@ -67,6 +67,21 @@ def test_batch_indexes_the_warped_labels_once(monkeypatch):
     assert "_foreground" not in vars(subject.labels)
 
 
+def test_batch_gathers_the_foreground_label_index_before_painting(subject32, monkeypatch):
+    from synthbrain import generator
+
+    seen = []
+    paint = generator.paint
+
+    def checking_paint(lm, *args, **kwargs):
+        seen.append("_foreground_index" in vars(lm))
+        return paint(lm, *args, **kwargs)
+
+    monkeypatch.setattr(generator, "paint", checking_paint)
+    sb.generate_batch(subject32, 3, base_seed=4, threads=2)
+    assert seen == [True] * 3
+
+
 def test_batch_computes_the_warp_positions_once(subject32, monkeypatch):
     calls = []
     source_voxels = sb.deformation._source_voxels

@@ -78,6 +78,18 @@ def test_encoded_values_match_the_float64_route(rng, dtype, layout):
     assert _encode(data, _datatype_code(dtype)) == _encode_via_float64(data, dtype)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "channel"])
+@pytest.mark.parametrize("dims", [(48, 20, 12), (37, 5, 3), (7, 9, 4)])
+def test_float_encoding_is_the_bytes_of_a_fortran_cast(rng, layout, dims):
+    from synthbrain.nifti import _datatype_code, _encode
+
+    data = rng.normal(0.0, 300.0, dims + (3,))[..., 1] if layout == "channel" else rng.normal(0.0, 300.0, dims)
+    if layout == "F":
+        data = np.asfortranarray(data)
+    want = data.astype("<f4", order="F")
+    assert bytes(_encode(data, _datatype_code("float32"))) == want.tobytes(order="F")
+
+
 def test_fortran_axis_order_on_disk(rng):
     v = Volume(rng.random((3, 2, 2)))
     blob = write_nifti(v, "float32")

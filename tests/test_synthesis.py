@@ -213,6 +213,24 @@ def test_missing_label_params_is_an_error():
     assert info.value.labels == (2,)
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+def test_paint_needs_no_entry_for_the_background(normalize):
+    lm = sphere_labels(8, (3.0,))
+    assert lm.label_set == (0, 1)
+    got = sb.paint(lm, sb.ContrastParams({1: (0.5, 0.1)}), np.random.default_rng(0), normalize)
+    want = sb.paint(lm, sb.ContrastParams({0: (0.0, 0.0), 1: (0.5, 0.1)}),
+                    np.random.default_rng(0), normalize)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_the_foreground_label_index_is_cached_read_only():
+    lm = sphere_labels(16, (7.0, 5.0, 2.0))
+    index = lm._foreground_index
+    assert index is lm._foreground_index
+    assert index.dtype == np.uint8 and not index.flags.writeable
+    assert np.array_equal(index, lm._label_index[lm.data != 0])
+
+
 def test_params_round_trip_json():
     params = sb.sample_contrast_params(np.random.default_rng(5), (0, 1, 2, 9))
     back = sb.ContrastParams.from_json(params.to_json())
