@@ -129,7 +129,7 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
         scope, _, fld = key.partition(".")
         if scope == "deformation":
             if fld not in deform_hints:
-                raise _UsageError(f"unknown deformation field {fld!r}")
+                raise _UsageError(f"unknown deformation field {fld!r} in config key {key}")
             deform_over[fld] = _typed(key, deform_hints[fld], value)
             continue
         if scope not in presets:

@@ -43,14 +43,18 @@ SEVERITY_LEVELS = ("mild", "medium", "severe")
 _FWHM = 2.354820045030949
 # points per axis of the coarse log bias grid
 _BIAS_GRID = 4
+# target spacing ranges (mm) of a low-field (isotropic) and an anisotropic
+# (one thick axis) acquisition; severity grades only how often each is drawn
+_LOW_FIELD_SPACING = (1.5, 4.0)
+_ANISOTROPIC_SPACING = (2.5, 7.0)
 
 
 @dataclass(frozen=True)
 class SeverityConfig:
     """One corruption preset: stage probabilities and parameter ranges.
 
-    Deformation ranges are identical across levels; what changes with
-    severity is the chance of degraded resolution, the bias-field log
+    Deformation ranges and acquisition spacings are shared by all levels;
+    severity grades the chance of degraded resolution, the bias-field log
     statistics, and the noise std (quoted on a 0-255 intensity scale).
     """
 
@@ -61,8 +65,6 @@ class SeverityConfig:
     bias_sigma: tuple[float, float]
     noise_sigma: tuple[float, float]  # 0-255 scale
     deformation: DeformationConfig = DeformationConfig()
-    low_field_spacing: tuple[float, float] = (1.5, 4.0)
-    anisotropic_spacing: tuple[float, float] = (2.5, 7.0)
 
     def __post_init__(self):
         for name in ("p_low_field", "p_anisotropic"):
@@ -71,15 +73,12 @@ class SeverityConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.p_low_field + self.p_anisotropic > 1.0:
             raise ValueError("p_low_field + p_anisotropic must not exceed 1")
-        # each range is finite and ordered (NaN fails), its min above a floor
-        for name, floor, strict in (("bias_mu", -math.inf, True),
-                                    ("bias_sigma", 0.0, False), ("noise_sigma", 0.0, False),
-                                    ("low_field_spacing", 0.0, True),
-                                    ("anisotropic_spacing", 0.0, True)):
+        # each range is finite and ordered (NaN fails), its min at or above a floor
+        for name, floor in (("bias_mu", -math.inf), ("bias_sigma", 0.0), ("noise_sigma", 0.0)):
             lo, hi = getattr(self, name)
-            if not ((lo > floor if strict else lo >= floor) and lo <= hi < math.inf):
+            if not (-math.inf < lo and floor <= lo <= hi < math.inf):
                 raise ValueError(f"{name} range ({lo}, {hi}) must be finite, with "
-                                 f"min <= max and min {'>' if strict else '>='} {floor}")
+                                 f"min <= max and min >= {floor}")
 
     @classmethod
     def mild(cls) -> "SeverityConfig":
@@ -243,9 +242,9 @@ def sample_corruption_record(
     zero draws nothing. Bias: mu_b and sigma_b uniform in the preset ranges,
     then a coarse log-grid of N(mu_b, sigma_b) values. Resolution: with
     probability ``p_low_field`` an isotropic target spacing, with probability
-    ``p_anisotropic`` thick slices along one random axis, otherwise native
-    (no entry). Noise: a std uniform in the preset range (0-255 scale) and a
-    seed for the white-noise stream.
+    ``p_anisotropic`` thick slices along one random axis (both in fixed
+    ranges), otherwise native (no entry). Noise: a std uniform in the preset
+    range (0-255 scale) and a seed for the white-noise stream.
     """
     bias = None
     if cfg.bias_mu != (0.0, 0.0) or cfg.bias_sigma != (0.0, 0.0):
@@ -258,12 +257,12 @@ def sample_corruption_record(
     if cfg.p_low_field > 0.0 or cfg.p_anisotropic > 0.0:
         u = float(rng.uniform())
         if u < cfg.p_low_field:
-            iso = float(rng.uniform(*cfg.low_field_spacing))
+            iso = float(rng.uniform(*_LOW_FIELD_SPACING))
             resolution = {"target_spacing": [iso, iso, iso], "kind": "low-field"}
         elif u < cfg.p_low_field + cfg.p_anisotropic:
             axis = int(rng.integers(3))
             target = [float(c) for c in like.spacing]
-            target[axis] = float(rng.uniform(*cfg.anisotropic_spacing))
+            target[axis] = float(rng.uniform(*_ANISOTROPIC_SPACING))
             resolution = {"target_spacing": target, "kind": "anisotropic"}
 
     noise = None
@@ -293,7 +292,7 @@ def apply_corruption(v: Volume, record: CorruptionRecord) -> Volume:
     if record.noise is not None:
         data = _apply_noise(data, float(record.noise["sigma"]), record.noise["seed"])
     if record.renormalized:
-        data = _minmax(data, out=None if data is v.data else data)
+        data = _minmax(data, np.empty(v.dims) if data is v.data else data)
     return v if data is v.data else Volume._adopt(data, v.spacing, v.grid_to_world)
 
 

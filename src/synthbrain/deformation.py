@@ -74,6 +74,9 @@ _INVERSION_ITERATIONS = 20
 # points per slab of the first axis when a warp adds the displacement to its
 # positions (1.5 MB of them)
 _SLAB_POINTS = 1 << 16
+# a sampled SVF's control-point spacing (mm) and largest smoothing std (control voxels)
+_SVF_CONTROL_SPACING = 16.0
+_SVF_SIGMA_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,8 @@ class DeformationConfig:
     """Sampling ranges for the random deformation (shared by all severity levels).
 
     Angles in degrees, translations in mm. ``svf_mu_*`` scale the velocity
-    amplitude as a fraction of the shortest volume extent; ``svf_sigma_max``
-    caps the Gaussian smoothing (in control-grid voxels) of the velocities.
+    amplitude as a fraction of the shortest volume extent. The SVF's control
+    lattice and smoothing are fixed (see :func:`sample_svf`).
     """
 
     rot_max: float = 15.0
@@ -91,8 +94,6 @@ class DeformationConfig:
     trans_max: float = 0.0
     svf_mu_min: float = 0.03
     svf_mu_max: float = 0.06
-    svf_sigma_max: float = 4.0
-    svf_control_spacing: float = 16.0
     squaring_steps: int = DEFAULT_SQUARING_STEPS
 
     def __post_init__(self):
@@ -100,7 +101,7 @@ class DeformationConfig:
         for name, value in values.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("rot_max", "scale_max", "shear_max", "trans_max", "svf_sigma_max"):
+        for name in ("rot_max", "scale_max", "shear_max", "trans_max"):
             if values[name] < 0:
                 raise ValueError(f"{name} must be >= 0, got {values[name]}")
         # a scaling drawn at or below 0 would reflect or collapse the image
@@ -111,8 +112,6 @@ class DeformationConfig:
                              f"got {self.svf_mu_min}")
         if self.squaring_steps < 1:
             raise ValueError(f"squaring_steps must be >= 1, got {self.squaring_steps}")
-        if self.svf_control_spacing <= 0:
-            raise ValueError(f"svf_control_spacing must be > 0, got {self.svf_control_spacing}")
 
     @classmethod
     def all_off(cls) -> "DeformationConfig":
@@ -280,17 +279,18 @@ def _world_bbox(like) -> tuple[np.ndarray, np.ndarray]:
 def sample_svf(rng: np.random.Generator, cfg: DeformationConfig, like) -> SVF:
     """Draw a smooth random velocity field covering ``like``'s grid.
 
-    The control lattice (spacing ``cfg.svf_control_spacing`` mm) extends one
-    step beyond the volume's world bounding box. White-noise control vectors
-    are Gaussian-smoothed with a std drawn in [1, sigma_max] control voxels,
-    then rescaled so the peak vector magnitude equals the drawn amplitude:
-    uniform in [mu_min, mu_max] times the shortest volume extent.
+    The control lattice (``_SVF_CONTROL_SPACING`` mm between points) extends
+    one step beyond the volume's world bounding box. White-noise control
+    vectors are Gaussian-smoothed with a std drawn in [1, ``_SVF_SIGMA_MAX``]
+    control voxels, then rescaled so the peak vector magnitude equals the
+    drawn amplitude: uniform in [``cfg.svf_mu_min``, ``cfg.svf_mu_max``]
+    times the shortest volume extent.
     """
     lo, hi = _world_bbox(like)
     extent = hi - lo
-    step = float(cfg.svf_control_spacing)
+    step = _SVF_CONTROL_SPACING
     amplitude = float(rng.uniform(cfg.svf_mu_min, cfg.svf_mu_max)) * float(extent.min())
-    sigma = float(rng.uniform(min(1.0, cfg.svf_sigma_max), cfg.svf_sigma_max))
+    sigma = float(rng.uniform(1.0, _SVF_SIGMA_MAX))
     counts = tuple(int(np.ceil(e / step)) + 3 for e in extent)
     noise = rng.standard_normal(counts + (3,))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingLabelParams
-from .volume import LabelMap, Volume
+from .volume import LabelMap, Volume, _minmax
 
 __all__ = [
     "ContrastParams",
@@ -86,8 +86,9 @@ def paint(
     Only the foreground (label != 0) is drawn: one standard normal per
     foreground voxel, in C order. Background is exactly +0.0, whatever the
     table gives label 0, and an all-background map draws nothing.
-    Normalization rescales the foreground to [0, 1]; a constant foreground
-    maps to all zeros. Pass ``normalize=False`` to inspect the raw draws.
+    Normalization rescales the foreground to [0, 1]; a foreground constant
+    up to rounding maps to all zeros. Pass ``normalize=False`` to inspect the
+    raw draws.
     """
     present = lm.label_set
     missing = [lab for lab in present if lab != 0 and lab not in params.table]
@@ -107,12 +108,6 @@ def paint(
     vals *= sigma[index]
     vals += mu[index]
     if normalize:
-        lo, hi = float(vals.min()), float(vals.max())
-        if hi - lo <= 0.0:
-            vals[...] = 0.0
-        else:
-            vals -= lo
-            vals /= hi - lo
-            np.clip(vals, 0.0, 1.0, out=vals)
+        _minmax(vals, vals)
     out[lm._foreground] = vals
     return Volume._adopt(out, lm.spacing, lm.grid_to_world)

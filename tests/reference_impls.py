@@ -362,6 +362,21 @@ def full_grid_resolution(data: np.ndarray, spacing, target) -> np.ndarray:
 
 # -- contrast painting with one draw per voxel --------------------------------------
 
+def inline_paint_minmax(vals: np.ndarray) -> np.ndarray:
+    """``paint``'s foreground normalization as it was written inline, on a
+    copy: subtract the min, divide by the range, clip to [0, 1]; a range of 0
+    or less gives zeros."""
+    vals = np.array(vals, dtype=np.float64)
+    lo, hi = float(vals.min()), float(vals.max())
+    if hi - lo <= 0.0:
+        vals[...] = 0.0
+    else:
+        vals -= lo
+        vals /= hi - lo
+        np.clip(vals, 0.0, 1.0, out=vals)
+    return vals
+
+
 def full_grid_paint(labels: np.ndarray, table: dict, rng: np.random.Generator,
                     normalize: bool = True) -> np.ndarray:
     """A standard normal for every voxel of ``labels`` (C order), then

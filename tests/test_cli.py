@@ -2,12 +2,14 @@ import gzip
 import json
 import struct
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import synthbrain as sb
-from synthbrain.cli import _CONFIG_KEYS, main
+from synthbrain.cli import _CONFIG_KEYS, _load_config, _severity_presets, main
 
 from conftest import make_subject, smooth_volume
 
@@ -365,16 +367,12 @@ def test_deformation_keys_leave_the_off_level_without_deformation(tmp_path, subj
 @pytest.mark.parametrize("line,field", [("mild.p_low_field = 2", "p_low_field"),
                                         ("severe.noise_sigma_min = 20", "noise_sigma"),
                                         ("deformation.squaring_steps = 0", "squaring_steps"),
-                                        ("deformation.svf_control_spacing = 0",
-                                         "svf_control_spacing"),
-                                        ("deformation.svf_sigma_max = nan", "svf_sigma_max"),
+                                        ("deformation.rot_max = nan", "rot_max"),
                                         ("mild.noise_sigma_max = nan", "noise_sigma"),
                                         ("deformation.svf_mu_min = 0.1", "svf_mu_min"),
                                         ("deformation.scale_max = 1.5", "scale_max"),
-                                        ("deformation.svf_sigma_max = -2", "svf_sigma_max"),
-                                        ("medium.bias_sigma_min = -0.1", "bias_sigma"),
-                                        ("severe.low_field_spacing_min = 0",
-                                         "low_field_spacing")])
+                                        ("deformation.shear_max = -2", "shear_max"),
+                                        ("medium.bias_sigma_min = -0.1", "bias_sigma")])
 def test_out_of_range_dotted_config_value_exits_64(tmp_path, subject_files, capsys, line, field):
     _, labels, mprage = subject_files
     cfg = tmp_path / "run.cfg"
@@ -383,6 +381,71 @@ def test_out_of_range_dotted_config_value_exits_64(tmp_path, subject_files, caps
                "--seed", "3", "--out", str(tmp_path / "o")])
     assert rc == 64
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_readme_config_example_is_accepted(tmp_path, subject_files, capsys):
+    _, labels, mprage = subject_files
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(readme.split("A valid file:\n\n```ini\n", 1)[1].split("```", 1)[0])
+    assert _load_config(cfg) and set(_load_config(cfg)) <= set(_DOTTED_KEYS)
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--n", "1", "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+
+
+# -- the settable generation values ----------------------------------------------
+
+_LEVELS = ("mild", "medium", "severe", "off")
+_DEFORMATION = ("rot_max", "scale_max", "shear_max", "trans_max",
+                "svf_mu_min", "svf_mu_max", "squaring_steps")
+_DOTTED_KEYS = sorted(
+    [f"{level}.{p}" for level in _LEVELS for p in ("p_low_field", "p_anisotropic")]
+    + [f"{level}.{r}_{end}" for level in _LEVELS
+       for r in ("bias_mu", "bias_sigma", "noise_sigma") for end in ("min", "max")]
+    + [f"deformation.{name}" for name in _DEFORMATION]
+)
+# now constants: the acquisition spacings and the SVF lattice settings
+_REMOVED_KEYS = sorted(
+    [f"{level}.{r}_{end}" for level in _LEVELS
+     for r in ("low_field_spacing", "anisotropic_spacing") for end in ("min", "max")]
+    + ["deformation.svf_sigma_max", "deformation.svf_control_spacing"]
+)
+
+
+def _preset_value(presets, key):
+    scope, _, name = key.partition(".")
+    cfg = presets["mild" if scope == "deformation" else scope]
+    if scope == "deformation":
+        return getattr(cfg.deformation, name)
+    if name.startswith("p_"):
+        return getattr(cfg, name)
+    lo, hi = getattr(cfg, name[:-4])
+    return lo if name.endswith("_min") else hi
+
+
+def test_generate_accepts_39_dotted_keys():
+    assert len(_DOTTED_KEYS) == 39 and len(_REMOVED_KEYS) == 18
+    assert len(fields(sb.SeverityConfig)) == 7 and len(fields(sb.DeformationConfig)) == 7
+    defaults = _severity_presets({})
+    for key in _DOTTED_KEYS:
+        # each key set to its preset's own value leaves the presets as they were
+        assert _severity_presets({key: repr(_preset_value(defaults, key))}) == defaults, key
+    # and every key at once
+    every = {key: repr(_preset_value(defaults, key)) for key in _DOTTED_KEYS}
+    assert _severity_presets(every) == defaults
+
+
+@pytest.mark.parametrize("key", _REMOVED_KEYS)
+def test_a_removed_dotted_key_exits_64_naming_it(tmp_path, subject_files, capsys, key):
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 3\n")
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--out", str(tmp_path / "o")])
+    assert rc == 64
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

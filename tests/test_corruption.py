@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 import synthbrain as sb
@@ -281,12 +283,49 @@ def test_low_field_resolution_holds_at_most_two_grids(r):
     assert out.shape == data.shape
 
 
-def _res_cfg(p_low=0.0, p_aniso=0.0, low=(1.5, 4.0), thick=(2.5, 7.0)):
+def _res_cfg(p_low=0.0, p_aniso=0.0):
     return SeverityConfig(
         "custom", p_low_field=p_low, p_anisotropic=p_aniso,
         bias_mu=(0, 0), bias_sigma=(0, 0), noise_sigma=(0, 0),
-        low_field_spacing=low, anisotropic_spacing=thick,
     )
+
+
+def _resolution(target, kind="low-field"):
+    return sb.CorruptionRecord("custom", resolution={"target_spacing": list(target), "kind": kind})
+
+
+def test_drawn_spacings_stay_in_the_fixed_ranges():
+    v = smooth_volume(8, 0, spacing=(1.0, 1.2, 0.9))
+    kinds = {"low-field": [], "anisotropic": []}
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        res = sample_corruption_record(rng, _res_cfg(0.5, 0.5), v).resolution
+        target = res["target_spacing"]
+        if res["kind"] == "low-field":
+            assert target[0] == target[1] == target[2]
+            kinds["low-field"].append(target[0])
+        else:
+            (axis,) = [i for i in range(3) if target[i] != v.spacing[i]]
+            kinds["anisotropic"].append(target[axis])
+    for kind, (lo, hi) in (("low-field", (1.5, 4.0)), ("anisotropic", (2.5, 7.0))):
+        drawn = np.array(kinds[kind])
+        assert drawn.size > 150 and lo <= drawn.min() and drawn.max() <= hi
+        # the draws fill the range, not some part of it
+        assert drawn.min() < lo + 0.1 * (hi - lo) and drawn.max() > hi - 0.1 * (hi - lo)
+
+
+@settings(max_examples=40, deadline=None)
+@example(dims=(20, 18, 16), value=0.25, target=(3.0, 3.0, 3.0))  # 13.5% speckle before
+@given(dims=st.tuples(*[st.integers(1, 24)] * 3),
+       value=st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+       target=st.tuples(*[st.floats(0.5, 8.0)] * 3))
+def test_a_constant_image_renormalizes_to_zeros_after_any_resolution(dims, value, target):
+    v = sb.Volume(np.full(dims, value))
+    rec = sb.CorruptionRecord("custom", resolution={"target_spacing": list(target), "kind": "x"},
+                              renormalized=True)
+    out = sb.apply_corruption(v, rec).data
+    # the resolution stage spreads a constant by rounding; none of it is signal
+    assert out.tobytes() == np.zeros(dims).tobytes()
 
 
 def test_native_resolution_is_identity():
@@ -309,11 +348,9 @@ def test_resolution_record_at_or_below_native_spacing_is_identity(scale):
 
 def test_resolution_keeps_grid():
     v = smooth_volume(24, 2)
-    cfg = _res_cfg(p_low=1.0, low=(3.0, 3.0))  # always 3 mm isotropic
-    out, res = _draw_stage("resolution", v, np.random.default_rng(0), cfg)
+    out = sb.apply_corruption(v, _resolution((3.0, 3.0, 3.0)))
     assert out.dims == v.dims
     assert sb.same_geometry(out, v)
-    assert res == {"target_spacing": [3.0, 3.0, 3.0], "kind": "low-field"}
     # detail is lost: high-frequency residual shrinks
     assert out.data.std() < v.data.std()
 
@@ -322,23 +359,28 @@ def test_thicker_slices_destroy_more_detail():
     worse = []
     for seed in range(20):
         v = smooth_volume(32, seed)
-        a, _ = _draw_stage("resolution", v, np.random.default_rng(0), _res_cfg(p_low=1.0, low=(3.0, 3.0)))
-        b, _ = _draw_stage("resolution", v, np.random.default_rng(0), _res_cfg(p_low=1.0, low=(7.0, 7.0)))
+        a = sb.apply_corruption(v, _resolution((3.0, 3.0, 3.0)))
+        b = sb.apply_corruption(v, _resolution((7.0, 7.0, 7.0)))
         worse.append(sb.psnr(v, b) < sb.psnr(v, a))
     assert all(worse)
 
 
 def test_anisotropic_thickens_exactly_one_axis():
+    v = smooth_volume(16, 5, spacing=(1.0, 1.2, 0.9))
+    for seed in range(20):
+        _, res = _draw_stage("resolution", v, np.random.default_rng(seed), _res_cfg(p_aniso=1.0))
+        assert res["kind"] == "anisotropic"
+        thick_axes = [i for i, t in enumerate(res["target_spacing"]) if t != v.spacing[i]]
+        assert len(thick_axes) == 1
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_a_thick_axis_loses_more_detail_than_the_others(axis):
     v = smooth_volume(32, 5)
-    cfg = _res_cfg(p_aniso=1.0, thick=(6.0, 6.0))
-    out, res = _draw_stage("resolution", v, np.random.default_rng(4), cfg)
-    assert res["kind"] == "anisotropic"
-    target = res["target_spacing"]
-    thick_axes = [i for i, t in enumerate(target) if t != v.spacing[i]]
-    assert len(thick_axes) == 1
-    assert target[thick_axes[0]] == 6.0
+    target = [1.0, 1.0, 1.0]
+    target[axis] = 6.0
+    out = sb.apply_corruption(v, _resolution(target, "anisotropic"))
     # detail along the untouched axes survives better than along the thick one
-    axis = thick_axes[0]
     keep = [a for a in range(3) if a != axis]
     d_thick = np.abs(np.diff(out.data, axis=axis)).mean()
     d_orig = np.abs(np.diff(v.data, axis=axis)).mean()

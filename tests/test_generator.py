@@ -63,7 +63,7 @@ def test_batch_indexes_the_warped_labels_once(monkeypatch):
     # label set; the warped map is indexed once
     assert [a is subject.labels.data for a in unique_args] == [False]
     assert "label_set" not in vars(subject.labels)
-    assert "_label_index" not in vars(subject.labels)
+    assert "_foreground_index" not in vars(subject.labels)
     assert "_foreground" not in vars(subject.labels)
 
 

@@ -228,7 +228,9 @@ def test_the_foreground_label_index_is_cached_read_only():
     index = lm._foreground_index
     assert index is lm._foreground_index
     assert index.dtype == np.uint8 and not index.flags.writeable
-    assert np.array_equal(index, lm._label_index[lm.data != 0])
+    labels = np.array(lm.label_set)
+    assert np.array_equal(labels[index], lm.data[lm.data != 0])
+    assert "_label_index" not in dir(lm)
 
 
 def test_params_round_trip_json():

@@ -24,7 +24,12 @@ from synthbrain import (
 from synthbrain import volume
 from synthbrain.volume import _per_axis, _points, sample_nearest, sample_trilinear
 
-from reference_impls import _parent_sample_trilinear, gather_trilinear, loop_nearest
+from reference_impls import (
+    _parent_sample_trilinear,
+    gather_trilinear,
+    inline_paint_minmax,
+    loop_nearest,
+)
 
 
 def test_volume_freezes_data(rng):
@@ -441,3 +446,30 @@ def test_minmax_lands_exactly_on_unit_interval(seed):
 def test_minmax_constant_becomes_zero():
     out = minmax_normalize(Volume(np.full((3, 3, 3), 7.0)))
     assert (out.data == 0).all()
+
+
+def test_minmax_gives_the_bytes_of_the_inline_paint_rule():
+    rng = np.random.default_rng(0)
+    for i in range(600):
+        n = int(rng.integers(1, 200))
+        scale = 10.0 ** rng.uniform(-12, 3)
+        offset = rng.uniform(-2, 2)
+        vals = offset + scale * rng.standard_normal(n)
+        if i % 10 == 0:
+            vals[:] = offset  # constant
+        want = inline_paint_minmax(vals)
+        got = volume._minmax(vals.copy(), vals.copy())
+        assert got.tobytes() == want.tobytes()
+        # in place, as paint calls it
+        assert volume._minmax(vals, vals) is vals and vals.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [1e-9, 0.25, 7.0, -3.0, 1e6])
+def test_minmax_flattens_a_spread_of_rounding(value):
+    eps = np.finfo(np.float64).eps
+    data = value * (1.0 + eps * np.array([0.0, 3.0, 7.0, 1.0]))
+    assert np.unique(data).size > 1
+    assert volume._minmax(data, np.empty(4)).tobytes() == np.zeros(4).tobytes()
+    # a spread well above rounding is signal
+    signal = value * (1.0 + 1e-12 * np.array([0.0, 3.0, 7.0, 1.0]))
+    assert volume._minmax(signal, np.empty(4)).max() == 1.0
