@@ -100,57 +100,58 @@ def _load_config(path) -> dict[str, str]:
     return out
 
 
-def _typed(key: str, hint, value: str):
-    """``value`` converted to a field's type; a range field's bounds take its element type."""
-    kind = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
+def _override(cfg, scope: str, values: dict[str, str]):
+    """``cfg`` with ``values`` (field name -> text) set, each converted to its field's type.
+
+    ``<range>_min`` / ``<range>_max`` set one bound of a range field. The
+    values are applied together, so the file's order cannot matter; a value
+    that does not convert, or that ``cfg``'s class rejects, is a usage error.
+    """
+    hints = typing.get_type_hints(type(cfg))
+    changes: dict = {}
+    for fld, value in values.items():
+        key, base, end = f"{scope}.{fld}", fld[:-4], fld[-4:]
+        bound = end in ("_min", "_max") and typing.get_origin(hints.get(base)) is tuple
+        kind = typing.get_args(hints[base])[0] if bound else hints.get(fld)
+        if kind not in (int, float):
+            raise _UsageError(f"unknown field {fld!r} in config key {key}")
+        try:
+            typed = kind(value)
+        except ValueError as exc:
+            raise _UsageError(f"config key {key}: {exc}")
+        if bound:
+            lo, hi = changes.get(base, getattr(cfg, base))
+            changes[base] = (typed, hi) if end == "_min" else (lo, typed)
+        else:
+            changes[fld] = typed
     try:
-        return kind(value)
+        return dataclasses.replace(cfg, **changes)
     except ValueError as exc:
-        raise _UsageError(f"config key {key}: {exc}")
+        raise _UsageError(f"config for {scope}: {exc}")
 
 
 def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
     """Presets with overrides like ``severe.noise_sigma_max=20``, typed by their fields.
 
-    Each level's overrides are applied together, so the file's order cannot
-    matter; a value its preset or the deformation config rejects
-    (``mild.p_low_field = 2``, ``deformation.squaring_steps = 0``) is a usage error.
-    ``deformation.*`` keys set the shared deformation of the graded levels;
-    ``off`` keeps its all-zero ranges (a raised ``svf_mu_min`` would exceed them).
+    ``deformation.*`` keys set the deformation that ``mild``, ``medium`` and
+    ``severe`` share. ``off`` is fixed: every stage and the deformation off.
     """
-    presets = {name: SeverityConfig.by_name(name) for name in SEVERITY_LEVELS + ("off",)}
-    hints = typing.get_type_hints(SeverityConfig)
-    deform_hints = typing.get_type_hints(DeformationConfig)
-    deform_over = {}
-    over: dict[str, dict] = {name: {} for name in presets}
+    over: dict[str, dict[str, str]] = {scope: {} for scope in ("deformation",) + SEVERITY_LEVELS}
     for key, value in config.items():
-        if "." not in key:
+        scope, dot, fld = key.partition(".")
+        if not dot:
             continue
-        scope, _, fld = key.partition(".")
-        if scope == "deformation":
-            if fld not in deform_hints:
-                raise _UsageError(f"unknown deformation field {fld!r} in config key {key}")
-            deform_over[fld] = _typed(key, deform_hints[fld], value)
-            continue
-        if scope not in presets:
+        if scope == "off":
+            raise _UsageError(f"config key {key}: the off level is fixed "
+                              "(no corruption, no deformation)")
+        if scope not in over:
             raise _UsageError(f"unknown severity level {scope!r} in config key {key}")
-        base = fld[:-4]
-        if fld.startswith("p_") and fld in hints:
-            over[scope][fld] = _typed(key, hints[fld], value)
-        elif fld.endswith(("_min", "_max")) and typing.get_origin(hints.get(base)) is tuple:
-            lo, hi = over[scope].get(base, getattr(presets[scope], base))
-            bound = _typed(key, hints[base], value)
-            over[scope][base] = (bound, hi) if fld.endswith("_min") else (lo, bound)
-        else:
-            raise _UsageError(f"unknown severity field {fld!r} in config key {key}")
-    for name, cfg in presets.items():
-        try:
-            if deform_over and name != "off":
-                over[name]["deformation"] = dataclasses.replace(cfg.deformation, **deform_over)
-            presets[name] = dataclasses.replace(cfg, **over[name])
-        except ValueError as exc:
-            raise _UsageError(f"config for severity level {name}: {exc}")
-    return presets
+        over[scope][fld] = value
+    deformation = _override(DeformationConfig(), "deformation", over["deformation"])
+    presets = {name: dataclasses.replace(_override(SeverityConfig.by_name(name), name, over[name]),
+                                         deformation=deformation)
+               for name in SEVERITY_LEVELS}
+    return {**presets, "off": SeverityConfig.all_off()}
 
 
 # -- subcommands -----------------------------------------------------------------

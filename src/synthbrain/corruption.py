@@ -101,11 +101,11 @@ class SeverityConfig:
     @classmethod
     def by_name(cls, name: str) -> "SeverityConfig":
         try:
-            return {"mild": cls.mild, "medium": cls.medium,
-                    "severe": cls.severe, "off": cls.all_off}[name.lower()]()
+            return {"off": cls.all_off, "mild": cls.mild, "medium": cls.medium,
+                    "severe": cls.severe}[name.lower()]()
         except KeyError:
             raise ValueError(
-                f"unknown severity {name!r} (expected one of {SEVERITY_LEVELS})"
+                f"unknown severity {name!r} (expected one of off, {', '.join(SEVERITY_LEVELS)})"
             ) from None
 
 

@@ -68,13 +68,11 @@ class SubjectRecord:
 
 def _check_levels(levels) -> None:
     """Raise ``ValueError`` on an unknown severity level or a decreasing order."""
-    ranks = []
     for level in levels:
         if level not in _SEVERITY_RANK:
             raise ValueError(f"unknown severity level {level!r}")
-        ranks.append(_SEVERITY_RANK[level])
-    if any(a > b for a, b in zip(ranks, ranks[1:])):
-        raise ValueError(f"severity levels must be non-decreasing, got {ranks}")
+    if any(_SEVERITY_RANK[a] > _SEVERITY_RANK[b] for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"severity levels must be non-decreasing, got {', '.join(levels)}")
 
 
 @dataclass(frozen=True)

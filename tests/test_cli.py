@@ -251,6 +251,21 @@ def test_generate_writes_expected_tree(tmp_path, subject_files, capsys):
     assert manifest["schedule"] == ["mild", "medium", "severe"]
 
 
+def test_generate_on_a_grid_coarser_than_the_svf_lattice(tmp_path, capsys):
+    # 20 mm voxels against 16 mm between SVF control points
+    subject = make_subject(n=12, seed=0)
+    labels, mprage, out = tmp_path / "labels.nii", tmp_path / "anatomy.nii", tmp_path / "o"
+    sb.write_nifti_file(labels, sb.LabelMap(subject.labels.data, (20.0, 20.0, 20.0)), "int16")
+    sb.write_nifti_file(mprage, sb.Volume(subject.mprage.data, (20.0, 20.0, 20.0)), "float32")
+    rc = main(["generate", str(labels), str(mprage), "--n", "4", "--seed", "3",
+               "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "deformation.nii", "manifest.json", *(f"sample_{i:03d}.nii" for i in range(4)),
+        "target.nii"]
+    assert np.isfinite(sb.read_volume_stack_file(out / "deformation.nii").as_array()).all()
+
+
 def test_generate_reruns_identical(tmp_path, subject_files, capsys):
     _, labels, mprage = subject_files
     a, b = tmp_path / "a", tmp_path / "b"
@@ -397,20 +412,25 @@ def test_the_readme_config_example_is_accepted(tmp_path, subject_files, capsys):
 
 # -- the settable generation values ----------------------------------------------
 
-_LEVELS = ("mild", "medium", "severe", "off")
-_DEFORMATION = ("rot_max", "scale_max", "shear_max", "trans_max",
-                "svf_mu_min", "svf_mu_max", "squaring_steps")
+_LEVELS = ("mild", "medium", "severe")
+_DEFORMATION = ("rot_max", "scale_max", "shear_max", "svf_mu_min", "svf_mu_max", "squaring_steps")
 _DOTTED_KEYS = sorted(
     [f"{level}.{p}" for level in _LEVELS for p in ("p_low_field", "p_anisotropic")]
     + [f"{level}.{r}_{end}" for level in _LEVELS
        for r in ("bias_mu", "bias_sigma", "noise_sigma") for end in ("min", "max")]
     + [f"deformation.{name}" for name in _DEFORMATION]
 )
-# now constants: the acquisition spacings and the SVF lattice settings
+# now constants: the acquisition spacings, the SVF lattice settings and the
+# translation range; and every key of the fixed off level
+_OFF_KEYS = sorted(
+    ["off.p_low_field", "off.p_anisotropic"]
+    + [f"off.{r}_{end}" for r in ("bias_mu", "bias_sigma", "noise_sigma") for end in ("min", "max")]
+)
 _REMOVED_KEYS = sorted(
-    [f"{level}.{r}_{end}" for level in _LEVELS
+    [f"{level}.{r}_{end}" for level in _LEVELS + ("off",)
      for r in ("low_field_spacing", "anisotropic_spacing") for end in ("min", "max")]
-    + ["deformation.svf_sigma_max", "deformation.svf_control_spacing"]
+    + ["deformation.svf_sigma_max", "deformation.svf_control_spacing", "deformation.trans_max"]
+    + _OFF_KEYS
 )
 
 
@@ -425,9 +445,9 @@ def _preset_value(presets, key):
     return lo if name.endswith("_min") else hi
 
 
-def test_generate_accepts_39_dotted_keys():
-    assert len(_DOTTED_KEYS) == 39 and len(_REMOVED_KEYS) == 18
-    assert len(fields(sb.SeverityConfig)) == 7 and len(fields(sb.DeformationConfig)) == 7
+def test_generate_accepts_30_dotted_keys():
+    assert len(_DOTTED_KEYS) == 30 and len(_REMOVED_KEYS) == 27 and len(_OFF_KEYS) == 8
+    assert len(fields(sb.SeverityConfig)) == 7 and len(fields(sb.DeformationConfig)) == 6
     defaults = _severity_presets({})
     for key in _DOTTED_KEYS:
         # each key set to its preset's own value leaves the presets as they were
@@ -435,6 +455,7 @@ def test_generate_accepts_39_dotted_keys():
     # and every key at once
     every = {key: repr(_preset_value(defaults, key)) for key in _DOTTED_KEYS}
     assert _severity_presets(every) == defaults
+    assert defaults["off"] == sb.SeverityConfig.all_off()
 
 
 @pytest.mark.parametrize("key", _REMOVED_KEYS)
@@ -445,7 +466,9 @@ def test_a_removed_dotted_key_exits_64_naming_it(tmp_path, subject_files, capsys
     rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
                "--seed", "3", "--out", str(tmp_path / "o")])
     assert rc == 64
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    assert ("the off level is fixed" in err) == key.startswith("off.")
     assert not (tmp_path / "o").exists()
 
 

@@ -52,7 +52,8 @@ def test_preset_values():
 
 def test_preset_lookup_by_name():
     assert SeverityConfig.by_name("medium") == SeverityConfig.medium()
-    with pytest.raises(ValueError):
+    assert SeverityConfig.by_name("OFF") == SeverityConfig.all_off()
+    with pytest.raises(ValueError, match=r"expected one of off, mild, medium, severe\)"):
         SeverityConfig.by_name("extreme")
 
 

@@ -138,12 +138,6 @@ def test_forward_and_negated_velocities_cancel():
     assert mag.max() <= 0.5
 
 
-def test_svf_requires_coarse_control_grid():
-    with pytest.raises(ValueError, match="control spacing"):
-        like = sb.Volume(np.zeros((8, 8, 8)), spacing=(20.0, 20.0, 20.0))
-        svf = sb.sample_svf(np.random.default_rng(0), DeformationConfig(), like)
-
-
 def test_nonfinite_velocities_rejected():
     like = smooth_volume(12, 0)
     svf = sb.sample_svf(np.random.default_rng(0), DeformationConfig(), like)

@@ -185,7 +185,7 @@ def test_schedule_must_not_decrease(subject32, monkeypatch):
     # rejected before any work is done
     monkeypatch.setattr(generator, "build_deformation", no_deformation)
     bad = [SeverityConfig.severe(), SeverityConfig.mild()]
-    with pytest.raises(ValueError, match="non-decreasing"):
+    with pytest.raises(ValueError, match="non-decreasing, got severe, mild$"):
         sb.generate_batch(subject32, 2, base_seed=0, schedule=bad)
     with pytest.raises(ValueError, match="non-decreasing"):
         sb.generate_batch(subject32, 2, base_seed=0, schedule=["severe", "mild"])
