@@ -57,8 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _ranged(kind, low, high=math.inf, strict=False):
     """An argparse ``type``: ``kind(text)`` in ``[low, high]`` (``(low, high]``
-    when ``strict``). A value outside, or NaN, is a usage error; so is a value
-    from a config file, since plain keys are the flags' string defaults."""
+    when ``strict``). A value outside, or NaN, is a usage error."""
     def convert(text):
         value = kind(text)
         if not ((value > low if strict else value >= low) and value <= high):
@@ -75,16 +74,6 @@ _SCALES = _ranged(int, 1, len(metrics._MS_WEIGHTS))
 
 
 # -- config file -----------------------------------------------------------------
-
-# plain keys per subcommand; each becomes a string default of the flag of that
-# name, so argparse converts it with the flag's own type
-_CONFIG_KEYS = {
-    "generate": ("n", "seed", "schedule", "threads", "out"),
-    "evaluate": ("mode", "out", "window", "scales"),
-    "fit-adapter": ("ridge", "out"),
-    "metrics": ("window", "scales", "peak"),
-}
-
 
 def _load_config(path) -> dict[str, str]:
     """KEY=VALUE lines; blank lines and # comments ignored."""
@@ -135,12 +124,14 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
 
     ``deformation.*`` keys set the deformation that ``mild``, ``medium`` and
     ``severe`` share. ``off`` is fixed: every stage and the deformation off.
+    A key without a dot is a run setting, which only its flag sets.
     """
     over: dict[str, dict[str, str]] = {scope: {} for scope in ("deformation",) + SEVERITY_LEVELS}
     for key, value in config.items():
         scope, dot, fld = key.partition(".")
         if not dot:
-            continue
+            raise _UsageError(f"config key {key}: the config file holds only dotted "
+                              f"preset keys; use --{key}")
         if scope == "off":
             raise _UsageError(f"config key {key}: the off level is fixed "
                               "(no corruption, no deformation)")
@@ -156,7 +147,7 @@ def _severity_presets(config: dict[str, str]) -> dict[str, SeverityConfig]:
 
 # -- subcommands -----------------------------------------------------------------
 
-def _cmd_generate(args, config: dict[str, str]) -> int:
+def _cmd_generate(args) -> int:
     if args.seed is None:
         raise _UsageError("--seed is required (no silent nondeterminism)")
     if args.out is None:
@@ -167,7 +158,7 @@ def _cmd_generate(args, config: dict[str, str]) -> int:
     else:
         n = args.n
 
-    presets = _severity_presets(config)
+    presets = _severity_presets(_load_config(args.config) if args.config else {})
     names = args.schedule.split(",") if args.schedule else severity_ladder(n)
     try:
         schedule = generator._normalize_schedule([presets[nm.strip().lower()] for nm in names], n)
@@ -224,10 +215,7 @@ def _load_candidates(manifest_path, mode: str, atlas_map):
     return out
 
 
-def _cmd_evaluate(args, config: dict[str, str]) -> int:
-    # a mode from the config file bypasses the flag's choices
-    if args.mode not in ("intra", "inter"):
-        raise _UsageError(f"--mode must be intra or inter, got {args.mode!r}")
+def _cmd_evaluate(args) -> int:
     if args.mode == "inter" and args.atlas_map is None:
         raise _UsageError("--atlas-map is required in inter mode")
 
@@ -252,7 +240,7 @@ def _cmd_evaluate(args, config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
+def _cmd_fit_adapter(args) -> int:
     # both passes decode the stacks slab by slab from their files
     features, target = StackReader.open(args.features), StackReader.open(args.target)
     concat = read_nifti_file(args.concat_input, as_labels=False) if args.concat_input else None
@@ -265,7 +253,7 @@ def _cmd_fit_adapter(args, config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _cmd_metrics(args, config: dict[str, str]) -> int:
+def _cmd_metrics(args) -> int:
     want_labels = args.metric == "dice"
     pred, ref = (read_nifti_file(path, as_labels=want_labels) for path in (args.pred, args.ref))
     if want_labels:
@@ -288,15 +276,12 @@ def _cmd_metrics(args, config: dict[str, str]) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and the subcommand parsers by name."""
+def _build_parser() -> _Parser:
     p = _Parser(prog="synthbrain",
                 description="Synthetic brain-image generation and evaluation")
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="KEY=VALUE config file")
 
-    g = sub.add_parser("generate", parents=[common], description="Generate one sample batch")
+    g = sub.add_parser("generate", description="Generate one sample batch")
     g.add_argument("labels", help="segmentation NIfTI (integer labels)")
     g.add_argument("mprage", help="structural anatomy target NIfTI")
     g.add_argument("--n", type=_COUNT, default=None,
@@ -305,10 +290,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     g.add_argument("--schedule", default=None,
                    help="comma-separated severity names, e.g. mild,medium,medium,severe")
     g.add_argument("--out", default=None, help="output directory")
-    g.add_argument("--threads", type=_COUNT, default=None)
+    g.add_argument("--threads", type=_COUNT, default=1)
+    g.add_argument("--config", default=None,
+                   help="KEY=VALUE file of dotted preset keys, e.g. severe.noise_sigma_max=20")
     g.set_defaults(func=_cmd_generate)
 
-    e = sub.add_parser("evaluate", parents=[common], description="Feature-robustness report")
+    e = sub.add_parser("evaluate", description="Feature-robustness report")
     e.add_argument("--mode", choices=["intra", "inter"], default="intra")
     e.add_argument("--reference", required=True, help="reference stack (3D or 5D NIfTI)")
     e.add_argument("--candidates", required=True, help="candidates manifest JSON")
@@ -320,8 +307,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     e.add_argument("--out", default="report.json", help="report JSON path (default %(default)s)")
     e.set_defaults(func=_cmd_evaluate)
 
-    f = sub.add_parser("fit-adapter", parents=[common],
-                       description="Closed-form one-layer adaptation")
+    f = sub.add_parser("fit-adapter", description="Closed-form one-layer adaptation")
     f.add_argument("--features", required=True)
     f.add_argument("--target", required=True)
     f.add_argument("--concat-input", default=None)
@@ -330,8 +316,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     f.add_argument("--out", default="adapter.json", help="adapter JSON path (default %(default)s)")
     f.set_defaults(func=_cmd_fit_adapter)
 
-    m = sub.add_parser("metrics", parents=[common],
-                       description="Scalar metric between two volumes")
+    m = sub.add_parser("metrics", description="Scalar metric between two volumes")
     m.add_argument("--pred", required=True)
     m.add_argument("--ref", required=True)
     m.add_argument("--metric", required=True,
@@ -341,26 +326,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     m.add_argument("--window", type=_COUNT, default=7)
     m.add_argument("--scales", type=_SCALES, default=3)
     m.set_defaults(func=_cmd_metrics)
-    return p, sub.choices
+    return p
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _load_config(args.config) if args.config else {}
-        # dotted keys set generate's presets, which _severity_presets checks
-        unknown = [key for key in config if key not in _CONFIG_KEYS[args.command]
-                   and not (args.command == "generate" and "." in key)]
-        if unknown:
-            raise _UsageError(f"config keys unknown to {args.command}: {', '.join(unknown)}")
-        plain = {key: config[key] for key in _CONFIG_KEYS[args.command] if key in config}
-        if plain:
-            # string defaults: argparse converts them with each flag's type,
-            # and a flag given on the command line still wins
-            commands[args.command].set_defaults(**plain)
-            args = parser.parse_args(argv)
-        return args.func(args, config)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

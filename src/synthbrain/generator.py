@@ -126,19 +126,22 @@ def _normalize_schedule(schedule, n: int) -> list[SeverityConfig]:
     return cfgs
 
 
-def _prepare(subject: SubjectRecord, n: int, base_seed: int, schedule, threads):
-    """The work a batch shares: checks, deformation, warped subject and target.
-
-    Returns ``(threads, deformation, target, make_sample)``, where
-    ``make_sample(i)`` draws sample i.
-    """
-    nthreads = 1 if threads is None else threads
-    if nthreads < 1:
+def _check(subject: SubjectRecord, n: int, schedule, threads: int) -> list[SeverityConfig]:
+    """The request's checks, made before anything is drawn or written; returns the schedule."""
+    if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     # the condition of an empty label set, without computing the set
     if not subject.labels.data.any():
         raise EmptyLabelSet(f"subject {subject.id!r} has no foreground labels")
-    cfgs = _normalize_schedule(schedule, n)
+    return _normalize_schedule(schedule, n)
+
+
+def _prepare(subject: SubjectRecord, base_seed: int, cfgs: list[SeverityConfig]):
+    """The work a batch shares: deformation, warped subject and target.
+
+    Returns ``(deformation, target, make_sample)``, where ``make_sample(i)``
+    draws sample i.
+    """
     # one deformation per batch, drawn with the first sample's ranges
     deform_cfg = cfgs[0].deformation
 
@@ -160,7 +163,7 @@ def _prepare(subject: SubjectRecord, n: int, base_seed: int, schedule, threads):
         record = sample_corruption_record(rng, cfgs[i], painted)
         return Sample(apply_corruption(painted, record), record)
 
-    return nthreads, phi, target, make_sample
+    return phi, target, make_sample
 
 
 def _map(fn, n: int, threads: int) -> list:
@@ -177,7 +180,7 @@ def generate_batch(
     n: int,
     base_seed: int,
     schedule=None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> SampleBatch:
     """Generate one batch of synthetic samples for a subject.
 
@@ -186,10 +189,10 @@ def generate_batch(
     then gets fresh contrast parameters and corruption from its own RNG
     keyed by (base_seed, subject.id, i), which makes thread count
     irrelevant to the output bytes. ``threads`` workers paint and corrupt
-    the samples (None: 1; fewer than 1 is a ``ValueError``).
+    the samples (fewer than 1 is a ``ValueError``).
     """
-    nthreads, phi, target, make_sample = _prepare(subject, n, base_seed, schedule, threads)
-    samples = _map(make_sample, n, nthreads)
+    phi, target, make_sample = _prepare(subject, base_seed, _check(subject, n, schedule, threads))
+    samples = _map(make_sample, n, threads)
     return SampleBatch(subject.id, phi, tuple(samples), target)
 
 
@@ -199,7 +202,7 @@ def write_batch(
     base_seed: int,
     out_dir,
     schedule=None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> Path:
     """Generate a batch straight to a directory; returns the manifest path.
 
@@ -208,12 +211,14 @@ def write_batch(
     ``sample_{i:03d}.nii``, then ``manifest.json`` with ``base_seed`` as its
     seed. Each worker writes its sample as soon as it is made and keeps only
     the manifest entry, so at most ``threads`` samples are in memory at once,
-    whatever ``n`` is. ``out_dir`` is created first, so a path that cannot be
-    a directory fails before anything is drawn.
+    whatever ``n`` is. ``out_dir`` is created after the request's checks and
+    before anything is drawn: a rejected request leaves no directory, and a
+    path that cannot be a directory fails before the deformation is drawn.
     """
+    cfgs = _check(subject, n, schedule, threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    nthreads, phi, target, make_sample = _prepare(subject, n, base_seed, schedule, threads)
+    phi, target, make_sample = _prepare(subject, base_seed, cfgs)
     write_nifti_file(out / "target.nii", target, "float32")
     write_nifti_file(out / "deformation.nii", phi.channels(), "float32")
     del phi, target  # the samples need only the warped labels, which make_sample holds
@@ -224,7 +229,7 @@ def write_batch(
         write_nifti_file(out / name, sample.image, "float32")
         return {"file": name, "level": sample.level, "record": sample.record.to_json_dict()}
 
-    entries = _map(write_sample, n, nthreads)
+    entries = _map(write_sample, n, threads)
     manifest = {
         "subject": subject.id,
         "seed": base_seed,

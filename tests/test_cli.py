@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import synthbrain as sb
-from synthbrain.cli import _CONFIG_KEYS, _load_config, _severity_presets, main
+from synthbrain.cli import _load_config, _severity_presets, main
 
 from conftest import make_subject, smooth_volume
 
@@ -167,18 +167,6 @@ def test_generate_usage_errors_exit_64(tmp_path, subject_files, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, message", [("mode = sideways\n", "sideways"),
-                                           ("window 7\n", "KEY=VALUE")])
-def test_malformed_evaluate_config_exits_64(tmp_path, subject_files, capsys, text, message):
-    _, labels, mprage = subject_files
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    rc = main(["evaluate", "--reference", str(mprage), "--candidates", str(tmp_path / "c.json"),
-               "--config", str(cfg), "--out", str(tmp_path / "r.json")])
-    assert rc == 64
-    assert message in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("doc, entry", [
     ({"candidates": [{"features": "r.nii", "deformation": "d.nii"}, {"deformation": "d.nii"}]},
      "candidates[1] has no 'features'"),
@@ -288,32 +276,38 @@ def test_generate_schedule_flag_recorded(tmp_path, subject_files, capsys):
     assert manifest["n"] == 3  # schedule length wins when --n is absent
 
 
-def test_generate_config_file_fills_defaults(tmp_path, subject_files, capsys):
+@pytest.mark.parametrize("line", ["n = 2", "seed = 9"])
+def test_a_run_setting_in_the_config_exits_64_naming_its_flag(tmp_path, subject_files, capsys,
+                                                              line):
+    # run settings are flags; the config file holds only the presets' dotted keys
     _, labels, mprage = subject_files
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# run settings\nn = 2\nseed = 9\n")
+    cfg.write_text(f"# run settings\n{line}\n")
     out = tmp_path / "o"
     rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
-               "--out", str(out)])
-    assert rc == 0
-    capsys.readouterr()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 9
-    assert manifest["n"] == 2
+               "--seed", "3", "--out", str(out)])
+    assert rc == 64
+    key = line.split(" = ")[0]
+    err = capsys.readouterr().err
+    assert f"config key {key}:" in err and f"use --{key}" in err
+    assert not out.exists()
 
 
-def test_generate_flag_beats_config(tmp_path, subject_files, capsys):
+def test_a_malformed_or_missing_config_file_fails_before_out_is_made(tmp_path, subject_files, capsys):
     _, labels, mprage = subject_files
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 9\nn = 4\n")
+    cfg.write_text("window 7\n")
     out = tmp_path / "o"
     rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
-               "--seed", "1", "--n", "1", "--out", str(out)])
-    assert rc == 0
-    capsys.readouterr()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 1
-    assert manifest["n"] == 1
+               "--seed", "3", "--out", str(out)])
+    assert rc == 64
+    assert f"{cfg}:1: expected KEY=VALUE" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["generate", str(labels), str(mprage), "--config", str(tmp_path / "missing.cfg"),
+               "--seed", "3", "--out", str(out)])
+    assert rc == 2
+    assert "missing.cfg" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_severity_override_via_config(tmp_path, subject_files, capsys):
@@ -500,21 +494,33 @@ def test_range_overrides_apply_together(tmp_path, subject_files, capsys):
 
 
 @pytest.mark.parametrize("command,line", [
-    ("metrics", "windw = 9"),
-    ("metrics", "severe.bogus = 1"),
-    ("metrics", "severe.noise_sigma_max = 20"),  # a generate-only key
     ("generate", "windw = 9"),
 ])
 def test_unknown_config_key_exits_64(tmp_path, subject_files, capsys, command, line):
     _, labels, mprage = subject_files
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    if command == "metrics":
-        argv = ["metrics", "--pred", str(mprage), "--ref", str(mprage), "--metric", "l1"]
-    else:
-        argv = ["generate", str(labels), str(mprage), "--seed", "3", "--out", str(tmp_path / "o")]
+    argv = [command, str(labels), str(mprage), "--seed", "3", "--out", str(tmp_path / "o")]
     assert main(argv + ["--config", str(cfg)]) == 64
     assert line.split(" = ")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "fit-adapter", "metrics"])
+def test_config_is_a_generate_flag_only(tmp_path, subject_files, capsys, command):
+    _, _, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("severe.noise_sigma_max = 20\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "evaluate": ["evaluate", "--reference", str(mprage), "--candidates",
+                     str(tmp_path / "c.json"), "--out", out],
+        "fit-adapter": ["fit-adapter", "--features", str(mprage), "--target", str(mprage),
+                        "--out", out],
+        "metrics": ["metrics", "--pred", str(mprage), "--ref", str(mprage), "--metric", "l1"],
+    }[command]
+    assert main(argv + ["--config", str(cfg)]) == 64
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 _OUT_OF_RANGE = [
@@ -526,12 +532,9 @@ _OUT_OF_RANGE = [
 ]
 
 
-# every value as a flag, and as a config key where the command reads one
-@pytest.mark.parametrize("command, key, value, via", [
-    case + (via,) for case in _OUT_OF_RANGE for via in ("flag", "config")
-    if via == "flag" or case[1] in _CONFIG_KEYS[case[0]]
-])
-def test_out_of_range_flag_value_exits_64(tmp_path, subject_files, capsys, command, key, value, via):
+@pytest.mark.parametrize("command, key, value", _OUT_OF_RANGE,
+                         ids=["-".join(case + ("flag",)) for case in _OUT_OF_RANGE])
+def test_out_of_range_flag_value_exits_64(tmp_path, subject_files, capsys, command, key, value):
     _, labels, mprage = subject_files
     out = str(tmp_path / "out")
     argv = {
@@ -543,13 +546,7 @@ def test_out_of_range_flag_value_exits_64(tmp_path, subject_files, capsys, comma
         "metrics": ["metrics", "--pred", str(mprage), "--ref", str(mprage),
                     "--metric", "psnr" if key == "peak" else "msssim"],
     }[command]
-    if via == "flag":
-        argv += [f"--{key}", value]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        argv += ["--config", str(cfg)]
-    assert main(argv) == 64
+    assert main(argv + [f"--{key}", value]) == 64
     assert f"--{key}" in capsys.readouterr().err
 
 
@@ -578,6 +575,16 @@ def test_an_out_naming_a_file_exits_2_before_any_drawing(tmp_path, subject_files
     assert str(out) in capsys.readouterr().err
     assert calls == []
     assert out.read_text() == "not a directory"
+
+
+def test_an_all_background_map_exits_2_without_making_out(tmp_path, capsys):
+    labels, mprage, out = tmp_path / "labels.nii", tmp_path / "anatomy.nii", tmp_path / "o"
+    sb.write_nifti_file(labels, sb.LabelMap(np.zeros((8, 8, 8), dtype=np.int16)), "int16")
+    sb.write_nifti_file(mprage, sb.Volume(np.zeros((8, 8, 8))), "float32")
+    rc = main(["generate", str(labels), str(mprage), "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert "no foreground labels" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_gzipped_stack_is_decompressed_once(tmp_path, monkeypatch):
@@ -640,28 +647,6 @@ def test_metrics_l1_value(tmp_path, capsys):
     rc = main(["metrics", "--pred", str(pa), "--ref", str(pb), "--metric", "l1"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "0.500000"
-
-
-def test_metrics_config_file_fills_defaults(tmp_path, capsys):
-    a = sb.Volume(np.zeros((8, 8, 8)))
-    b = sb.Volume(np.full((8, 8, 8), 0.5))
-    pa, pb = tmp_path / "a.nii", tmp_path / "b.nii"
-    sb.write_nifti_file(pa, a, "float32")
-    sb.write_nifti_file(pb, b, "float32")
-    cfg = tmp_path / "m.cfg"
-    cfg.write_text("peak = 2.0\n")
-    base = ["metrics", "--pred", str(pa), "--ref", str(pb), "--metric", "psnr"]
-    assert main(base + ["--config", str(cfg)]) == 0
-    assert capsys.readouterr().out.strip() == f"{10 * np.log10(4.0 / 0.25):.6f}"
-    assert main(base + ["--config", str(cfg), "--peak", "1"]) == 0  # flag beats config
-    assert capsys.readouterr().out.strip() == f"{10 * np.log10(1.0 / 0.25):.6f}"
-    cfg.write_text("window = 9\n")  # 8^3 volume cannot host a 9-voxel window
-    ssim_args = ["metrics", "--pred", str(pa), "--ref", str(pb), "--metric", "ssim"]
-    assert main(ssim_args + ["--config", str(cfg)]) == 2
-    assert main(ssim_args + ["--config", str(tmp_path / "missing.cfg")]) == 2
-    cfg.write_text("window = abc\n")
-    assert main(ssim_args + ["--config", str(cfg)]) == 64
-    assert main(ssim_args + ["--config", str(cfg), "--window", "7"]) == 0  # flag beats config
 
 
 # -- evaluate ---------------------------------------------------------------------

@@ -329,6 +329,23 @@ def test_a_constant_image_renormalizes_to_zeros_after_any_resolution(dims, value
     assert out.tobytes() == np.zeros(dims).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 24)] * 3),
+       value=st.floats(1e-9, 123.0),
+       log=st.floats(-1.0, 1.0),
+       coarse=st.tuples(*[st.integers(1, 8)] * 3),
+       target=st.one_of(st.none(), st.just((3.0, 3.0, 3.0)), st.just((1.0, 1.0, 5.5))))
+def test_a_constant_image_renormalizes_to_zeros_after_a_constant_bias(dims, value, log, coarse,
+                                                                      target):
+    # a constant log grid is a constant field, so the biased image is constant too
+    v = sb.Volume(np.full(dims, value))
+    bias = {"mu": log, "sigma": 0.0, "coarse": np.full(coarse, log).tolist()}
+    resolution = None if target is None else {"target_spacing": list(target), "kind": "x"}
+    rec = sb.CorruptionRecord("custom", bias=bias, resolution=resolution, renormalized=True)
+    out = sb.apply_corruption(v, rec).data
+    assert out.tobytes() == np.zeros(dims).tobytes()
+
+
 def test_native_resolution_is_identity():
     v = smooth_volume(16, 2)
     rng = np.random.default_rng(0)

@@ -204,6 +204,16 @@ def test_empty_label_set_rejected():
         sb.generate_batch(subject, 1, base_seed=0)
 
 
+@pytest.mark.parametrize("threads, labels", [(0, 1), (1, 0)])
+def test_a_rejected_write_batch_creates_nothing(tmp_path, threads, labels):
+    subject = sb.SubjectRecord("s", sb.LabelMap(np.full((8, 8, 8), labels, dtype=np.int16)),
+                               sb.Volume(np.zeros((8, 8, 8))))
+    out = tmp_path / "batch"
+    with pytest.raises(sb.EmptyLabelSet if labels == 0 else ValueError):
+        sb.write_batch(subject, 1, 0, out, threads=threads)
+    assert not out.exists()
+
+
 def test_intra_subject_identity_property():
     """Same subject, same seed, different day: identical bytes."""
     for sid in ("alpha", "beta", "gamma"):
