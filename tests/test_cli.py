@@ -494,15 +494,23 @@ def test_range_overrides_apply_together(tmp_path, subject_files, capsys):
 
 
 @pytest.mark.parametrize("command,line", [
+    ("metrics", "windw = 9"),
+    ("metrics", "severe.bogus = 1"),
+    ("metrics", "severe.noise_sigma_max = 20"),  # a generate-only key
     ("generate", "windw = 9"),
 ])
 def test_unknown_config_key_exits_64(tmp_path, subject_files, capsys, command, line):
     _, labels, mprage = subject_files
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    argv = [command, str(labels), str(mprage), "--seed", "3", "--out", str(tmp_path / "o")]
+    if command == "metrics":
+        argv = ["metrics", "--pred", str(mprage), "--ref", str(mprage), "--metric", "l1"]
+    else:
+        argv = ["generate", str(labels), str(mprage), "--seed", "3", "--out", str(tmp_path / "o")]
     assert main(argv + ["--config", str(cfg)]) == 64
-    assert line.split(" = ")[0] in capsys.readouterr().err
+    # generate names the key it cannot use; metrics takes no --config at all
+    named = line.split(" = ")[0] if command == "generate" else "--config"
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "fit-adapter", "metrics"])
