@@ -76,16 +76,20 @@ _SCALES = _ranged(int, 1, len(metrics._MS_WEIGHTS))
 # -- config file -----------------------------------------------------------------
 
 def _load_config(path) -> dict[str, str]:
-    """KEY=VALUE lines; blank lines and # comments ignored."""
+    """KEY=VALUE lines; blank lines and # comments ignored, a key set twice refused."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in first:
+            raise _UsageError(f"{path}:{lineno}: config key {key} repeats line {first[key]}")
+        first[key] = lineno
+        out[key] = value
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
@@ -152,9 +153,10 @@ def _apply_resolution(data: np.ndarray, spacing, target_spacing) -> np.ndarray:
     own coarse grid; that image is then trilinearly upsampled back, so the
     output dims always equal the input dims. Returns ``data`` itself when no
     axis is degraded, otherwise a fresh array. A record may come from outside
-    (JSON), so the spacing is checked: three finite values > 0.
+    (JSON), so the spacing is checked: a list or tuple of three finite numbers > 0.
     """
-    if len(target_spacing) != 3 or not all(0 < t < math.inf for t in target_spacing):
+    if not (isinstance(target_spacing, (list, tuple)) and len(target_spacing) == 3
+            and all(isinstance(t, Real) and 0 < t < math.inf for t in target_spacing)):
         raise ValueError(f"target_spacing must be 3 finite values > 0, got {target_spacing}")
     ratios = [t / c if t > c else 1.0 for t, c in zip(target_spacing, spacing)]
     if all(r == 1.0 for r in ratios):
@@ -171,9 +173,9 @@ def _apply_noise(data: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """``data`` plus white noise of std ``sigma`` from the stream ``seed``,
     clipped to [0, 1], as a fresh array; both are checked, as a record may
     come from outside (JSON)."""
-    if not 0 <= sigma < math.inf:
+    if not (isinstance(sigma, Real) and 0 <= sigma < math.inf):
         raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
-    if not (0 <= seed < 2 ** 63 and seed == math.floor(seed)):
+    if not (isinstance(seed, Real) and 0 <= seed < 2 ** 63 and seed == math.floor(seed)):
         raise ValueError(f"noise seed must be an integer in [0, 2**63), got {seed}")
     # normal(0.0, sigma, dims) computes 0.0 + sigma * z; so does this, in place
     # and from the cheaper standard draw (the + 0.0 turns a -0.0 into +0.0)
@@ -288,9 +290,9 @@ def apply_corruption(v: Volume, record: CorruptionRecord) -> Volume:
         data = _bias(record.bias["coarse"], v)
         data *= v.data
     if record.resolution is not None:
-        data = _apply_resolution(data, v.spacing, record.resolution["target_spacing"])
+        data = _apply_resolution(data, v.spacing, record.resolution.get("target_spacing"))
     if record.noise is not None:
-        data = _apply_noise(data, float(record.noise["sigma"]), record.noise["seed"])
+        data = _apply_noise(data, record.noise.get("sigma"), record.noise.get("seed"))
     if record.renormalized:
         data = _minmax(data, np.empty(v.dims) if data is v.data else data)
     return v if data is v.data else Volume._adopt(data, v.spacing, v.grid_to_world)

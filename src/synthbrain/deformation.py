@@ -37,7 +37,6 @@ from .volume import (
     _Grid,
     _corner_aligned_weights,
     _per_axis,
-    _points,
     same_geometry,
     sample_nearest,
     sample_trilinear,
@@ -482,13 +481,13 @@ def _puller(fld: DeformationField, like):
     Label maps are sampled nearest, other data trilinearly, 0 off the grid; a
     field, pulled back as a map, adds ``fld``'s own displacement. Every grid
     it is given (a stack's channels, a subject's labels and anatomy, the
-    candidates of one evaluation) shares the positions of one
-    :func:`_source_voxels` call, prepared for sampling once. A zero field on
-    ``like``'s grid returns each grid itself.
+    candidates of one evaluation) is sampled at the positions of one
+    :func:`_source_voxels` call. A zero field on ``like``'s grid returns each
+    grid itself.
     """
     if not fld.displacement.any() and same_geometry(fld, like):
         return lambda g: g
-    at = _points(_source_voxels(fld, like.grid_to_world), like.dims)
+    at = _source_voxels(fld, like.grid_to_world)
 
     def pull(g):
         sample = sample_nearest if isinstance(g, LabelMap) else sample_trilinear

@@ -278,48 +278,35 @@ def world_coordinate_grid(dims, affine: np.ndarray) -> np.ndarray:
 
 # -- sampling -----------------------------------------------------------------
 
-# positions prepared for sampling one grid: the (N, 3) points, read where the
-# caller keeps them, the mask of those outside the grid or NaN (None when there
-# are none) and the points' own batch shape
-_Points = namedtuple("_Points", "flat outside shape")
-
 # points per pass of the sampling kernels, so that a pass's per-point arrays
 # (64 kB each) stay in cache
 _CHUNK = 8192
 
 
-def _blocks(flat: np.ndarray):
-    """The (N, 3) points ``flat`` ``_CHUNK`` at a time: each block's slice and
-    its x, y and z rows, copied to (3, m) so that every row is contiguous."""
+def _chunks(flat: np.ndarray, dims):
+    """The (N, 3) points ``flat`` ``_CHUNK`` at a time: each block's slice, the
+    mask of its points outside ``[0, n-1]`` on some axis or NaN, and its x, y
+    and z rows, copied to (3, m) and clamped to ``[0, n-1]`` (NaN to 0) so that
+    every lookup lands on the grid; the caller zeroes the masked points."""
+    top = np.array(dims, dtype=np.float64)[:, None] - 1.0
     for lo in range(0, len(flat), _CHUNK):
         s = slice(lo, lo + _CHUNK)
-        yield s, flat[s].T.copy()
+        xyz = flat[s].T.copy()
+        # an explicit mask, not zero padding of the data, which would fade to
+        # zero over the last half voxel
+        inside = xyz >= 0.0
+        inside &= xyz <= top
+        # fmax, unlike maximum, returns the 0 for a NaN
+        yield s, ~inside.all(axis=0), np.fmin(np.fmax(xyz, 0.0, out=xyz), top, out=xyz)
 
 
-def _points(pts, dims) -> _Points:
-    """``pts``, (..., 3) voxel coordinates, prepared for sampling a grid of ``dims``."""
+def _flat_points(pts) -> tuple[np.ndarray, tuple]:
+    """``pts``, (..., 3) voxel coordinates, as float64 (N, 3) rows (read in place
+    where they are already such rows) and their batch shape."""
     p = np.asarray(pts, dtype=np.float64)
     if p.ndim < 1 or p.shape[-1] != 3:
         raise ValueError(f"points must have shape (..., 3), got {p.shape}")
-    flat = p.reshape(-1, 3)
-    top = np.array(dims, dtype=np.float64)[:, None] - 1.0
-    inside = np.empty(len(flat), dtype=bool)
-    for s, xyz in _blocks(flat):
-        ok = xyz >= 0.0
-        ok &= xyz <= top
-        ok.all(axis=0, out=inside[s])
-    # an explicit mask, not zero padding of the data, which would fade to zero
-    # over the last half voxel
-    return _Points(flat, None if inside.all() else ~inside, p.shape[:-1])
-
-
-def _chunks(at: _Points, dims):
-    """``at``'s points by :func:`_blocks`, clamped to ``[0, n-1]`` (NaN to 0) so
-    that every lookup lands on the grid; the caller zeroes ``at.outside``."""
-    top = np.array(dims, dtype=np.float64)[:, None] - 1.0
-    for s, xyz in _blocks(at.flat):
-        # fmax, unlike maximum, returns the 0 for a NaN
-        yield s, np.fmin(np.fmax(xyz, 0.0, out=xyz), top, out=xyz)
+    return p.reshape(-1, 3), p.shape[:-1]
 
 
 def _flat_strides(dims, channels: int = 1) -> tuple[int, int, int]:
@@ -333,8 +320,6 @@ def sample_trilinear(data: np.ndarray, pts) -> np.ndarray:
     ``data`` is scalar ``(nx, ny, nz)`` or channel-last ``(nx, ny, nz, c)``;
     the result has shape ``pts.shape[:-1]``, plus ``(c,)`` for channel data.
     Points outside ``[0, n-1]`` on any axis evaluate to 0 (zero padding).
-    ``pts`` may also be :func:`_points`' preparation of them for this grid,
-    which every grid sampled at the same points can share.
 
     The values are bitwise those of ``scipy.ndimage.map_coordinates`` (order 1,
     ``mode="nearest"``) on each channel: the same weights, the upper corner
@@ -345,17 +330,16 @@ def sample_trilinear(data: np.ndarray, pts) -> np.ndarray:
     if data.ndim not in (3, 4):
         raise ValueError(f"data must have shape (nx, ny, nz) or (nx, ny, nz, c), got {data.shape}")
     dims = data.shape[:3]
-    at = pts if isinstance(pts, _Points) else _points(pts, dims)
+    flat_pts, shape = _flat_points(pts)
     # C order, so a corner is found by its flat index (a grid in Fortran
     # order, as NIfTI decodes it, is copied first)
     flat = np.ascontiguousarray(data).reshape(-1)
     channels = data.shape[3] if data.ndim == 4 else 1
-    out = np.empty((len(at.flat), channels))
-    for s, xyz in _chunks(at, dims):
+    out = np.empty((len(flat_pts), channels))
+    for s, outside, xyz in _chunks(flat_pts, dims):
         _trilinear_chunk(flat, xyz, dims, out[s])
-    if at.outside is not None:
-        out[at.outside] = 0.0
-    return out.reshape(at.shape + data.shape[3:])
+        out[s][outside] = 0.0
+    return out.reshape(shape + data.shape[3:])
 
 
 def _trilinear_chunk(flat: np.ndarray, xyz: np.ndarray, dims, out: np.ndarray) -> None:
@@ -394,27 +378,26 @@ def _trilinear_chunk(flat: np.ndarray, xyz: np.ndarray, dims, out: np.ndarray) -
 
 
 def sample_nearest(data: np.ndarray, pts) -> np.ndarray:
-    """Nearest-neighbour sampling; ties break toward the lower index.
+    """Nearest-neighbour sampling at (..., 3) voxel coordinates; ties break
+    toward the lower index.
 
-    Outside ``[0, n-1]^3`` the background label 0 is returned. ``pts`` is
-    taken as by :func:`sample_trilinear`.
+    Outside ``[0, n-1]^3`` the background label 0 is returned.
     """
     data = np.asarray(data)
     if data.ndim != 3:
         raise ValueError(f"data must have shape (nx, ny, nz), got {data.shape}")
-    at = pts if isinstance(pts, _Points) else _points(pts, data.shape)
+    flat_pts, shape = _flat_points(pts)
     flat = np.ascontiguousarray(data).reshape(-1)
-    out = np.empty(len(at.flat), dtype=data.dtype)
-    for s, coords in _chunks(at, data.shape):
+    out = np.empty(len(flat_pts), dtype=data.dtype)
+    for s, outside, coords in _chunks(flat_pts, data.shape):
         index = 0
         for c, stride in zip(coords, _flat_strides(data.shape)):
             # ceil(p - 0.5) rounds halves down, i.e. toward the lower index
             c -= 0.5
             index = index + np.ceil(c, out=c).astype(np.intp) * stride
         flat.take(index, out=out[s])
-    if at.outside is not None:
-        out[at.outside] = 0
-    return out.reshape(at.shape)
+        out[s][outside] = 0
+    return out.reshape(shape)
 
 
 # Trilinear interpolation at the points of an axis-aligned grid is separable:

@@ -310,6 +310,19 @@ def test_a_malformed_or_missing_config_file_fails_before_out_is_made(tmp_path, s
     assert not out.exists()
 
 
+def test_a_repeated_config_key_exits_64_naming_both_lines(tmp_path, subject_files, capsys):
+    # a later line would otherwise replace the earlier one; the inputs named
+    # here do not exist, so the check runs before any is read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mild.p_low_field = 0\n# again\nmild.p_low_field = 1\n")
+    out = tmp_path / "o"
+    rc = main(["generate", str(tmp_path / "labels.nii"), str(tmp_path / "mprage.nii"),
+               "--config", str(cfg), "--seed", "3", "--out", str(out)])
+    assert rc == 64
+    assert f"{cfg}:3: config key mild.p_low_field repeats line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_severity_override_via_config(tmp_path, subject_files, capsys):
     _, labels, mprage = subject_files
     cfg = tmp_path / "run.cfg"

@@ -166,6 +166,12 @@ def _from_wire(**stages) -> sb.CorruptionRecord:
     ({"noise": {"sigma": 0.1, "seed": 1.5}}, "seed"),
     ({"noise": {"sigma": 0.1, "seed": -1}}, "seed"),
     ({"noise": {"sigma": 0.1, "seed": 2 ** 63}}, "seed"),
+    # JSON values of the wrong type, and a missing entry
+    ({"noise": {"sigma": 0.1, "seed": "5"}}, "seed"),
+    ({"noise": {"sigma": 0.1, "seed": None}}, "seed"),
+    ({"noise": {"sigma": 0.1}}, "seed"),
+    ({"resolution": {"target_spacing": ["3", 3, 3]}}, "target_spacing"),
+    ({"resolution": {"target_spacing": None}}, "target_spacing"),
 ])
 def test_an_outside_record_with_a_bad_stage_entry_is_rejected(stages, message):
     with pytest.raises(ValueError, match=message):

@@ -630,8 +630,8 @@ def test_a_warp_holds_one_position_grid():
     finally:
         tracemalloc.stop()
     positions = fld.displacement.nbytes
-    # the positions, the output, _points' outside mask and one slab of the
-    # displacement product; a second position grid would add 21 MB
+    # the positions, the output, one slab of the displacement product and
+    # the sampling's chunk buffers; a second position grid would add 21 MB
     assert peak <= positions + out.data.nbytes + 4 * 2 ** 20
 
 
@@ -704,13 +704,6 @@ def test_built_fields_are_read_only_and_own_their_data():
 
 # -- the trilinear kernel gives map_coordinates' bytes to every caller ---------------
 
-def _scipy_trilinear(data, pts):
-    """The reference sampling, taking positions prepared by ``volume._points`` too."""
-    if isinstance(pts, sb.volume._Points):
-        pts = pts.flat.reshape(pts.shape + (3,))
-    return _parent_sample_trilinear(data, pts)
-
-
 def _sampled_results(like, seed):
     """Every caller of the trilinear kernel on ``like``'s grid, as raw arrays."""
     rng = np.random.default_rng(seed)
@@ -735,7 +728,7 @@ def _sampled_results(like, seed):
 
 def _sample_with_scipy(monkeypatch):
     for module in (sb.volume, sb.deformation):
-        monkeypatch.setattr(module, "sample_trilinear", _scipy_trilinear)
+        monkeypatch.setattr(module, "sample_trilinear", _parent_sample_trilinear)
 
 
 @pytest.mark.parametrize("grid", ["sheared", "phantom"])

@@ -22,7 +22,7 @@ from synthbrain import (
     spatial_gradient,
 )
 from synthbrain import volume
-from synthbrain.volume import _per_axis, _points, sample_nearest, sample_trilinear
+from synthbrain.volume import _per_axis, sample_nearest, sample_trilinear
 
 from reference_impls import (
     _parent_sample_trilinear,
@@ -266,19 +266,6 @@ def test_nearest_nan_point_is_background():
     assert out.tolist() == [0, 7]
 
 
-@pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 3, 2, 3)])
-def test_prepared_points_sample_as_the_raw_points(rng, shape):
-    data = rng.random((6, 5, 4))
-    labels = rng.integers(0, 9, (6, 5, 4)).astype(np.int32)
-    pts = rng.uniform(-1.0, 6.5, shape)
-    at = _points(pts, data.shape)
-    for sample, grid in ((sample_trilinear, data), (sample_nearest, labels),
-                         (sample_trilinear, np.stack([data, 2 * data], axis=-1))):
-        want = sample(grid, pts)
-        got = sample(grid, at)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 def _layout(data, layout):
     """``data`` with the same values in C order, Fortran order or as a strided view."""
     if layout == "C":
@@ -360,13 +347,12 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def _held_bound(output_bytes, npts):
-    """What a sampling call may hold: its output, the inside and outside masks
-    (one byte per point each) with a byte per point to spare, and 28 per-point
-    arrays of one chunk. The trilinear kernel holds 25: the clamped x, y and z
-    rows, three lower weights, six corner offsets, eight corner offsets, two
-    transients, the gathered corner and the running sum."""
-    return output_bytes + 3 * npts + 28 * volume._CHUNK * 8
+def _held_bound(output_bytes):
+    """What a sampling call may hold: its output and 28 per-point arrays of one
+    chunk. The trilinear kernel holds 25: the clamped x, y and z rows, three
+    lower weights, six corner offsets, eight corner offsets, two transients,
+    the gathered corner and the running sum."""
+    return output_bytes + 28 * volume._CHUNK * 8
 
 
 def test_trilinear_holds_its_output_and_chunk_buffers_only(rng):
@@ -375,7 +361,18 @@ def test_trilinear_holds_its_output_and_chunk_buffers_only(rng):
     n = 48
     field = rng.standard_normal((n, n, n, 3))
     pts = volume.world_coordinate_grid((n, n, n), np.eye(4)) + rng.uniform(-0.5, 0.5, (n, n, n, 3))
-    assert _traced_peak(sample_trilinear, field, pts) <= _held_bound(field.nbytes, n ** 3)
+    assert _traced_peak(sample_trilinear, field, pts) <= _held_bound(field.nbytes)
+
+
+@pytest.mark.parametrize("sample, dtype", [(sample_trilinear, np.float64), (sample_nearest, np.int32)],
+                         ids=["trilinear", "nearest"])
+def test_scattered_points_off_the_grid_hold_no_batch_mask(rng, sample, dtype):
+    # 2**21 points, about a third of them off a 16³ grid: the outside points
+    # are zeroed chunk by chunk, with no mask or index array over the batch
+    data = rng.integers(0, 9, (16, 16, 16)).astype(dtype)
+    pts = rng.uniform(-1.0, 16.0, (2 ** 21, 3))
+    out_bytes = len(pts) * data.itemsize
+    assert _traced_peak(sample, data, pts) <= _held_bound(out_bytes)
 
 
 def test_warp_pull_holds_its_output_and_chunk_buffers_only(monkeypatch):
@@ -401,7 +398,7 @@ def test_warp_pull_holds_its_output_and_chunk_buffers_only(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - held[0]
     finally:
         tracemalloc.stop()
-    assert peak <= _held_bound(v.data.nbytes, n ** 3)
+    assert peak <= _held_bound(v.data.nbytes)
 
 
 # -- gradient / normalization ---------------------------------------------------
