@@ -48,6 +48,8 @@ _BIAS_GRID = 4
 # (one thick axis) acquisition; severity grades only how often each is drawn
 _LOW_FIELD_SPACING = (1.5, 4.0)
 _ANISOTROPIC_SPACING = (2.5, 7.0)
+# the entries each stage of a record holds when it ran
+_STAGE_KEYS = {"bias": ("coarse",), "resolution": ("target_spacing",), "noise": ("sigma", "seed")}
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,10 @@ class CorruptionRecord:
     """Everything needed to replay one corruption bit-exactly.
 
     Stage entries are ``None`` when the stage did not alter the volume, so
-    an all-off configuration leaves an empty record.
+    an all-off configuration leaves an empty record. A record may come from
+    outside (JSON), so its layout is checked when it is built: each stage
+    entry ``None`` or a dict with that stage's keys, ``renormalized`` a
+    bool. The stages check the values they read.
     """
 
     level: str
@@ -201,6 +206,16 @@ class CorruptionRecord:
     resolution: dict | None = None    # {target_spacing: [3], kind}
     noise: dict | None = None         # {sigma, seed}
     renormalized: bool = False
+
+    def __post_init__(self):
+        for name, keys in _STAGE_KEYS.items():
+            entry = getattr(self, name)
+            if entry is not None and not (isinstance(entry, dict) and all(k in entry for k in keys)):
+                raise ValueError(f"record entry {name!r} must be null or an object with "
+                                 f"{', '.join(keys)}, got {entry!r}")
+        if not isinstance(self.renormalized, bool):
+            raise ValueError(f"record entry 'renormalized' must be true or false, "
+                             f"got {self.renormalized!r}")
 
     @property
     def empty(self) -> bool:
@@ -225,7 +240,7 @@ class CorruptionRecord:
             bias=d.get("bias"),
             resolution=d.get("resolution"),
             noise=d.get("noise"),
-            renormalized=bool(d.get("renormalized", False)),
+            renormalized=d.get("renormalized", False),
         )
 
     def bias_field(self, like) -> Volume | None:

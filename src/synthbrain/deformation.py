@@ -16,6 +16,9 @@ smooth stationary velocity field via scaling-and-squaring. Squaring and
 composition run on a grid with about half the voxels per axis, upsampled
 once, as in VoxelMorph (Dalca et al., MICCAI 2018) and SynthSeg (Billot et
 al., MedIA 2023): the velocities are smooth on that scale, and it is cheaper.
+The first squaring steps, whose displacements are small, run on that grid's
+own half grid and are upsampled once to it: a composition's interpolation
+error grows with the displacement, so only the last steps need the finer grid.
 Generation records provenance, which makes inversion cheap and accurate
 (``A⁻¹ ∘ T⁻¹`` with ``T⁻¹`` integrated from the negated velocities);
 provenance-free fields fall back to fixed-point inversion.
@@ -66,6 +69,10 @@ DEFAULT_SQUARING_STEPS = 7
 # velocity fields are integrated and composed, and fields inverted, on a grid
 # this many times coarser per axis
 _INTEGRATION_DOWNSIZE = 2
+# scaling and squaring runs up to _COARSE_STEPS of its first steps on the grid
+# coarser again by that factor, and at least its last _FINE_STEPS on the half grid
+_COARSE_STEPS = 5
+_FINE_STEPS = 2
 # fixed-point inversion stops once its mean on-grid update is below this (voxel),
 # or after this many updates
 _INVERSION_TOL = 1e-3
@@ -274,8 +281,11 @@ def _world_bbox(like) -> tuple[np.ndarray, np.ndarray]:
 def sample_svf(rng: np.random.Generator, cfg: DeformationConfig, like) -> SVF:
     """Draw a smooth random velocity field covering ``like``'s grid.
 
-    The control lattice (``_SVF_CONTROL_SPACING`` mm between points) extends
-    one step beyond the volume's world bounding box. White-noise control
+    The control lattice extends one step beyond the volume's world bounding
+    box. Its points are ``_SVF_CONTROL_SPACING`` mm apart, or twice the
+    largest voxel spacing if that is more, so that a grid of coarse voxels
+    gets at most about half its points per axis, not a lattice that follows
+    its world extent. White-noise control
     vectors are Gaussian-smoothed with a std drawn in [1, ``_SVF_SIGMA_MAX``]
     control voxels, then rescaled so the peak vector magnitude equals the
     drawn amplitude: uniform in [``cfg.svf_mu_min``, ``cfg.svf_mu_max``]
@@ -283,7 +293,7 @@ def sample_svf(rng: np.random.Generator, cfg: DeformationConfig, like) -> SVF:
     """
     lo, hi = _world_bbox(like)
     extent = hi - lo
-    step = _SVF_CONTROL_SPACING
+    step = max(_SVF_CONTROL_SPACING, 2.0 * max(like.spacing))
     amplitude = float(rng.uniform(cfg.svf_mu_min, cfg.svf_mu_max)) * float(extent.min())
     sigma = float(rng.uniform(1.0, _SVF_SIGMA_MAX))
     counts = tuple(int(np.ceil(e / step)) + 3 for e in extent)
@@ -321,6 +331,8 @@ def _half_grid(dims) -> tuple[tuple[int, int, int], np.ndarray, list]:
     homogeneous node spacing ``s`` in voxels (``diag(s)`` maps node indices to
     voxels; ``(n-1)/(m-1)`` lands the last node on voxel ``n-1``) and the
     ``_per_axis`` matrices upsampling node values (``None`` where an axis is kept).
+    Applied to its own node counts it gives the quarter grid that the first
+    squaring steps run on, corner-aligned with the half grid, ``s`` in half-grid nodes.
     """
     half = tuple(math.ceil((n - 1) / _INTEGRATION_DOWNSIZE) + 1 for n in dims)
     spacing = np.array([max(n - 1, 1) / max(m - 1, 1) for n, m in zip(dims, half)] + [1.0])
@@ -329,28 +341,42 @@ def _half_grid(dims) -> tuple[tuple[int, int, int], np.ndarray, list]:
 
 
 def _integrate(svf: SVF, steps: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Half-grid ``exp(v)`` (not validated) and :func:`_half_grid`'s spacing and matrices."""
+    """Half-grid ``exp(v)`` (not validated; see :func:`integrate_svf`) and
+    :func:`_half_grid`'s spacing and matrices."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     half, spacing, upsample = _half_grid(svf.grid_dims)
+    quarter, quarter_spacing, to_half = _half_grid(half)
+    node = spacing * quarter_spacing  # quarter-grid node index -> voxels
     lattice = np.diag([svf.control_spacing] * 3 + [1.0])  # control-point index -> world
     lattice[:3, 3] = svf.origin
-    ctrl = world_coordinate_grid(half, np.linalg.inv(lattice) @ svf.grid_to_world * spacing)
+    ctrl = world_coordinate_grid(quarter, np.linalg.inv(lattice) @ svf.grid_to_world * node)
     disp = sample_trilinear(svf.velocities, ctrl) / (2.0 ** steps)
+    to_voxel = _world_to_voxel_linear(svf.grid_to_world)
+    idx = world_coordinate_grid(quarter, np.eye(4))
+    to_node, last = to_voxel / node[:3], np.asarray(quarter, dtype=np.float64) - 1.0
+    coarse = min(_COARSE_STEPS, max(steps - _FINE_STEPS, 0))
+    for _ in range(coarse):
+        # clamped, so that a lookup past a face reads the face node, not the identity
+        disp += sample_trilinear(disp, np.clip(idx + disp @ to_node, 0.0, last))
+    disp = _per_axis(disp, to_half)
     idx = world_coordinate_grid(half, np.eye(4))
-    to_node = _world_to_voxel_linear(svf.grid_to_world) / spacing[:3]
-    for _ in range(steps):
+    to_node = to_voxel / spacing[:3]
+    for _ in range(steps - coarse):
         disp += sample_trilinear(disp, idx + disp @ to_node)
     return disp, spacing, upsample
 
 
 def integrate_svf(svf: SVF, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationField:
-    """exp(v) by scaling and squaring on a half-resolution grid, upsampled once.
+    """exp(v) by scaling and squaring on two coarse grids, upsampled once to each.
 
-    The coarse velocities are trilinearly sampled at the nodes of
-    :func:`_half_grid`, the halved field is self-composed
-    ``steps`` times in half-grid voxel units, and the result is brought to
-    the full grid by one separable linear upsampling — as in VoxelMorph's
+    The control velocities are trilinearly sampled at the nodes of the
+    quarter grid (:func:`_half_grid` of the half grid) and divided by
+    ``2**steps``. The first steps, up to ``_COARSE_STEPS`` and leaving at
+    least ``_FINE_STEPS``, self-compose the field there, each lookup clamped
+    to the grid; one separable linear upsampling brings it to the half grid,
+    where the remaining steps compose with the identity beyond the grid, and
+    a second brings the result to the full grid — as in VoxelMorph's
     ``VecInt`` with ``int_downsize=2`` (Dalca et al., MICCAI 2018) and
     SynthSeg's small-grid deformation (Billot et al., MedIA 2023). Only the
     result is validated, which still catches a NaN/Inf arising at any step.

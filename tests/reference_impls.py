@@ -110,6 +110,23 @@ def deformation_world(matrix: np.ndarray, grid_to_world: np.ndarray, t: np.ndarr
     return gather_trilinear(t, world_to_voxel(grid_to_world, ax)) + (ax - xs)
 
 
+def svf_on_a_16mm_lattice(rng, cfg, like) -> tuple[np.ndarray, np.ndarray]:
+    """A sampled SVF's velocities and lattice origin as first drawn: control
+    points 16 mm apart over the grid's world bounding box, one step beyond it,
+    whatever the voxel spacing; smoothed, then scaled to the drawn amplitude."""
+    from scipy.ndimage import gaussian_filter
+
+    corners = index_grid((2, 2, 2)).reshape(-1, 3) * (np.asarray(like.dims) - 1.0)
+    world = apply_affine(np.asarray(like.grid_to_world, dtype=np.float64), corners)
+    lo, extent = world.min(axis=0), world.max(axis=0) - world.min(axis=0)
+    amplitude = float(rng.uniform(cfg.svf_mu_min, cfg.svf_mu_max)) * float(extent.min())
+    sigma = float(rng.uniform(1.0, 4.0))
+    noise = rng.standard_normal(tuple(int(np.ceil(e / 16.0)) + 3 for e in extent) + (3,))
+    smoothed = gaussian_filter(noise, (sigma, sigma, sigma, 0.0), mode="nearest")
+    peak = float(np.sqrt((smoothed ** 2).sum(axis=-1)).max())
+    return smoothed * (amplitude / peak), lo - 16.0
+
+
 def integrate_svf_full(svf, steps: int) -> np.ndarray:
     """Scaling and squaring on the SVF's full-resolution grid, world-mm displacement.
 
@@ -124,6 +141,33 @@ def integrate_svf_full(svf, steps: int) -> np.ndarray:
     to_voxel = np.linalg.inv(g2w[:3, :3]).T
     for _ in range(steps):
         disp = disp + gather_trilinear(disp, idx + disp @ to_voxel)
+    return disp
+
+
+def integrate_svf_half_grid(svf, steps: int) -> np.ndarray:
+    """Scaling and squaring on one grid of about half the voxels per axis,
+    linearly upsampled to the full grid: the one-level integration the
+    package first used. World-mm displacement.
+
+    An axis of ``n`` voxels gets ``ceil((n - 1) / 2) + 1`` nodes spanning the
+    same extent (axes of <= 2 voxels keep theirs). The control velocities are
+    trilinearly sampled at the nodes, divided by ``2**steps``, and the field
+    is self-composed ``steps`` times in node units, with the identity beyond
+    the grid.
+    """
+    g2w = np.asarray(svf.grid_to_world, dtype=np.float64)
+    dims = svf.grid_dims
+    half = [math.ceil((n - 1) / 2) + 1 for n in dims]
+    node = np.array([max(n - 1, 1) / max(m - 1, 1) for n, m in zip(dims, half)])
+    idx = index_grid(half)
+    ctrl = (apply_affine(g2w, idx * node) - np.asarray(svf.origin)) / svf.control_spacing
+    disp = gather_trilinear(svf.velocities, ctrl) / 2.0 ** steps
+    to_node = np.linalg.inv(g2w[:3, :3]).T / node
+    for _ in range(steps):
+        disp = disp + gather_trilinear(disp, idx + disp @ to_node)
+    for axis in (2, 1, 0):
+        # the axis to resample is always the third: each product puts its result first
+        disp = np.tensordot(_upsampling_weights(dims[axis], half[axis]), disp, axes=(1, 2))
     return disp
 
 

@@ -178,6 +178,19 @@ def test_an_outside_record_with_a_bad_stage_entry_is_rejected(stages, message):
         sb.apply_corruption(smooth_volume(8, 0), _from_wire(**stages))
 
 
+@pytest.mark.parametrize("entry, name", [
+    ({"bias": {"mu": 0.0}}, "'bias'"),
+    ({"noise": [0.1, 5]}, "'noise'"),
+    ({"resolution": "2"}, "'resolution'"),
+    ({"renormalized": "no"}, "'renormalized'"),
+])
+def test_an_outside_record_with_a_misshapen_entry_is_rejected_naming_it(entry, name):
+    wire = sb.CorruptionRecord("severe").to_json_dict()
+    wire.update(entry)
+    with pytest.raises(ValueError, match=f"record entry {name}"):
+        sb.apply_corruption(smooth_volume(8, 0), sb.CorruptionRecord.from_json_dict(wire))
+
+
 def test_an_integer_valued_float_seed_is_that_integer():
     v = smooth_volume(12, 0)
     records = [_from_wire(noise={"sigma": 0.1, "seed": seed}) for seed in (7, 7.0)]
