@@ -1,5 +1,8 @@
 #!/usr/bin/env python
 """Map a frozen feature stack onto a target contrast with one linear layer."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
@@ -27,8 +30,10 @@ print("weight recovery error:", float(np.abs(adapter.weights[:, 0] - w_true).max
 print("bias:", float(adapter.bias[0]), "(true 0.25)")
 print("mean |residual|:", res["residual_l1"])
 
-# the adapter serializes to JSON and comes back bit-identical
-again = sb.adapter_from_json(sb.adapter_to_json(adapter))
+# the adapter is saved as JSON, as fit-adapter writes it, and comes back bit-identical
+with tempfile.TemporaryDirectory() as tmp:
+    sb.save_adapter(Path(tmp) / "adapter.json", adapter, extra={"residuals": res})
+    again = sb.load_adapter(Path(tmp) / "adapter.json")
 assert np.array_equal(again.weights, adapter.weights)
 out = pred.channels[0].data
 print("round-trip ok; prediction range:",

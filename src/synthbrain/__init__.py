@@ -9,12 +9,9 @@ feature-robustness protocol, and closed-form one-layer task adapters.
 
 from .adaptation import (
     LinearAdapter,
-    adapter_from_json,
-    adapter_to_json,
     apply_adapter,
     fit_adapter,
     fit_residual,
-    l2_loss,
     load_adapter,
     save_adapter,
     soft_dice_ce_loss,
@@ -32,10 +29,8 @@ from .deformation import (
     AffineParams,
     DeformationConfig,
     DeformationField,
-    affine_to_field,
     build_deformation,
     compose,
-    identity_field,
     integrate_svf,
     invert,
     sample_affine,

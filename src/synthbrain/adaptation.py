@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ChannelMismatch, NotASimplex, SingularSystem
-from .volume import LabelMap, Volume, VolumeStack, check_same_geometry
+from .volume import LabelMap, Volume, VolumeStack, _number, check_same_geometry
 
 __all__ = [
     "LinearAdapter",
@@ -24,9 +24,6 @@ __all__ = [
     "apply_adapter",
     "fit_residual",
     "soft_dice_ce_loss",
-    "l2_loss",
-    "adapter_to_json",
-    "adapter_from_json",
     "save_adapter",
     "load_adapter",
 ]
@@ -271,12 +268,6 @@ def soft_dice_ce_loss(probs: VolumeStack, ref: LabelMap, labels=None) -> float:
     return float(1.0 - dice_per_label.mean()) + ce
 
 
-def l2_loss(pred: Volume, ref: Volume) -> float:
-    """Mean squared error."""
-    check_same_geometry(pred, ref)
-    return float(np.mean((pred.data - ref.data) ** 2))
-
-
 # -- serialization ---------------------------------------------------------------
 
 def _adapter_doc(adapter: LinearAdapter) -> dict:
@@ -289,16 +280,9 @@ def _adapter_doc(adapter: LinearAdapter) -> dict:
     }
 
 
-def adapter_to_json(adapter: LinearAdapter) -> str:
-    return json.dumps(_adapter_doc(adapter), indent=2, sort_keys=True)
-
-
-def adapter_from_json(text: str) -> LinearAdapter:
-    doc = json.loads(text)
-    k, out = (int(v) for v in doc["shape"])
-    w = np.asarray(doc["weights"], dtype=np.float64).reshape(k, out)
-    b = np.asarray(doc["bias"], dtype=np.float64)
-    return LinearAdapter(w, b, bool(doc.get("uses_input", False)), bool(doc.get("softmax", False)))
+def _numbers(values, count: int) -> bool:
+    """Whether ``values`` is a list of ``count`` finite JSON numbers."""
+    return isinstance(values, list) and len(values) == count and all(map(_number, values))
 
 
 def save_adapter(path, adapter: LinearAdapter, extra: dict | None = None) -> None:
@@ -310,5 +294,23 @@ def save_adapter(path, adapter: LinearAdapter, extra: dict | None = None) -> Non
 
 
 def load_adapter(path) -> LinearAdapter:
+    """The head :func:`save_adapter` wrote to ``path``. A document of another
+    layout is a ``ValueError`` naming the file and the entry."""
     with open(path) as fh:
-        return adapter_from_json(fh.read())
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: an adapter must be a JSON object, not {type(doc).__name__}")
+    shape = doc.get("shape")
+    shaped = isinstance(shape, list) and len(shape) == 2 and all(
+        type(n) is int and n >= 1 for n in shape)
+    k, out = shape if shaped else (0, 0)
+    for key, ok, want in (
+            ("shape", shaped, "two integers >= 1"),
+            ("weights", _numbers(doc.get("weights"), k * out), f"a list of {k * out} finite numbers"),
+            ("bias", _numbers(doc.get("bias"), out), f"a list of {out} finite numbers"),
+            ("uses_input", isinstance(doc.get("uses_input", False), bool), "true or false"),
+            ("softmax", isinstance(doc.get("softmax", False), bool), "true or false")):
+        if not ok:
+            raise ValueError(f"{path}: adapter entry {key!r} must be {want}")
+    return LinearAdapter(np.reshape(doc["weights"], (k, out)), doc["bias"],
+                         doc.get("uses_input", False), doc.get("softmax", False))

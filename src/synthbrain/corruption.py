@@ -12,10 +12,8 @@ model: the exp of a small Gaussian log grid, upsampled).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
-from numbers import Real
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
@@ -26,6 +24,7 @@ from .volume import (
     _corner_aligned_weights,
     _linear_weights,
     _minmax,
+    _number,
     _per_axis,
 )
 
@@ -116,17 +115,10 @@ def _bias(coarse, like) -> np.ndarray:
     """The multiplicative field on ``like``'s grid, as a fresh array.
 
     The exp of the coarse log grid, trilinearly upsampled with coarse
-    corners on volume corners. A record may come from outside (JSON), so
-    the grid is checked; upsampled log values are convex combinations of
-    the coarse ones, so the field is positive where the coarse minimum is.
+    corners on volume corners. Upsampled log values are convex combinations
+    of the coarse ones, so the field is positive where the coarse minimum is.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
-    if coarse.ndim != 3 or max(coarse.shape) > 8:
-        raise ValueError(f"coarse grid must be 3D with <= 8 points per axis, got {coarse.shape}")
-    if not np.all(np.isfinite(coarse)):
-        raise ValueError("coarse log-field contains NaN/Inf")
-    if np.exp(coarse.min()) <= 0:
-        raise ValueError("bias field must be strictly positive")
     field = _per_axis(coarse, [_corner_aligned_weights(n, c)
                                for c, n in zip(coarse.shape, like.dims)])
     return np.exp(field, out=field)
@@ -154,12 +146,8 @@ def _apply_resolution(data: np.ndarray, spacing, target_spacing) -> np.ndarray:
     sampled at the target spacing, all axes at once onto the acquired image's
     own coarse grid; that image is then trilinearly upsampled back, so the
     output dims always equal the input dims. Returns ``data`` itself when no
-    axis is degraded, otherwise a fresh array. A record may come from outside
-    (JSON), so the spacing is checked: a list or tuple of three finite numbers > 0.
+    axis is degraded, otherwise a fresh array.
     """
-    if not (isinstance(target_spacing, (list, tuple)) and len(target_spacing) == 3
-            and all(isinstance(t, Real) and 0 < t < math.inf for t in target_spacing)):
-        raise ValueError(f"target_spacing must be 3 finite values > 0, got {target_spacing}")
     ratios = [t / c if t > c else 1.0 for t, c in zip(target_spacing, spacing)]
     if all(r == 1.0 for r in ratios):
         return data
@@ -173,12 +161,7 @@ def _apply_resolution(data: np.ndarray, spacing, target_spacing) -> np.ndarray:
 
 def _apply_noise(data: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """``data`` plus white noise of std ``sigma`` from the stream ``seed``,
-    clipped to [0, 1], as a fresh array; both are checked, as a record may
-    come from outside (JSON)."""
-    if not (isinstance(sigma, Real) and 0 <= sigma < math.inf):
-        raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
-    if not (isinstance(seed, Real) and 0 <= seed < 2 ** 63 and seed == math.floor(seed)):
-        raise ValueError(f"noise seed must be an integer in [0, 2**63), got {seed}")
+    clipped to [0, 1], as a fresh array."""
     # normal(0.0, sigma, dims) computes 0.0 + sigma * z; so does this, in place
     # and from the cheaper standard draw (the + 0.0 turns a -0.0 into +0.0)
     noisy = np.random.default_rng(int(seed)).standard_normal(data.shape)
@@ -190,15 +173,26 @@ def _apply_noise(data: np.ndarray, sigma: float, seed: int) -> np.ndarray:
 
 # -- full pipeline with replayable records --------------------------------------
 
+# what the values a record's resolution and noise stages read must be
+_RECORD_VALUES = (
+    ("resolution", "target_spacing", "3 finite numbers > 0", lambda t: isinstance(
+        t, (list, tuple)) and len(t) == 3 and all(_number(x) and x > 0 for x in t)),
+    ("noise", "sigma", "a finite number >= 0", lambda s: _number(s, 0)),
+    ("noise", "seed", "an integer in [0, 2**63)",
+     lambda s: _number(s, 0, 2 ** 63) and s == math.floor(s)),
+)
+
+
 @dataclass(frozen=True)
 class CorruptionRecord:
     """Everything needed to replay one corruption bit-exactly.
 
     Stage entries are ``None`` when the stage did not alter the volume, so
     an all-off configuration leaves an empty record. A record may come from
-    outside (JSON), so its layout is checked when it is built: each stage
-    entry ``None`` or a dict with that stage's keys, ``renormalized`` a
-    bool. The stages check the values they read.
+    outside (JSON), so it is checked once, when it is built, and the stages
+    trust it: ``level`` a string, each stage entry ``None`` or a dict with
+    that stage's keys and values in range, ``renormalized`` a bool. JSON
+    ``true`` is not a number here.
     """
 
     level: str
@@ -208,6 +202,8 @@ class CorruptionRecord:
     renormalized: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.level, str):
+            raise ValueError(f"record entry 'level' must be a string, got {self.level!r}")
         for name, keys in _STAGE_KEYS.items():
             entry = getattr(self, name)
             if entry is not None and not (isinstance(entry, dict) and all(k in entry for k in keys)):
@@ -216,6 +212,20 @@ class CorruptionRecord:
         if not isinstance(self.renormalized, bool):
             raise ValueError(f"record entry 'renormalized' must be true or false, "
                              f"got {self.renormalized!r}")
+        if self.bias is not None:
+            coarse = np.asarray(self.bias["coarse"], dtype=object)
+            if coarse.ndim != 3 or coarse.size == 0 or max(coarse.shape) > 8:
+                raise ValueError(f"record entry 'bias': coarse grid must be 3D with >= 1 "
+                                 f"and <= 8 points per axis, got shape {coarse.shape}")
+            if not all(_number(x) for x in coarse.flat):
+                raise ValueError("record entry 'bias': coarse log-field contains NaN/Inf "
+                                 "or a value that is not a number")
+            if np.exp(min(coarse.flat)) <= 0:
+                raise ValueError("record entry 'bias': bias field must be strictly positive")
+        for name, key, want, ok in _RECORD_VALUES:
+            entry = getattr(self, name)
+            if entry is not None and not ok(entry[key]):
+                raise ValueError(f"record entry {name!r}: {key} must be {want}, got {entry[key]!r}")
 
     @property
     def empty(self) -> bool:
@@ -230,13 +240,12 @@ class CorruptionRecord:
             "renormalized": self.renormalized,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "CorruptionRecord":
+        if not isinstance(d, dict):
+            raise ValueError(f"a record must be an object, got {d!r}")
         return cls(
-            level=d["level"],
+            level=d.get("level"),
             bias=d.get("bias"),
             resolution=d.get("resolution"),
             noise=d.get("noise"),
@@ -289,8 +298,9 @@ def sample_corruption_record(
             seed = int(rng.integers(np.iinfo(np.int64).max))
             noise = {"sigma": sigma, "seed": seed}
 
-    rec = CorruptionRecord(cfg.level, bias, resolution, noise)
-    return replace(rec, renormalized=not rec.empty)
+    # a record renormalizes when a stage altered the volume
+    return CorruptionRecord(cfg.level, bias, resolution, noise,
+                            renormalized=any(s is not None for s in (bias, resolution, noise)))
 
 
 def apply_corruption(v: Volume, record: CorruptionRecord) -> Volume:
@@ -305,9 +315,9 @@ def apply_corruption(v: Volume, record: CorruptionRecord) -> Volume:
         data = _bias(record.bias["coarse"], v)
         data *= v.data
     if record.resolution is not None:
-        data = _apply_resolution(data, v.spacing, record.resolution.get("target_spacing"))
+        data = _apply_resolution(data, v.spacing, record.resolution["target_spacing"])
     if record.noise is not None:
-        data = _apply_noise(data, record.noise.get("sigma"), record.noise.get("seed"))
+        data = _apply_noise(data, record.noise["sigma"], record.noise["seed"])
     if record.renormalized:
         data = _minmax(data, np.empty(v.dims) if data is v.data else data)
     return v if data is v.data else Volume._adopt(data, v.spacing, v.grid_to_world)

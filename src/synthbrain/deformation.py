@@ -60,8 +60,6 @@ __all__ = [
     "warp_volume",
     "warp_labels",
     "warp_stack",
-    "affine_to_field",
-    "identity_field",
     "build_deformation",
 ]
 
@@ -242,20 +240,6 @@ class DeformationField(_Grid):
     def mapped_points(self) -> np.ndarray:
         """World position each voxel maps to: x + u(x), shape (nx, ny, nz, 3)."""
         return world_coordinate_grid(self.dims, self.grid_to_world) + self.displacement
-
-
-def identity_field(like) -> DeformationField:
-    """Zero displacement on the grid of ``like`` (anything with dims/spacing/affine)."""
-    return DeformationField._adopt(
-        np.zeros(tuple(like.dims) + (3,)), like.spacing, like.grid_to_world
-    )
-
-
-def affine_to_field(matrix: np.ndarray, like) -> DeformationField:
-    """Exact displacement field of a 4x4 world-frame affine on ``like``'s grid."""
-    g2w = like.grid_to_world
-    disp = world_coordinate_grid(like.dims, (np.asarray(matrix, dtype=np.float64) - np.eye(4)) @ g2w)
-    return DeformationField._adopt(disp, like.spacing, g2w)
 
 
 # -- sampling the random transform --------------------------------------------

@@ -8,7 +8,6 @@ unphysical) contrast from the same anatomy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,18 +39,6 @@ class ContrastParams:
             if sig < 0:
                 raise ValueError(f"sigma for label {lab} is negative: {sig}")
         object.__setattr__(self, "table", dict(self.table))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {str(k): {"mu": mu, "sigma": sig} for k, (mu, sig) in sorted(self.table.items())},
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ContrastParams":
-        raw = json.loads(text)
-        return cls({int(k): (float(v["mu"]), float(v["sigma"])) for k, v in raw.items()})
 
 
 def sample_contrast_params(rng: np.random.Generator, labels) -> ContrastParams:

@@ -18,9 +18,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -43,6 +45,13 @@ __all__ = [
 
 # an array the library has just built, passed by _Grid._adopt
 _Fresh = namedtuple("_Fresh", "array")
+
+
+def _number(x, lo: float = -math.inf, hi: float = math.inf) -> bool:
+    """Whether ``x`` is a JSON number (a real, not a bool) in [lo, hi) that a
+    float holds finitely (JSON integers are unbounded)."""
+    return (isinstance(x, Real) and not isinstance(x, bool) and lo <= x < hi
+            and abs(x) <= sys.float_info.max)
 
 
 def _geometry(spacing, grid_to_world) -> tuple[tuple[float, float, float], np.ndarray]:

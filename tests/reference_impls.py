@@ -94,6 +94,15 @@ def source_voxels_world(fld, grid_to_world: np.ndarray) -> np.ndarray:
     return world_to_voxel(grid_to_world, world)
 
 
+def affine_to_field(matrix: np.ndarray, like):
+    """The exact displacement field of a 4x4 world-frame affine on ``like``'s
+    grid: ``A(x) - x`` at each voxel's world position ``x``."""
+    import synthbrain as sb
+
+    xs = apply_affine(like.grid_to_world, index_grid(like.dims))
+    return sb.DeformationField(apply_affine(matrix, xs) - xs, like.spacing, like.grid_to_world)
+
+
 def deformation_world(matrix: np.ndarray, grid_to_world: np.ndarray, t: np.ndarray,
                       inverted: bool = False) -> np.ndarray:
     """``T ∘ A`` (or ``A⁻¹ ∘ T⁻¹``) displacement in world mm, on the full grid ``x``.

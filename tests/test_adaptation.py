@@ -303,21 +303,13 @@ def test_soft_dice_ce_rejects_non_simplex():
         sb.soft_dice_ce_loss(bad, lm, labels=(0, 1))
 
 
-def test_l2_loss_closed_form(rng):
-    a = sb.Volume(rng.random((6, 6, 6)))
-    b = sb.Volume(rng.random((6, 6, 6)))
-    want = np.mean([(a.data[i, j, k] - b.data[i, j, k]) ** 2
-                    for i in range(6) for j in range(6) for k in range(6)])
-    assert sb.l2_loss(a, b) == pytest.approx(want, abs=1e-15)
-    assert sb.l2_loss(a, a) == 0.0
-
-
 # -- persistence -------------------------------------------------------------------
 
-def test_adapter_round_trips_through_json():
+def test_adapter_round_trips_through_json(tmp_path):
     feats = _stack(12, 4, seed=11)
     adapter = sb.fit_adapter(feats, smooth_volume(12, 30))
-    back = sb.adapter_from_json(sb.adapter_to_json(adapter))
+    sb.save_adapter(tmp_path / "head.json", adapter)
+    back = sb.load_adapter(tmp_path / "head.json")
     assert np.array_equal(back.weights, adapter.weights)
     assert np.array_equal(back.bias, adapter.bias)
     assert back.uses_input == adapter.uses_input
@@ -346,12 +338,71 @@ def test_saved_adapter_is_its_json_text(tmp_path):
     adapter = sb.fit_adapter(feats, target)
     path = tmp_path / "head.json"
     sb.save_adapter(path, adapter)
-    assert path.read_text() == sb.adapter_to_json(adapter) + "\n"
+    doc = {
+        "bias": adapter.bias.tolist(),
+        "shape": [2, 1],
+        "softmax": False,
+        "uses_input": False,
+        "weights": adapter.weights.ravel().tolist(),
+    }
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     # with extras: the adapter's keys and the extras, in one sorted document
     extra = sb.fit_residual(adapter, feats, target)
     sb.save_adapter(path, adapter, extra=extra)
-    doc = {**json.loads(sb.adapter_to_json(adapter)), **extra}
+    doc = {**doc, **extra}
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_concat_softmax_head_round_trips_through_its_file(tmp_path):
+    adapter = sb.LinearAdapter(np.arange(6.0).reshape(3, 2), np.array([0.5, -1.0]),
+                               uses_input=True, softmax=True)
+    sb.save_adapter(tmp_path / "head.json", adapter, extra={"residuals": {"residual_l1": 0.1}})
+    back = sb.load_adapter(tmp_path / "head.json")
+    assert back.weights.tobytes() == adapter.weights.tobytes()
+    assert back.bias.tobytes() == adapter.bias.tobytes()
+    assert back.uses_input is True and back.softmax is True
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("entry, value, named", [
+    ("uses_input", "no", "uses_input"),
+    ("softmax", "false", "softmax"),
+    ("softmax", 1, "softmax"),
+    ("shape", [2.5, 1], "shape"),
+    ("shape", [2, True], "shape"),
+    ("shape", [0, 1], "shape"),
+    ("shape", [2, 1, 1], "shape"),
+    ("shape", _MISSING, "shape"),
+    ("shape", [3, 1], "weights"),
+    ("weights", [1.0, True], "weights"),
+    ("weights", [1.0, "2"], "weights"),
+    ("weights", [[1.0], [2.0]], "weights"),
+    ("weights", [1.0, float("nan")], "weights"),
+    ("weights", [1.0, 10 ** 400], "weights"),
+    ("bias", _MISSING, "bias"),
+    ("bias", [0.0, 0.0], "bias"),
+    ("bias", 0.0, "bias"),
+])
+def test_load_adapter_refuses_a_misread_entry_naming_it(tmp_path, entry, value, named):
+    doc = {"shape": [2, 1], "weights": [1.0, 2.0], "bias": [0.5],
+           "uses_input": False, "softmax": False}
+    if value is _MISSING:
+        del doc[entry]
+    else:
+        doc[entry] = value
+    path = tmp_path / "head.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"head.json: adapter entry '{named}'"):
+        sb.load_adapter(path)
+
+
+def test_load_adapter_refuses_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "head.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="head.json: an adapter must be a JSON object"):
+        sb.load_adapter(path)
 
 
 def test_a_nan_residual_is_refused_before_the_file_is_written(tmp_path):

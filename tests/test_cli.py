@@ -77,7 +77,7 @@ def test_geometry_mismatch_exits_3(tmp_path, capsys):
 def test_channel_mismatch_exits_4(tmp_path):
     ref = sb.VolumeStack((smooth_volume(16, 0), smooth_volume(16, 1)))
     cand = sb.VolumeStack((smooth_volume(16, 2),))
-    ident = sb.identity_field(ref.channels[0])
+    ident = sb.DeformationField(np.zeros(ref.dims + (3,)), ref.spacing, ref.grid_to_world)
     ref_path = tmp_path / "ref.nii"
     cand_path = tmp_path / "cand.nii"
     fld_path = tmp_path / "fld.nii"
@@ -734,7 +734,7 @@ def test_a_reference_off_the_fields_grid_exits_3_before_inverting(tmp_path, subj
 
 def test_evaluate_inter_mode_with_atlas_map(tmp_path, capsys):
     ref = sb.VolumeStack((smooth_volume(16, 0),))
-    ident = sb.identity_field(ref.channels[0])
+    ident = sb.DeformationField(np.zeros(ref.dims + (3,)), ref.spacing, ref.grid_to_world)
     ref_path, cand_path, fld_path = (tmp_path / n for n in ("r.nii", "c.nii", "f.nii"))
     sb.write_nifti_file(ref_path, ref, "float32")
     sb.write_nifti_file(cand_path, ref, "float32")

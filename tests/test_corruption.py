@@ -139,18 +139,14 @@ def test_bias_matches_the_first_arithmetic_bit_for_bit(coarse_shape, dims):
     (np.full((4, 4, 4), -1000.0), "strictly positive"),
 ])
 def test_an_outside_record_with_a_bad_coarse_grid_is_rejected(coarse, message):
-    v = smooth_volume(8, 0)
-    wire = json.loads(json.dumps(_bias_record(coarse).to_json_dict()))
-    record = sb.CorruptionRecord.from_json_dict(wire)
+    # the record is refused when it is built, before any stage reads it
     with pytest.raises(ValueError, match=message):
-        record.bias_field(v)
-    with pytest.raises(ValueError, match=message):
-        sb.apply_corruption(v, record)
+        _from_wire(bias={"mu": 0.0, "sigma": 0.0, "coarse": np.asarray(coarse).tolist()})
 
 
 def _from_wire(**stages) -> sb.CorruptionRecord:
     """A record with the given stage entries, as read back from its JSON."""
-    wire = json.loads(json.dumps(sb.CorruptionRecord("severe", **stages).to_json_dict()))
+    wire = json.loads(json.dumps({"level": "severe", **stages}))
     return sb.CorruptionRecord.from_json_dict(wire)
 
 
@@ -189,6 +185,33 @@ def test_an_outside_record_with_a_misshapen_entry_is_rejected_naming_it(entry, n
     wire.update(entry)
     with pytest.raises(ValueError, match=f"record entry {name}"):
         sb.apply_corruption(smooth_volume(8, 0), sb.CorruptionRecord.from_json_dict(wire))
+
+
+@pytest.mark.parametrize("stages, message", [
+    ({"noise": {"sigma": True, "seed": 1}}, "'noise': sigma"),
+    ({"noise": {"sigma": 0.1, "seed": True}}, "'noise': seed"),
+    ({"resolution": {"target_spacing": [True, 2, 2]}}, "'resolution': target_spacing"),
+    ({"bias": {"coarse": [[[True]]]}}, "'bias': coarse log-field"),
+    ({"bias": {"coarse": [[[0.1, False]]]}}, "'bias': coarse log-field"),
+    ({"bias": {"coarse": [[[]]]}}, "'bias': coarse grid must be 3D"),
+    ({"bias": {"coarse": [[[0.1], [0.1, 0.2]]]}}, "'bias': coarse grid must be 3D"),
+    ({"level": 3}, "'level'"),
+    # JSON integers are unbounded; one no float holds is not a number either
+    ({"noise": {"sigma": 10 ** 400, "seed": 1}}, "'noise': sigma"),
+    ({"resolution": {"target_spacing": [10 ** 400, 2, 2]}}, "'resolution': target_spacing"),
+    ({"bias": {"coarse": [[[10 ** 400]]]}}, "'bias': coarse log-field"),
+])
+def test_json_true_and_other_non_numbers_are_refused_naming_the_entry(stages, message):
+    # JSON true parses as a bool, which Python counts as an int; a record refuses it
+    with pytest.raises(ValueError, match=f"record entry {message}"):
+        _from_wire(**stages)
+
+
+def test_a_record_document_that_is_not_an_object_or_has_no_level_is_refused():
+    with pytest.raises(ValueError, match="a record must be an object"):
+        sb.CorruptionRecord.from_json_dict([1, 2])
+    with pytest.raises(ValueError, match="record entry 'level'"):
+        sb.CorruptionRecord.from_json_dict({"bias": None})
 
 
 def test_an_integer_valued_float_seed_is_that_integer():
@@ -230,7 +253,8 @@ def test_corruption_records_are_byte_stable(level, seed):
     like = sb.Volume(np.zeros((20, 18, 16)), spacing=(1.0, 1.2, 0.9))
     rng = np.random.default_rng(seed)
     text = "".join(
-        sample_corruption_record(rng, SeverityConfig.by_name(level), like).to_json()
+        json.dumps(sample_corruption_record(rng, SeverityConfig.by_name(level), like).to_json_dict(),
+                   indent=2, sort_keys=True)
         for _ in range(4)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == _RECORD_DIGESTS[level, seed]

@@ -13,6 +13,7 @@ from synthbrain.volume import _per_axis, sample_trilinear, voxel_to_world, world
 from conftest import make_subject, smooth_volume
 from reference_impls import (
     _parent_sample_trilinear,
+    affine_to_field,
     broadcast_coordinate_grid,
     deformation_world,
     index_grid,
@@ -225,7 +226,7 @@ def test_nonfinite_velocities_rejected():
 
 def test_identity_composed_with_field_is_field():
     fld = _mild_field(0, n=20)
-    ident = sb.identity_field(fld)
+    ident = sb.DeformationField(np.zeros(fld.dims + (3,)), fld.spacing, fld.grid_to_world)
     out = sb.compose(ident, fld)
     assert np.abs(out.displacement - fld.displacement).max() <= 1e-6
 
@@ -293,7 +294,7 @@ def test_half_grid_composition_matches_the_full_grid_route(sheared):
         t = sb.integrate_svf(svf)
         oracle = deformation_world(a, g, t.displacement)
         # the package's own full-grid route is compose with the affine's field
-        assert np.abs(sb.compose(t, sb.affine_to_field(a, like)).displacement - oracle).max() <= 1e-12
+        assert np.abs(sb.compose(t, affine_to_field(a, like)).displacement - oracle).max() <= 1e-12
         diff = sb.build_deformation(affine, svf).displacement - oracle
         assert np.sqrt((diff ** 2).sum(-1))[box].max() <= 0.05  # mm
         # linear upsampling reproduces the affine part: the inverse agrees up to rounding everywhere
@@ -365,7 +366,7 @@ def test_scale_then_translate_matches_hand_computed_map():
     like = sb.Volume(np.zeros((n, n, n)))
     t_field = _translation_field(np.array([1.0, 0.0, 0.0]), n)
     params = sb.AffineParams((0, 0, 0), (2.0, 2.0, 2.0), (0, 0, 0), (0, 0, 0))
-    out = sb.compose(t_field, sb.affine_to_field(params.matrix(_grid_center(like)), like))
+    out = sb.compose(t_field, affine_to_field(params.matrix(_grid_center(like)), like))
     center = (n - 1) / 2.0
     # x -> 2(x - c) + c + (1, 0, 0), checked pointwise in the region that
     # stays inside the grid after scaling
@@ -378,7 +379,8 @@ def test_scale_then_translate_matches_hand_computed_map():
 # -- inversion -------------------------------------------------------------------
 
 def test_invert_identity_is_identity():
-    ident = sb.identity_field(smooth_volume(10, 0))
+    like = smooth_volume(10, 0)
+    ident = sb.DeformationField(np.zeros(like.dims + (3,)), like.spacing, like.grid_to_world)
     inv = sb.invert(ident)
     assert np.abs(inv.displacement).max() == 0.0
 
@@ -495,7 +497,8 @@ def test_a_field_mirroring_one_axis_is_not_inverted(axis):
 # -- warping ---------------------------------------------------------------------
 
 def test_identity_warp_returns_input_object(subject32):
-    ident = sb.identity_field(subject32.mprage)
+    like = subject32.mprage
+    ident = sb.DeformationField(np.zeros(like.dims + (3,)), like.spacing, like.grid_to_world)
     assert sb.warp_volume(subject32.mprage, ident) is subject32.mprage
     assert sb.warp_labels(subject32.labels, ident) is subject32.labels
 
@@ -555,8 +558,8 @@ def test_adopted_field_keeps_its_provenance():
 def test_warp_between_grids_uses_world_frame():
     # same world content, target grid twice as coarse
     fine = smooth_volume(24, 1)
-    coarse_like = sb.Volume(np.zeros((12, 12, 12)), spacing=(2.0, 2.0, 2.0))
-    out = sb.warp_volume(fine, sb.identity_field(coarse_like))
+    zero = sb.DeformationField(np.zeros((12, 12, 12, 3)), spacing=(2.0, 2.0, 2.0))
+    out = sb.warp_volume(fine, zero)
     assert out.dims == (12, 12, 12)
     assert np.allclose(out.data, fine.data[::2, ::2, ::2], atol=1e-12)
 
@@ -644,7 +647,7 @@ def test_zero_field_passes_every_grid_through_on_a_sheared_grid():
     stack = sb.VolumeStack((v, like.with_data(rng.random(like.dims))))
     outer = sb.build_deformation(sb.sample_affine(rng, DeformationConfig()),
                                  sb.sample_svf(rng, DeformationConfig(), like))
-    zero = sb.identity_field(like)
+    zero = sb.DeformationField(np.zeros(like.dims + (3,)), like.spacing, like.grid_to_world)
     assert sb.warp_volume(v, zero) is v
     assert sb.warp_stack(stack, zero) is stack
     assert sb.compose(outer, zero) is outer

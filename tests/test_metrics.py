@@ -269,7 +269,7 @@ def _feature_stack(n=32, seed=0, channels=2):
 
 def test_warp_stack_through_inverse_of_identity_is_noop():
     f = _feature_stack(16, 0)
-    ident = sb.identity_field(f.channels[0])
+    ident = sb.DeformationField(np.zeros(f.dims + (3,)), f.spacing, f.grid_to_world)
     out = sb.warp_stack(f, sb.invert(ident))
     for a, b in zip(out.channels, f.channels):
         assert np.array_equal(a.data, b.data)
@@ -277,7 +277,7 @@ def test_warp_stack_through_inverse_of_identity_is_noop():
 
 def test_warp_stack_applies_forward_map():
     f = _feature_stack(16, 3)
-    ident = sb.identity_field(f.channels[0])
+    ident = sb.DeformationField(np.zeros(f.dims + (3,)), f.spacing, f.grid_to_world)
     out = sb.warp_stack(f, ident)
     for a, b in zip(out.channels, f.channels):
         assert np.array_equal(a.data, b.data)
@@ -347,7 +347,7 @@ def test_robustness_protocol_intra_report_shape():
 
 def test_robustness_protocol_perfect_candidate():
     _, f, _ = _protocol_setup(1)
-    ident = sb.identity_field(f.channels[0])
+    ident = sb.DeformationField(np.zeros(f.dims + (3,)), f.spacing, f.grid_to_world)
     report = sb.robustness_protocol(f, [(f, ident)], mode="intra")
     assert report.mean("l1") == 0.0
     assert report.mean("ssim") == 1.0

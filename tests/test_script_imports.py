@@ -1,7 +1,8 @@
-"""Every name the benchmark and the demos take from synthbrain resolves.
+"""Every name the benchmark, the demos and the README take from synthbrain resolves.
 
-``perfbench/`` and ``demos/`` are scripts outside the package, so a name the
-library drops breaks them only when they run. This reads each script's
+``perfbench/``, ``demos/`` and the README's ```` ```python ```` blocks are code
+outside the package, so a name the library drops breaks them only when they
+run. This reads each script's (and each block's)
 synthbrain imports (``from synthbrain import paint``, ``import synthbrain as
 sb``, ``from synthbrain.cli import main``) and the attributes it takes from
 what they bind (``sb.paint``, ``corruption.sample_corruption_record``), and
@@ -16,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")])
+README = ROOT / "README.md"
 
 
 def _taken(tree: ast.Module) -> dict[str, int]:
@@ -64,6 +66,37 @@ def test_every_name_a_script_takes_from_synthbrain_resolves(path):
     taken = _taken(ast.parse(path.read_text(), filename=str(path)))
     missing = {name: line for name, line in taken.items() if not _resolves(name)}
     assert not missing, f"{path.name}: names synthbrain does not define {missing}"
+
+
+def _python_blocks(markdown: str) -> list[tuple[int, str]]:
+    """(first code line, code) of each ```` ```python ```` block of a Markdown text."""
+    blocks, start = [], None
+    lines = markdown.splitlines()
+    for i, line in enumerate(lines, start=1):
+        if start is None and line.strip() == "```python":
+            start = i + 1
+        elif start is not None and line.strip() == "```":
+            blocks.append((start, "\n".join(lines[start - 1:i - 1])))
+            start = None
+    return blocks
+
+
+def test_every_name_the_readme_takes_from_synthbrain_resolves():
+    blocks = _python_blocks(README.read_text())
+    assert blocks, "README.md has no python block"
+    missing = {}
+    for start, code in blocks:
+        taken = _taken(ast.parse(code, filename=f"README.md:{start}"))
+        missing.update({name: start + line - 1 for name, line in taken.items()
+                        if not _resolves(name)})
+    assert not missing, f"README.md: names synthbrain does not define {missing}"
+
+
+def test_the_readme_blocks_are_read_whole():
+    text = "```bash\nsb.gone\n```\ntext\n```python\nimport synthbrain as sb\n\nsb.gone()\n```\n"
+    assert _python_blocks(text) == [(6, "import synthbrain as sb\n\nsb.gone()")]
+    code = _python_blocks(text)[0][1]
+    assert _taken(ast.parse(code)) == {"synthbrain": 1, "synthbrain.gone": 3}
 
 
 def test_the_check_sees_a_missing_name():

@@ -233,12 +233,6 @@ def test_the_foreground_label_index_is_cached_read_only():
     assert "_label_index" not in dir(lm)
 
 
-def test_params_round_trip_json():
-    params = sb.sample_contrast_params(np.random.default_rng(5), (0, 1, 2, 9))
-    back = sb.ContrastParams.from_json(params.to_json())
-    assert back.table == params.table
-
-
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
         sb.ContrastParams({0: (0.0, 0.0), 1: (0.5, -0.1)})
