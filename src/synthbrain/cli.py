@@ -94,9 +94,10 @@ def _load_config(path) -> dict[str, str]:
 
 
 def _override(cfg, scope: str, values: dict[str, str]):
-    """``cfg`` with ``values`` (field name -> text) set, each converted to its field's type.
+    """``cfg`` with ``values`` (field name -> text) set, each converted to a float.
 
-    ``<range>_min`` / ``<range>_max`` set one bound of a range field. The
+    A key names a ``float`` field, or is ``<range>_min`` / ``<range>_max``,
+    which sets one bound of a ``tuple[float, float]`` range field. The
     values are applied together, so the file's order cannot matter; a value
     that does not convert, or that ``cfg``'s class rejects, is a usage error.
     """
@@ -104,12 +105,11 @@ def _override(cfg, scope: str, values: dict[str, str]):
     changes: dict = {}
     for fld, value in values.items():
         key, base, end = f"{scope}.{fld}", fld[:-4], fld[-4:]
-        bound = end in ("_min", "_max") and typing.get_origin(hints.get(base)) is tuple
-        kind = typing.get_args(hints[base])[0] if bound else hints.get(fld)
-        if kind not in (int, float):
+        bound = end in ("_min", "_max") and hints.get(base) == tuple[float, float]
+        if not (bound or hints.get(fld) is float):
             raise _UsageError(f"unknown field {fld!r} in config key {key}")
         try:
-            typed = kind(value)
+            typed = float(value)
         except ValueError as exc:
             raise _UsageError(f"config key {key}: {exc}")
         if bound:
@@ -158,12 +158,12 @@ def _cmd_generate(args) -> int:
         raise _UsageError("--out is required")
     # an explicit schedule fixes the batch size unless --n contradicts it
     if args.n is None:
-        n = len(args.schedule.split(",")) if args.schedule else 4
+        n = len(args.schedule.split(",")) if args.schedule is not None else 4
     else:
         n = args.n
 
     presets = _severity_presets(_load_config(args.config) if args.config else {})
-    names = args.schedule.split(",") if args.schedule else severity_ladder(n)
+    names = args.schedule.split(",") if args.schedule is not None else severity_ladder(n)
     try:
         schedule = generator._normalize_schedule([presets[nm.strip().lower()] for nm in names], n)
     except KeyError as exc:

@@ -13,7 +13,9 @@ model: the exp of a small Gaussian log grid, upsampled).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
@@ -47,8 +49,6 @@ _BIAS_GRID = 4
 # (one thick axis) acquisition; severity grades only how often each is drawn
 _LOW_FIELD_SPACING = (1.5, 4.0)
 _ANISOTROPIC_SPACING = (2.5, 7.0)
-# the entries each stage of a record holds when it ran
-_STAGE_KEYS = {"bias": ("coarse",), "resolution": ("target_spacing",), "noise": ("sigma", "seed")}
 
 
 @dataclass(frozen=True)
@@ -173,84 +173,93 @@ def _apply_noise(data: np.ndarray, sigma: float, seed: int) -> np.ndarray:
 
 # -- full pipeline with replayable records --------------------------------------
 
-# what the values a record's resolution and noise stages read must be
-_RECORD_VALUES = (
-    ("resolution", "target_spacing", "3 finite numbers > 0", lambda t: isinstance(
-        t, (list, tuple)) and len(t) == 3 and all(_number(x) and x > 0 for x in t)),
-    ("noise", "sigma", "a finite number >= 0", lambda s: _number(s, 0)),
-    ("noise", "seed", "an integer in [0, 2**63)",
-     lambda s: _number(s, 0, 2 ** 63) and s == math.floor(s)),
-)
+def _must(want: str, ok):
+    """A record check: None if ``ok(value)``, else ``"<key> must be <want>, got <value>"``."""
+    return lambda key, value: None if ok(value) else f"{key} must be {want}, got {value!r}"
+
+
+def _coarse_problem(key, coarse):
+    c = np.asarray(coarse, dtype=object)
+    if c.ndim != 3 or c.size == 0 or max(c.shape) > 8:
+        return f"{key} grid must be 3D with >= 1 and <= 8 points per axis, got shape {c.shape}"
+    if not all(_number(x) for x in c.flat):
+        return f"{key} log-field contains NaN/Inf or a value that is not a number"
+    if np.exp(min(c.flat)) <= 0:
+        return "bias field must be strictly positive"
+
+
+# the record format: the entries each stage's replay reads, each with its check
+_RECORD_FORMAT = {
+    "bias": {"coarse": _coarse_problem},
+    "resolution": {"target_spacing": _must("3 finite numbers > 0", lambda t: isinstance(
+        t, (list, tuple)) and len(t) == 3 and all(_number(x) and x > 0 for x in t))},
+    "noise": {"sigma": _must("a finite number >= 0", lambda s: _number(s, 0)), "seed": _must(
+        "an integer in [0, 2**63)", lambda s: _number(s, 0, 2 ** 63) and s == math.floor(s))},
+}
+
+
+def _copy(value, mapping, sequence):
+    """Plain ``value``: mappings rebuilt by ``mapping``, lists and arrays by ``sequence``."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return sequence([_copy(v, mapping, sequence) for v in value])
+    if isinstance(value, (dict, MappingProxyType)):
+        return mapping({k: _copy(v, mapping, sequence) for k, v in value.items()})
+    return value
 
 
 @dataclass(frozen=True)
 class CorruptionRecord:
     """Everything needed to replay one corruption bit-exactly.
 
-    Stage entries are ``None`` when the stage did not alter the volume, so
-    an all-off configuration leaves an empty record. A record may come from
-    outside (JSON), so it is checked once, when it is built, and the stages
-    trust it: ``level`` a string, each stage entry ``None`` or a dict with
-    that stage's keys and values in range, ``renormalized`` a bool. JSON
-    ``true`` is not a number here.
+    A stage entry is ``None`` when the stage did not alter the volume. A
+    record may come from outside (JSON), so it is checked once, when built,
+    and the stages trust it: ``level`` a string, each stage entry ``None``
+    or a dict (or another record's entry) with what ``_RECORD_FORMAT`` asks
+    (JSON ``true`` is not a number), ``renormalized`` a bool. The entries are
+    then held read-only: mappings as ``MappingProxyType``, lists as tuples.
     """
 
     level: str
-    bias: dict | None = None          # {mu, sigma, coarse: nested list}
-    resolution: dict | None = None    # {target_spacing: [3], kind}
-    noise: dict | None = None         # {sigma, seed}
+    bias: Mapping | None = None          # {mu, sigma, coarse: nested list}
+    resolution: Mapping | None = None    # {target_spacing: [3], kind}
+    noise: Mapping | None = None         # {sigma, seed}
     renormalized: bool = False
 
     def __post_init__(self):
         if not isinstance(self.level, str):
             raise ValueError(f"record entry 'level' must be a string, got {self.level!r}")
-        for name, keys in _STAGE_KEYS.items():
-            entry = getattr(self, name)
-            if entry is not None and not (isinstance(entry, dict) and all(k in entry for k in keys)):
+        for name, checks in _RECORD_FORMAT.items():
+            if (entry := getattr(self, name)) is None:
+                continue
+            if not (isinstance(entry, (dict, MappingProxyType)) and checks.keys() <= entry.keys()):
                 raise ValueError(f"record entry {name!r} must be null or an object with "
-                                 f"{', '.join(keys)}, got {entry!r}")
+                                 f"{', '.join(checks)}, got {entry!r}")
+            for key, check in checks.items():
+                if problem := check(key, entry[key]):
+                    raise ValueError(f"record entry {name!r}: {problem}")
+            object.__setattr__(self, name, _copy(entry, MappingProxyType, tuple))
         if not isinstance(self.renormalized, bool):
             raise ValueError(f"record entry 'renormalized' must be true or false, "
                              f"got {self.renormalized!r}")
-        if self.bias is not None:
-            coarse = np.asarray(self.bias["coarse"], dtype=object)
-            if coarse.ndim != 3 or coarse.size == 0 or max(coarse.shape) > 8:
-                raise ValueError(f"record entry 'bias': coarse grid must be 3D with >= 1 "
-                                 f"and <= 8 points per axis, got shape {coarse.shape}")
-            if not all(_number(x) for x in coarse.flat):
-                raise ValueError("record entry 'bias': coarse log-field contains NaN/Inf "
-                                 "or a value that is not a number")
-            if np.exp(min(coarse.flat)) <= 0:
-                raise ValueError("record entry 'bias': bias field must be strictly positive")
-        for name, key, want, ok in _RECORD_VALUES:
-            entry = getattr(self, name)
-            if entry is not None and not ok(entry[key]):
-                raise ValueError(f"record entry {name!r}: {key} must be {want}, got {entry[key]!r}")
 
-    @property
-    def empty(self) -> bool:
-        return self.bias is None and self.resolution is None and self.noise is None
+    def __reduce__(self):
+        # read-only mappings neither pickle nor copy, so both go through the JSON form
+        return type(self).from_json_dict, (self.to_json_dict(),)
 
     def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "bias": self.bias,
-            "resolution": self.resolution,
-            "noise": self.noise,
-            "renormalized": self.renormalized,
-        }
+        """The record as plain JSON values: objects as dicts, arrays as lists."""
+        return _copy(vars(self), dict, list)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CorruptionRecord":
+        """The record a ``to_json_dict`` document describes; unknown keys are refused."""
         if not isinstance(d, dict):
             raise ValueError(f"a record must be an object, got {d!r}")
-        return cls(
-            level=d.get("level"),
-            bias=d.get("bias"),
-            resolution=d.get("resolution"),
-            noise=d.get("noise"),
-            renormalized=d.get("renormalized", False),
-        )
+        if unknown := d.keys() - {f.name for f in fields(cls)}:
+            raise ValueError(f"unknown record entries: {', '.join(sorted(map(repr, unknown)))}")
+        return cls(**{"level": None, **d})
 
     def bias_field(self, like) -> Volume | None:
         """The ground-truth multiplicative bias field on ``like``'s grid."""

@@ -27,7 +27,8 @@ provenance-free fields fall back to fixed-point inversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -63,13 +64,11 @@ __all__ = [
     "build_deformation",
 ]
 
-DEFAULT_SQUARING_STEPS = 7
 # velocity fields are integrated and composed, and fields inverted, on a grid
 # this many times coarser per axis
 _INTEGRATION_DOWNSIZE = 2
-# scaling and squaring runs up to _COARSE_STEPS of its first steps on the grid
-# coarser again by that factor, and at least its last _FINE_STEPS on the half grid
-_COARSE_STEPS = 5
+# scaling and squaring runs its last _FINE_STEPS on that grid, and the steps
+# before them on the grid coarser again by that factor
 _FINE_STEPS = 2
 # fixed-point inversion stops once its mean on-grid update is below this (voxel),
 # or after this many updates
@@ -81,8 +80,6 @@ _SLAB_POINTS = 1 << 16
 # a sampled SVF's control-point spacing (mm) and largest smoothing std (control voxels)
 _SVF_CONTROL_SPACING = 16.0
 _SVF_SIGMA_MAX = 4.0
-# largest translation (mm) of a sampled affine
-_TRANS_MAX = 0.0
 
 
 @dataclass(frozen=True)
@@ -94,29 +91,25 @@ class DeformationConfig:
     smoothing are fixed (see :func:`sample_svf`).
     """
 
+    squaring_steps: ClassVar[int] = 7  # scaling-and-squaring steps, as in VoxelMorph
     rot_max: float = 15.0
     scale_max: float = 0.2
     shear_max: float = 0.2
     svf_mu_min: float = 0.03
     svf_mu_max: float = 0.06
-    squaring_steps: int = DEFAULT_SQUARING_STEPS
 
     def __post_init__(self):
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name, value in values.items():
+        for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("rot_max", "scale_max", "shear_max"):
-            if values[name] < 0:
-                raise ValueError(f"{name} must be >= 0, got {values[name]}")
+            if value < 0 and name in ("rot_max", "scale_max", "shear_max"):
+                raise ValueError(f"{name} must be >= 0, got {value}")
         # a scaling drawn at or below 0 would reflect or collapse the image
         if self.scale_max >= 1:
             raise ValueError(f"scale_max must be < 1, got {self.scale_max}")
         if not 0 <= self.svf_mu_min <= self.svf_mu_max:
             raise ValueError(f"svf_mu_min must be in [0, svf_mu_max = {self.svf_mu_max}], "
                              f"got {self.svf_mu_min}")
-        if self.squaring_steps < 1:
-            raise ValueError(f"squaring_steps must be >= 1, got {self.squaring_steps}")
 
     @classmethod
     def all_off(cls) -> "DeformationConfig":
@@ -126,12 +119,11 @@ class DeformationConfig:
 
 @dataclass(frozen=True)
 class AffineParams:
-    """Rotation (deg), scaling, shearing, translation (mm) of the linear part."""
+    """Rotation (deg), scaling and shearing of a sampled affine, which never translates."""
 
     rotation: tuple[float, float, float]
     scaling: tuple[float, float, float]
     shearing: tuple[float, float, float]
-    translation: tuple[float, float, float]
 
     def linear(self) -> np.ndarray:
         """3x3 rotation @ shear @ scale matrix."""
@@ -159,12 +151,12 @@ class AffineParams:
         c = np.asarray(center, dtype=np.float64)
         m = np.eye(4)
         m[:3, :3] = lin
-        m[:3, 3] = c - lin @ c + np.asarray(self.translation, dtype=np.float64)
+        m[:3, 3] = c - lin @ c
         return m
 
     @classmethod
     def identity(cls) -> "AffineParams":
-        return cls((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        return cls((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -249,9 +241,8 @@ def sample_affine(rng: np.random.Generator, cfg: DeformationConfig) -> AffinePar
     rot = rng.uniform(-cfg.rot_max, cfg.rot_max, 3)
     scale = rng.uniform(1.0 - cfg.scale_max, 1.0 + cfg.scale_max, 3)
     shear = rng.uniform(-cfg.shear_max, cfg.shear_max, 3)
-    # all zeros, but drawn, so the SVF draws keep their place in every seed's stream
-    trans = rng.uniform(-_TRANS_MAX, _TRANS_MAX, 3)
-    return AffineParams(tuple(rot), tuple(scale), tuple(shear), tuple(trans))
+    rng.random(3)  # a zero translation's draws: the SVF draws keep their place in the stream
+    return AffineParams(tuple(rot), tuple(scale), tuple(shear))
 
 
 def _world_bbox(like) -> tuple[np.ndarray, np.ndarray]:
@@ -339,31 +330,30 @@ def _integrate(svf: SVF, steps: int) -> tuple[np.ndarray, np.ndarray, list]:
     to_voxel = _world_to_voxel_linear(svf.grid_to_world)
     idx = world_coordinate_grid(quarter, np.eye(4))
     to_node, last = to_voxel / node[:3], np.asarray(quarter, dtype=np.float64) - 1.0
-    coarse = min(_COARSE_STEPS, max(steps - _FINE_STEPS, 0))
-    for _ in range(coarse):
+    for _ in range(steps - _FINE_STEPS):
         # clamped, so that a lookup past a face reads the face node, not the identity
         disp += sample_trilinear(disp, np.clip(idx + disp @ to_node, 0.0, last))
     disp = _per_axis(disp, to_half)
     idx = world_coordinate_grid(half, np.eye(4))
     to_node = to_voxel / spacing[:3]
-    for _ in range(steps - coarse):
+    for _ in range(min(steps, _FINE_STEPS)):
         disp += sample_trilinear(disp, idx + disp @ to_node)
     return disp, spacing, upsample
 
 
-def integrate_svf(svf: SVF, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationField:
+def integrate_svf(svf: SVF, steps: int = DeformationConfig.squaring_steps) -> DeformationField:
     """exp(v) by scaling and squaring on two coarse grids, upsampled once to each.
 
     The control velocities are trilinearly sampled at the nodes of the
     quarter grid (:func:`_half_grid` of the half grid) and divided by
-    ``2**steps``. The first steps, up to ``_COARSE_STEPS`` and leaving at
-    least ``_FINE_STEPS``, self-compose the field there, each lookup clamped
-    to the grid; one separable linear upsampling brings it to the half grid,
-    where the remaining steps compose with the identity beyond the grid, and
-    a second brings the result to the full grid — as in VoxelMorph's
-    ``VecInt`` with ``int_downsize=2`` (Dalca et al., MICCAI 2018) and
-    SynthSeg's small-grid deformation (Billot et al., MedIA 2023). Only the
-    result is validated, which still catches a NaN/Inf arising at any step.
+    ``2**steps``. Every step but the last ``_FINE_STEPS`` self-composes the
+    field there, each lookup clamped to the grid; one separable linear
+    upsampling brings it to the half grid, where the last steps compose
+    with the identity beyond the grid, and a second brings the result to
+    the full grid — as in VoxelMorph's ``VecInt`` with ``int_downsize=2``
+    (Dalca et al., MICCAI 2018) and SynthSeg's small-grid deformation
+    (Billot et al., MedIA 2023). Only the result is validated, which still
+    catches a NaN/Inf arising at any step.
     """
     t, _, upsample = _integrate(svf, steps)
     return DeformationField._adopt(_per_axis(t, upsample), svf.grid_spacing, svf.grid_to_world)
@@ -384,7 +374,7 @@ def compose(outer: DeformationField, inner: DeformationField) -> DeformationFiel
 def build_deformation(
     affine: AffineParams,
     svf: SVF,
-    steps: int = DEFAULT_SQUARING_STEPS,
+    steps: int = DeformationConfig.squaring_steps,
     inverted: bool = False,
 ) -> DeformationField:
     """``T ∘ A`` from sampled parameters (or its inverse ``A⁻¹ ∘ T⁻¹``).

@@ -46,6 +46,7 @@ __all__ = [
     "StackReader",
     "write_nifti",
     "read_nifti_file",
+    "read_volume_stack_file",
     "write_nifti_file",
     "read_header",
 ]

@@ -210,6 +210,9 @@ def test_malformed_manifest_exits_64_naming_it(tmp_path, capsys, doc, message):
 @pytest.mark.parametrize("flags, message", [
     (["--schedule", "severe,mild"], "non-decreasing"),
     (["--schedule", "mild,severe", "--n", "3"], "schedule length 2"),
+    # an empty schedule names no level; it used to be read as no schedule
+    (["--schedule", ""], "unknown severity level ''"),
+    (["--schedule", "", "--n", "2"], "unknown severity level ''"),
 ])
 def test_bad_schedule_is_a_usage_error(tmp_path, subject_files, capsys, flags, message):
     _, labels, mprage = subject_files
@@ -339,24 +342,6 @@ def test_generate_severity_override_via_config(tmp_path, subject_files, capsys):
     assert record["resolution"] is None
 
 
-def test_generate_integer_deformation_key_via_config(tmp_path, subject_files, capsys):
-    _, labels, mprage = subject_files
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("deformation.squaring_steps = 5\n")
-    out = tmp_path / "o"
-    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
-               "--seed", "3", "--n", "1", "--out", str(out)])
-    assert rc == 0
-    capsys.readouterr()
-    deform_cfg = sb.DeformationConfig(squaring_steps=5)
-    lm = sb.read_nifti_file(labels, as_labels=True)
-    rng = sb.make_rng(3, "labels", "deformation")
-    affine = sb.sample_affine(rng, deform_cfg)
-    expected = sb.build_deformation(affine, sb.sample_svf(rng, deform_cfg, lm), steps=5)
-    written = sb.read_volume_stack_file(out / "deformation.nii").as_array()
-    assert np.array_equal(written, expected.displacement.astype(np.float32))
-
-
 @pytest.mark.parametrize("line", ["deformation.rot_max = abc",
                                   "severe.noise_sigma_max = abc"])
 def test_malformed_dotted_config_value_exits_64(tmp_path, subject_files, capsys, line):
@@ -388,6 +373,7 @@ def test_deformation_keys_leave_the_off_level_without_deformation(tmp_path, subj
 # (a scale range reaching 0 reflects the image)
 @pytest.mark.parametrize("line,field", [("mild.p_low_field = 2", "p_low_field"),
                                         ("severe.noise_sigma_min = 20", "noise_sigma"),
+                                        # a retired key: refused as unknown
                                         ("deformation.squaring_steps = 0", "squaring_steps"),
                                         ("deformation.rot_max = nan", "rot_max"),
                                         ("mild.noise_sigma_max = nan", "noise_sigma"),
@@ -420,15 +406,15 @@ def test_the_readme_config_example_is_accepted(tmp_path, subject_files, capsys):
 # -- the settable generation values ----------------------------------------------
 
 _LEVELS = ("mild", "medium", "severe")
-_DEFORMATION = ("rot_max", "scale_max", "shear_max", "svf_mu_min", "svf_mu_max", "squaring_steps")
+_DEFORMATION = ("rot_max", "scale_max", "shear_max", "svf_mu_min", "svf_mu_max")
 _DOTTED_KEYS = sorted(
     [f"{level}.{p}" for level in _LEVELS for p in ("p_low_field", "p_anisotropic")]
     + [f"{level}.{r}_{end}" for level in _LEVELS
        for r in ("bias_mu", "bias_sigma", "noise_sigma") for end in ("min", "max")]
     + [f"deformation.{name}" for name in _DEFORMATION]
 )
-# now constants: the acquisition spacings, the SVF lattice settings and the
-# translation range; and every key of the fixed off level
+# now constants: the acquisition spacings, the SVF lattice settings, the
+# translation range and the squaring count; and every key of the fixed off level
 _OFF_KEYS = sorted(
     ["off.p_low_field", "off.p_anisotropic"]
     + [f"off.{r}_{end}" for r in ("bias_mu", "bias_sigma", "noise_sigma") for end in ("min", "max")]
@@ -436,7 +422,8 @@ _OFF_KEYS = sorted(
 _REMOVED_KEYS = sorted(
     [f"{level}.{r}_{end}" for level in _LEVELS + ("off",)
      for r in ("low_field_spacing", "anisotropic_spacing") for end in ("min", "max")]
-    + ["deformation.svf_sigma_max", "deformation.svf_control_spacing", "deformation.trans_max"]
+    + ["deformation.svf_sigma_max", "deformation.svf_control_spacing", "deformation.trans_max",
+       "deformation.squaring_steps"]
     + _OFF_KEYS
 )
 
@@ -452,9 +439,9 @@ def _preset_value(presets, key):
     return lo if name.endswith("_min") else hi
 
 
-def test_generate_accepts_30_dotted_keys():
-    assert len(_DOTTED_KEYS) == 30 and len(_REMOVED_KEYS) == 27 and len(_OFF_KEYS) == 8
-    assert len(fields(sb.SeverityConfig)) == 7 and len(fields(sb.DeformationConfig)) == 6
+def test_generate_accepts_29_dotted_keys():
+    assert len(_DOTTED_KEYS) == 29 and len(_REMOVED_KEYS) == 28 and len(_OFF_KEYS) == 8
+    assert len(fields(sb.SeverityConfig)) == 7 and len(fields(sb.DeformationConfig)) == 5
     defaults = _severity_presets({})
     for key in _DOTTED_KEYS:
         # each key set to its preset's own value leaves the presets as they were

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -214,6 +216,69 @@ def test_a_record_document_that_is_not_an_object_or_has_no_level_is_refused():
         sb.CorruptionRecord.from_json_dict({"bias": None})
 
 
+@pytest.mark.parametrize("key", ["noize", "renormalised"])
+def test_a_record_document_with_an_unknown_key_is_refused_naming_it(key):
+    wire = sb.CorruptionRecord("severe").to_json_dict()
+    wire[key] = None
+    with pytest.raises(ValueError, match=f"unknown record entries: '{key}'"):
+        sb.CorruptionRecord.from_json_dict(wire)
+
+
+def test_a_checked_record_cannot_be_written():
+    record = _all_stages_record(smooth_volume(8, 0))
+    # sigma True used to replay as sigma 1, and seed -5 to fail inside numpy
+    for stage, key, value in [("noise", "sigma", True), ("noise", "seed", -5), ("bias", "mu", 0.0),
+                              ("resolution", "target_spacing", (1.0, 1.0, 1.0))]:
+        with pytest.raises(TypeError):
+            getattr(record, stage)[key] = value
+    # nor can the arrays inside an entry
+    with pytest.raises(TypeError):
+        record.resolution["target_spacing"][0] = 1.0
+    with pytest.raises(TypeError):
+        record.bias["coarse"][0][0][0] = 0.0
+    # the record holds a copy: the caller's dict, changed afterwards, is not read
+    noise = {"sigma": 0.1, "seed": 1}
+    built = sb.CorruptionRecord("severe", noise=noise)
+    noise["sigma"] = True
+    assert built.noise["sigma"] == 0.1
+
+
+def test_a_record_pickles_and_deep_copies_to_an_equal_one():
+    v = smooth_volume(8, 0)
+    record = _all_stages_record(v)
+    for back in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert back == record and back is not record
+        assert back.to_json_dict() == record.to_json_dict()
+        replayed = sb.apply_corruption(v, back).data
+        assert replayed.tobytes() == sb.apply_corruption(v, record).data.tobytes()
+    assert copy.deepcopy(sb.CorruptionRecord("off")) == sb.CorruptionRecord("off")
+
+
+def test_a_record_builds_from_another_records_entries():
+    v = smooth_volume(8, 0)
+    record = _all_stages_record(v)
+    bias_only = sb.CorruptionRecord("severe", bias=record.bias)
+    assert bias_only.bias == record.bias and bias_only.noise is None
+    every = sb.CorruptionRecord(record.level, record.bias, record.resolution, record.noise, True)
+    assert every == record
+    # the checked entries read back as JSON values
+    wire = record.to_json_dict()
+    assert type(wire["bias"]) is dict and type(wire["bias"]["coarse"][0][0]) is list
+    assert type(wire["resolution"]["target_spacing"]) is list
+    assert json.loads(json.dumps(wire)) == wire
+
+
+def test_numpy_values_in_a_record_are_held_as_plain_python():
+    coarse = np.random.default_rng(0).normal(0.0, 0.1, (4, 4, 4))
+    record = sb.CorruptionRecord("severe", bias={"coarse": coarse},
+                                 noise={"sigma": np.float64(0.1), "seed": np.int64(5)})
+    assert record.bias["coarse"] == _bias_record(coarse).bias["coarse"]
+    assert type(record.noise["seed"]) is int
+    coarse[0, 0, 0] = np.nan  # the caller's array is not read again
+    assert json.loads(json.dumps(record.to_json_dict())) == record.to_json_dict()
+    assert sb.CorruptionRecord.from_json_dict(record.to_json_dict()) == record
+
+
 def test_an_integer_valued_float_seed_is_that_integer():
     v = smooth_volume(12, 0)
     records = [_from_wire(noise={"sigma": 0.1, "seed": seed}) for seed in (7, 7.0)]
@@ -393,7 +458,7 @@ def test_native_resolution_is_identity():
     v = smooth_volume(16, 2)
     rng = np.random.default_rng(0)
     record = sample_corruption_record(rng, _res_cfg(), v)
-    assert record.resolution is None and record.empty
+    assert record.bias is record.resolution is record.noise is None
     assert sb.apply_corruption(v, record) is v
     # both probabilities 0: the resolution stage draws nothing
     assert rng.uniform() == np.random.default_rng(0).uniform()
@@ -465,7 +530,7 @@ def test_zero_sigma_noise_is_identity():
     v = smooth_volume(12, 0)
     rng = np.random.default_rng(3)
     record = sample_corruption_record(rng, _noise_cfg(0.0, 0.0), v)
-    assert record.noise is None and record.empty
+    assert record.bias is record.resolution is record.noise is None
     assert sb.apply_corruption(v, record) is v
     # a (0, 0) noise range draws nothing
     assert rng.uniform() == np.random.default_rng(3).uniform()
@@ -515,7 +580,7 @@ def test_all_off_corruption_is_identity():
     v = _painted()
     out, record = sb.corrupt(v, np.random.default_rng(0), SeverityConfig.all_off())
     assert out is v
-    assert record.empty
+    assert record.bias is record.resolution is record.noise is None
     assert not record.renormalized
 
 

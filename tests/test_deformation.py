@@ -65,6 +65,19 @@ def test_all_off_config_samples_identity():
     assert np.array_equal(params.matrix((5.0, 5.0, 5.0)), np.eye(4))
 
 
+def test_the_squaring_count_is_fixed_and_the_affine_keeps_its_draws():
+    assert DeformationConfig.squaring_steps == DeformationConfig().squaring_steps == 7
+    assert len(dataclasses.fields(DeformationConfig)) == 5
+    assert len(dataclasses.fields(sb.AffineParams)) == 3
+    with pytest.raises(TypeError):
+        DeformationConfig(squaring_steps=5)
+    # 12 draws, the last 3 once a zero translation's, so the SVF draws keep their place
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    sb.sample_affine(rng, DeformationConfig())
+    ref.random(12)
+    assert rng.random(4).tobytes() == ref.random(4).tobytes()
+
+
 def test_sampled_angles_respect_bounds():
     cfg = DeformationConfig()
     rng = np.random.default_rng(1)
@@ -81,7 +94,7 @@ def test_affine_sampling_deterministic():
 
 
 def test_singular_scaling_rejected():
-    params = sb.AffineParams((0, 0, 0), (0.0, 1, 1), (0, 0, 0), (0, 0, 0))
+    params = sb.AffineParams((0, 0, 0), (0.0, 1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         params.matrix((0, 0, 0))
 
@@ -187,7 +200,7 @@ def test_the_coarse_steps_compose_a_constant_velocity_exactly(grid, monkeypatch)
     sb.integrate_svf(svf, steps)
     quarter = coarse[0]  # the quarter grid, before its upsampling to the half grid
     assert quarter.shape[:3] == sb.deformation._half_grid(sb.deformation._half_grid(like.dims)[0])[0]
-    expected = c * 2.0 ** (sb.deformation._COARSE_STEPS - steps)
+    expected = c * 2.0 ** -sb.deformation._FINE_STEPS
     assert np.abs(quarter - expected).max() <= 1e-14 * np.linalg.norm(c)
 
 
@@ -365,7 +378,7 @@ def test_scale_then_translate_matches_hand_computed_map():
     n = 16
     like = sb.Volume(np.zeros((n, n, n)))
     t_field = _translation_field(np.array([1.0, 0.0, 0.0]), n)
-    params = sb.AffineParams((0, 0, 0), (2.0, 2.0, 2.0), (0, 0, 0), (0, 0, 0))
+    params = sb.AffineParams((0, 0, 0), (2.0, 2.0, 2.0), (0, 0, 0))
     out = sb.compose(t_field, affine_to_field(params.matrix(_grid_center(like)), like))
     center = (n - 1) / 2.0
     # x -> 2(x - c) + c + (1, 0, 0), checked pointwise in the region that

@@ -1,6 +1,7 @@
 """Import hygiene: no library module imports a name it never uses, no
 private module-level function, class or constant goes unread, and every
-name a module lists in ``__all__`` is defined in it.
+name a module lists in ``__all__`` is defined in it, and every name the
+package imports from a module is in that module's ``__all__``.
 
 Deleting a code path easily leaves its imports and helpers behind; this
 catches them. ``__init__.py`` is exempt from the import check, since
@@ -140,3 +141,43 @@ def test_the_check_sees_an_undefined_export():
         "__all__ = ['os', 'b', 'f', 'K', 'X', 'Z', 'W', 'a', 'gone', 'path']\n"
     )
     assert _undefined_exports(tree) == ["a", "gone", "path"]
+
+
+def _exports(tree: ast.Module) -> list[str] | None:
+    """A module's ``__all__`` entries, or None if it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [e.value for e in node.value.elts]
+    return None
+
+
+def _unlisted_reexports(package: ast.Module, modules: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` for each name ``package`` imports from a sibling module
+    whose ``__all__`` does not list it (a module without one, like ``errors``,
+    exports every public name)."""
+    missing = []
+    for node in package.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules:
+            exports = _exports(modules[node.module])
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if exports is not None and alias.name not in exports]
+    return missing
+
+
+def test_every_reexported_name_is_in_its_modules_all():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    package = ast.parse((SRC / "__init__.py").read_text())
+    # every package import is from a sibling module, so every one is checked
+    sources = {node.module for node in package.body if isinstance(node, ast.ImportFrom)}
+    assert sources <= set(modules)
+    missing = _unlisted_reexports(package, modules)
+    assert not missing, f"re-exported but missing from the module's __all__: {missing}"
+
+
+def test_the_check_sees_an_unlisted_reexport():
+    modules = {"a": ast.parse("__all__ = ['f']\ndef f(): pass\ndef g(): pass\n"),
+               "b": ast.parse("def h(): pass\n"),
+               "c": ast.parse("__all__ = []\ndef k(): pass\n")}
+    package = ast.parse("from .a import f, g\nfrom .b import h\nfrom .c import k\n")
+    assert _unlisted_reexports(package, modules) == ["a.g", "c.k"]
