@@ -33,6 +33,7 @@ from .errors import (
 )
 from .generator import SubjectRecord, severity_ladder, write_batch
 from .nifti import StackReader, read_nifti_file
+from .seeding import _SEED_RANGE
 from .volume import same_geometry
 
 __all__ = ["main"]
@@ -70,16 +71,22 @@ def _ranged(kind, low, high=math.inf, strict=False):
 
 
 _COUNT = _ranged(int, 1)
+_SEED = _ranged(int, *_SEED_RANGE)
 _SCALES = _ranged(int, 1, len(metrics._MS_WEIGHTS))
 
 
 # -- config file -----------------------------------------------------------------
 
 def _load_config(path) -> dict[str, str]:
-    """KEY=VALUE lines; blank lines and # comments ignored, a key set twice refused."""
+    """KEY=VALUE lines; blank lines and # comments ignored, a key set twice refused.
+    A file that is not UTF-8 text is an I/O error naming it."""
     out: dict[str, str] = {}
     first: dict[str, int] = {}  # key -> the line that set it
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -290,7 +297,8 @@ def _build_parser() -> _Parser:
     g.add_argument("mprage", help="structural anatomy target NIfTI")
     g.add_argument("--n", type=_COUNT, default=None,
                    help="batch size (default: the schedule's length, else 4)")
-    g.add_argument("--seed", type=int, default=None, required=False)
+    g.add_argument("--seed", type=_SEED, default=None, required=False,
+                   help="base seed, a signed 128-bit integer")
     g.add_argument("--schedule", default=None,
                    help="comma-separated severity names, e.g. mild,medium,medium,severe")
     g.add_argument("--out", default=None, help="output directory")

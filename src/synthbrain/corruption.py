@@ -111,15 +111,17 @@ class SeverityConfig:
             ) from None
 
 
-def _bias(coarse, like) -> np.ndarray:
-    """The multiplicative field on ``like``'s grid, as a fresh array.
+def _bias(coarse, like, dtype=np.float64) -> np.ndarray:
+    """The multiplicative field on ``like``'s grid, as a fresh array of ``dtype``.
 
     The exp of the coarse log grid, trilinearly upsampled with coarse
     corners on volume corners. Upsampled log values are convex combinations
     of the coarse ones, so the field is positive where the coarse minimum is.
+    The grid and the weights are cast to ``dtype``, so the whole field is
+    worked out in it.
     """
-    coarse = np.asarray(coarse, dtype=np.float64)
-    field = _per_axis(coarse, [_corner_aligned_weights(n, c)
+    coarse = np.asarray(coarse, dtype=dtype)
+    field = _per_axis(coarse, [_corner_aligned_weights(n, c).astype(dtype)
                                for c, n in zip(coarse.shape, like.dims)])
     return np.exp(field, out=field)
 
@@ -146,12 +148,14 @@ def _apply_resolution(data: np.ndarray, spacing, target_spacing) -> np.ndarray:
     sampled at the target spacing, all axes at once onto the acquired image's
     own coarse grid; that image is then trilinearly upsampled back, so the
     output dims always equal the input dims. Returns ``data`` itself when no
-    axis is degraded, otherwise a fresh array.
+    axis is degraded, otherwise a fresh array of its dtype: the matrices are
+    cast to it, since a float64 one would widen the whole grid.
     """
     ratios = [t / c if t > c else 1.0 for t, c in zip(target_spacing, spacing)]
     if all(r == 1.0 for r in ratios):
         return data
-    down, up = zip(*((None, None) if r == 1.0 else _acquisition(n, r)
+    down, up = zip(*((None, None) if r == 1.0 else
+                     tuple(m.astype(data.dtype) for m in _acquisition(n, r))
                      for n, r in zip(data.shape, ratios)))
     # nested, so that the coarse image is freed as the upsampling consumes it
     return _per_axis(_per_axis(data, down), up)
@@ -161,10 +165,11 @@ def _apply_resolution(data: np.ndarray, spacing, target_spacing) -> np.ndarray:
 
 def _apply_noise(data: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """``data`` plus white noise of std ``sigma`` from the stream ``seed``,
-    clipped to [0, 1], as a fresh array."""
+    clipped to [0, 1], as a fresh array of its dtype (float32 data draw float32
+    normals)."""
     # normal(0.0, sigma, dims) computes 0.0 + sigma * z; so does this, in place
     # and from the cheaper standard draw (the + 0.0 turns a -0.0 into +0.0)
-    noisy = np.random.default_rng(int(seed)).standard_normal(data.shape)
+    noisy = np.random.default_rng(int(seed)).standard_normal(data.shape, dtype=data.dtype)
     noisy *= sigma
     noisy += 0.0
     noisy += data
@@ -315,20 +320,21 @@ def sample_corruption_record(
 def apply_corruption(v: Volume, record: CorruptionRecord) -> Volume:
     """Replay a record: bias, then resolution, then noise, then renormalize.
 
-    Each stage that runs returns a fresh array, which the next stages and
-    the renormalization work in; ``v`` itself is never written, and comes
-    back unchanged when no stage alters it.
+    Every stage works in the dtype of ``v``'s data: a float32 sample stays
+    float32, a float64 volume float64. Each stage that runs returns a fresh
+    array, which the next stages and the renormalization work in; ``v``
+    itself is never written, and comes back unchanged when no stage alters it.
     """
     data = v.data
     if record.bias is not None:
-        data = _bias(record.bias["coarse"], v)
+        data = _bias(record.bias["coarse"], v, data.dtype)
         data *= v.data
     if record.resolution is not None:
         data = _apply_resolution(data, v.spacing, record.resolution["target_spacing"])
     if record.noise is not None:
         data = _apply_noise(data, record.noise["sigma"], record.noise["seed"])
     if record.renormalized:
-        data = _minmax(data, np.empty(v.dims) if data is v.data else data)
+        data = _minmax(data, np.empty_like(data) if data is v.data else data)
     return v if data is v.data else Volume._adopt(data, v.spacing, v.grid_to_world)
 
 

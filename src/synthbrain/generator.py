@@ -37,9 +37,16 @@ from .deformation import (
 )
 from .errors import EmptyLabelSet, NonPositiveLambda
 from .nifti import write_nifti_file
-from .seeding import make_rng
+from .seeding import derive_seed, make_rng
 from .synthesis import paint, sample_contrast_params
-from .volume import LabelMap, Volume, check_same_geometry, minmax_normalize, spatial_gradient
+from .volume import (
+    LabelMap,
+    Volume,
+    _float64,
+    check_same_geometry,
+    minmax_normalize,
+    spatial_gradient,
+)
 
 __all__ = [
     "SubjectRecord",
@@ -126,10 +133,13 @@ def _normalize_schedule(schedule, n: int) -> list[SeverityConfig]:
     return cfgs
 
 
-def _check(subject: SubjectRecord, n: int, schedule, threads: int) -> list[SeverityConfig]:
+def _check(subject: SubjectRecord, base_seed: int, n: int, schedule,
+           threads: int) -> list[SeverityConfig]:
     """The request's checks, made before anything is drawn or written; returns the schedule."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    # a seed that derive_seed refuses (outside the signed 128-bit integers)
+    derive_seed(base_seed)
     # the condition of an empty label set, without computing the set
     if not subject.labels.data.any():
         raise EmptyLabelSet(f"subject {subject.id!r} has no foreground labels")
@@ -189,9 +199,12 @@ def generate_batch(
     then gets fresh contrast parameters and corruption from its own RNG
     keyed by (base_seed, subject.id, i), which makes thread count
     irrelevant to the output bytes. ``threads`` workers paint and corrupt
-    the samples (fewer than 1 is a ``ValueError``).
+    the samples (fewer than 1 is a ``ValueError``, as is a seed outside the
+    signed 128-bit integers). Sample images are float32, as :func:`paint` and
+    :func:`apply_corruption` make them; the target is float64.
     """
-    phi, target, make_sample = _prepare(subject, base_seed, _check(subject, n, schedule, threads))
+    cfgs = _check(subject, base_seed, n, schedule, threads)
+    phi, target, make_sample = _prepare(subject, base_seed, cfgs)
     samples = _map(make_sample, n, threads)
     return SampleBatch(subject.id, phi, tuple(samples), target)
 
@@ -215,7 +228,7 @@ def write_batch(
     before anything is drawn: a rejected request leaves no directory, and a
     path that cannot be a directory fails before the deformation is drawn.
     """
-    cfgs = _check(subject, n, schedule, threads)
+    cfgs = _check(subject, base_seed, n, schedule, threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     phi, target, make_sample = _prepare(subject, base_seed, cfgs)
@@ -249,6 +262,7 @@ def batch_loss(batch: SampleBatch, predictions, lam: float = 1.0) -> float:
 
     The gradient term sums the three per-axis mean absolute differences, so
     constant intensity shifts are penalized only by the intensity term.
+    It is summed in float64, whatever the dtype of the volumes.
     """
     if lam <= 0:
         raise NonPositiveLambda(f"lambda must be > 0, got {lam}")
@@ -262,7 +276,7 @@ def batch_loss(batch: SampleBatch, predictions, lam: float = 1.0) -> float:
     total = 0.0
     for pred in predictions:
         check_same_geometry(pred, t)
-        total += float(np.mean(np.abs(pred.data - t.data)))
+        total += float(np.mean(np.abs(_float64(pred) - _float64(t))))
         gp = spatial_gradient(pred)
         for c in range(3):
             total += lam * float(np.mean(np.abs(gp.channels[c].data - gt.channels[c].data)))

@@ -5,6 +5,8 @@ distance) are pure functions over volumes. On top of them sits the
 robustness protocol: warp candidate feature stacks back into a common frame
 (the inverse of their own deformation, or a provided atlas mapping) and
 score every channel against a clean reference, reporting mean and spread.
+Every metric reads its volumes as float64, so a float32 sample scores as its
+float64 copy does.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     TooSmallForScales,
     ZeroEstimate,
 )
-from .volume import LabelMap, Volume, check_same_geometry
+from .volume import LabelMap, Volume, _float64, check_same_geometry
 
 __all__ = [
     "l1",
@@ -65,7 +67,7 @@ def _masked_mean(x: np.ndarray, m: np.ndarray | None) -> float:
 def l1(a: Volume, b: Volume, mask=None) -> float:
     """Mean absolute difference, optionally restricted to a mask."""
     check_same_geometry(a, b)
-    return _masked_mean(np.abs(a.data - b.data), _mask_array(mask, a.dims))
+    return _masked_mean(np.abs(_float64(a) - _float64(b)), _mask_array(mask, a.dims))
 
 
 def psnr(pred: Volume, ref: Volume, peak: float = 1.0, mask=None) -> float:
@@ -73,7 +75,7 @@ def psnr(pred: Volume, ref: Volume, peak: float = 1.0, mask=None) -> float:
     if not peak > 0:  # NaN fails this too
         raise ValueError(f"peak must be > 0, got {peak}")
     check_same_geometry(pred, ref)
-    mse = _masked_mean((pred.data - ref.data) ** 2, _mask_array(mask, pred.dims))
+    mse = _masked_mean((_float64(pred) - _float64(ref)) ** 2, _mask_array(mask, pred.dims))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -199,7 +201,8 @@ def _ssim_and_ms_ssim(a, b, scales, window, mask=None) -> tuple[float, float]:
     check_same_geometry(a, b)
     weights = _scale_weights(a.dims, scales, window)
     centres = _mask_pyramid(_mask_array(mask, a.dims), scales, window)
-    return _scored(_reference_pyramid(a.data, scales, window), b.data, centres, weights, window)
+    return _scored(_reference_pyramid(_float64(a), scales, window), _float64(b), centres,
+                   weights, window)
 
 
 @dataclass(frozen=True)
@@ -235,8 +238,7 @@ def norm_l2_bias(b_est: Volume, b_true: Volume, mask=None) -> float:
     """
     check_same_geometry(b_est, b_true)
     m = _mask_array(mask, b_est.dims)
-    e = b_est.data[m] if m is not None else b_est.data.ravel()
-    t = b_true.data[m] if m is not None else b_true.data.ravel()
+    e, t = (_float64(b)[m] if m is not None else _float64(b).ravel() for b in (b_est, b_true))
     ss_e = float((e * e).sum())
     if ss_e == 0.0:
         raise ZeroEstimate("estimated bias field is identically zero over the mask")
@@ -344,11 +346,12 @@ def robustness_protocol(
         for members in by_grid.values():
             pull = _puller(through, candidates[members[0]][0])
             for c in range(reference.channel_count):
-                ref = reference.channel(c)
-                pyramid = _reference_pyramid(ref.data, scales, window)
+                ref = _float64(reference.channel(c))
+                pyramid = _reference_pyramid(ref, scales, window)
                 for i in members:
-                    warped = pull(candidates[i][0].channel(c))
-                    rows[i].append((_masked_mean(np.abs(ref.data - warped.data), m),
-                                    *_scored(pyramid, warped.data, centres, weights, window)))
+                    # a zero field hands the candidate's own (maybe float32) channel on
+                    warped = _float64(pull(candidates[i][0].channel(c)))
+                    rows[i].append((_masked_mean(np.abs(ref - warped), m),
+                                    *_scored(pyramid, warped, centres, weights, window)))
     values = zip(*(row for channels in rows for row in channels))
     return MetricReport(dict(zip(("l1", "ssim", "ms_ssim"), values)), masked=mask is not None)

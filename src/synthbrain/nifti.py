@@ -257,9 +257,9 @@ class StackReader:
         return values
 
     def image(self, as_labels: bool | None = None) -> Volume | LabelMap:
-        """A 3D file as a :class:`LabelMap` or a :class:`Volume`. ``as_labels=None``
-        picks a label map for an unscaled integer datatype with non-negative
-        values; True/False forces the choice."""
+        """A 3D file as a :class:`LabelMap` or a float64 :class:`Volume`.
+        ``as_labels=None`` picks a label map for an unscaled integer datatype
+        with non-negative values; True/False forces the choice."""
         with _naming(self.name):
             if self.header.dim[0] == 5:
                 raise UnsupportedDimension("dim[0] = 5, expected a 3D scalar image")
@@ -267,13 +267,15 @@ class StackReader:
             if as_labels is None:
                 integral = self._dtype.kind in "iu"
                 as_labels = integral and self.header.scaling is None and data.min() >= 0
-            kind = LabelMap if as_labels else Volume
-            return kind._adopt(data, self.spacing, self.grid_to_world)
+            if as_labels:
+                return LabelMap._adopt(data, self.spacing, self.grid_to_world)
+            return Volume._adopt(np.asarray(data, dtype=np.float64), self.spacing,
+                                 self.grid_to_world)
 
     def channel(self, c: int) -> Volume:
         """Channel ``c`` decoded as a float64 volume."""
         data = self.values(c).reshape(self.dims, order="F")
-        return Volume._adopt(data, self.spacing, self.grid_to_world)
+        return Volume._adopt(np.asarray(data, dtype=np.float64), self.spacing, self.grid_to_world)
 
     def read(self) -> VolumeStack:
         """Every channel, each decoded by :meth:`channel`."""
@@ -375,7 +377,8 @@ def _parts(v, datatype: str):
 
 def write_nifti(v: Volume | LabelMap | VolumeStack, datatype: str = "float32") -> bytes:
     """Encode a volume, or a channel stack as a 5D vector image (dim[4]=1,
-    channels on dim 5), as little-endian single-file NIfTI-1 bytes.
+    channels on dim 5), as little-endian single-file NIfTI-1 bytes. Float32
+    data (a generated sample) is written as it is, without a cast.
 
     An integer datatype clamps values outside its range and rejects a
     non-finite value with ``ValueError``.

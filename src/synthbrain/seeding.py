@@ -14,12 +14,24 @@ import numpy as np
 __all__ = ["derive_seed", "make_rng"]
 
 
+# an integer part is encoded in 16 bytes: a signed 128-bit integer
+_SEED_RANGE = (-(2 ** 127), 2 ** 127 - 1)
+
+
 def derive_seed(*parts) -> int:
-    """Collapse a tuple of ints/strings into a 63-bit seed, deterministically."""
+    """Collapse a tuple of ints/strings into a 63-bit seed, deterministically.
+
+    An integer part must lie in ``_SEED_RANGE`` (the signed 128-bit integers);
+    one outside is a ``ValueError`` naming it.
+    """
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, (int, np.integer)):
-            h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+            value = int(part)
+            if not _SEED_RANGE[0] <= value <= _SEED_RANGE[1]:
+                raise ValueError(f"seed part {value} is outside the signed 128-bit range "
+                                 f"[{_SEED_RANGE[0]}, {_SEED_RANGE[1]}]")
+            h.update(b"i" + value.to_bytes(16, "little", signed=True))
         elif isinstance(part, str):
             raw = part.encode("utf-8")
             h.update(b"s" + len(raw).to_bytes(4, "little") + raw)

@@ -68,21 +68,23 @@ def paint(
     rng: np.random.Generator,
     normalize: bool = True,
 ) -> Volume:
-    """Per-voxel intensities ~ N(mu_label, sigma_label), optionally normalized.
+    """Per-voxel intensities ~ N(mu_label, sigma_label), optionally normalized,
+    as a float32 volume.
 
-    Only the foreground (label != 0) is drawn: one standard normal per
-    foreground voxel, in C order. Background is exactly +0.0, whatever the
+    Only the foreground (label != 0) is drawn: one float64 standard normal
+    per foreground voxel, in C order. Background is exactly +0.0, whatever the
     table gives label 0, and an all-background map draws nothing.
     Normalization rescales the foreground to [0, 1]; a foreground constant
-    up to rounding maps to all zeros. Pass ``normalize=False`` to inspect the
-    raw draws.
+    up to rounding maps to all zeros. The values and their normalization are
+    worked out in float64 and rounded once, into the float32 grid. Pass
+    ``normalize=False`` to inspect the raw draws.
     """
     present = lm.label_set
     missing = [lab for lab in present if lab != 0 and lab not in params.table]
     if missing:
         raise MissingLabelParams(missing)
 
-    out = np.zeros(lm.dims)
+    out = np.zeros(lm.dims, dtype=np.float32)
     # one entry per present label, gathered through the map's label index;
     # background voxels are never drawn, so label 0's entry is never read
     index = lm._foreground_index

@@ -125,7 +125,9 @@ class Volume(_Grid):
     Parameters
     ----------
     data : ndarray, shape (nx, ny, nz)
-        Voxel values; stored as float64, read-only.
+        Voxel values; stored as float64, read-only. The one exception is a
+        float32 array the library builds and adopts (a painted or corrupted
+        sample), which is kept in float32.
     spacing : tuple of 3 floats, optional
         Voxel size in mm. Defaults to 1 mm isotropic.
     grid_to_world : (4, 4) ndarray, optional
@@ -138,7 +140,15 @@ class Volume(_Grid):
 
     @staticmethod
     def _convert(data, copy: bool) -> np.ndarray:
+        if not copy and data.dtype == np.float32:
+            return data
         return (np.array if copy else np.asarray)(data, dtype=np.float64)
+
+
+def _float64(v) -> np.ndarray:
+    """A volume's values as float64: its own array, or a float32 one widened
+    (exactly), so that a float32 sample scores as its float64 copy does."""
+    return np.asarray(v.data, dtype=np.float64)
 
 
 _LABEL_MAX = int(np.iinfo(np.int32).max)
@@ -450,32 +460,36 @@ def spatial_gradient(v: Volume) -> VolumeStack:
     """
     if min(v.dims) < 2:
         raise DegenerateGrid(f"gradient needs >= 2 voxels per axis, got {v.dims}")
-    gx, gy, gz = np.gradient(v.data, *v.spacing, edge_order=1)
+    gx, gy, gz = np.gradient(_float64(v), *v.spacing, edge_order=1)
     return VolumeStack(tuple(Volume._adopt(g, v.spacing, v.grid_to_world) for g in (gx, gy, gz)))
 
 
-# a range of at most this many eps times the values' magnitude is rounding, not
-# signal: the resolution and bias stages spread a constant image by up to 6.8
-# eps times its value (1372 constant inputs: 4 grids up to 96³, values from 1e-9
-# to 123, 9 target spacings, 4 bias levels), and 64 leaves a margin of 9
-_FLAT_EPS = 64 * np.finfo(np.float64).eps
+# a range of at most this many eps (of the working dtype) times the values'
+# magnitude is rounding, not signal: the resolution and bias stages spread a
+# constant image by up to 6.8 eps times its value in float64 (1372 constant
+# inputs: 4 grids up to 96³, values from 1e-9 to 123, 9 target spacings, 4 bias
+# levels) and by up to 8.3 eps in float32 (600 random constant inputs up to
+# 96³, values from 1e-9 to 1e3), and 64 leaves a margin of 7
+_FLAT_EPS = 64
 
 
 def _minmax(data: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``(data - lo) / (hi - lo)`` over the values' range, written into ``out``
-    (which may be ``data``); data whose range is within ``_FLAT_EPS`` of its
-    magnitude is constant and gives zeros."""
+    """``(data - lo) / (hi - lo)`` over the values' range, worked out and
+    written in ``out`` (which may be ``data``) and its dtype; data whose range
+    is within ``_FLAT_EPS`` eps of that dtype times its magnitude is constant
+    and gives zeros. Subtract, then divide: the values stay in [0, 1]."""
     lo = float(data.min())
     hi = float(data.max())
-    if hi - lo <= _FLAT_EPS * max(abs(lo), abs(hi)):
+    if hi - lo <= _FLAT_EPS * np.finfo(out.dtype).eps * max(abs(lo), abs(hi)):
         out[...] = 0.0
         return out
-    np.subtract(data, lo, out=out)
-    out /= hi - lo
+    np.subtract(data, lo, out=out, dtype=out.dtype)
+    # the range rounded as the top value's difference is, so the top maps to 1
+    out /= np.subtract(hi, lo, dtype=out.dtype)
     return out
 
 
 def minmax_normalize(v: Volume) -> Volume:
-    """Affine rescale of the values to [0, 1]; volumes constant up to rounding
-    map to zero."""
+    """Affine rescale of the values to [0, 1], in float64; volumes constant up
+    to rounding map to zero."""
     return Volume._adopt(_minmax(v.data, np.empty(v.dims)), v.spacing, v.grid_to_world)

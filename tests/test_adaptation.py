@@ -8,7 +8,7 @@ from scipy.ndimage import gaussian_filter
 
 import synthbrain as sb
 
-from conftest import smooth_volume, sphere_labels
+from conftest import make_subject, smooth_volume, sphere_labels
 from reference_impls import full_matrix_apply, full_matrix_fit, full_matrix_residual
 
 
@@ -431,3 +431,21 @@ def test_a_stack_reader_fits_as_its_decoded_stack(tmp_path, order):
                                      for ch in decoded.channels))
     on_file = sb.fit_adapter(c_ordered, reader)
     assert on_file.weights.tobytes() == sb.fit_adapter(c_ordered, decoded).weights.tobytes()
+
+
+@pytest.mark.parametrize("concat", [False, True])
+def test_a_head_on_float32_samples_is_the_head_on_their_float64_copies(concat):
+    batch = sb.generate_batch(make_subject(16, seed=2), 4, base_seed=5)
+    images32 = [s.image for s in batch.samples]
+    assert all(im.data.dtype == np.float32 for im in images32)
+    images64 = [sb.Volume(im.data) for im in images32]
+    results = []
+    for images in (images32, images64):
+        feats = sb.VolumeStack(tuple(images[:3]))
+        image = images[3] if concat else None
+        adapter = sb.fit_adapter(feats, batch.target, concat_input=image)
+        out = sb.apply_adapter(adapter, feats, concat_input=image)
+        results.append((adapter.weights.tobytes(), adapter.bias.tobytes(),
+                        sb.fit_residual(adapter, feats, batch.target, image),
+                        out.channels[0].data.tobytes()))
+    assert results[0] == results[1]

@@ -313,6 +313,40 @@ def test_a_malformed_or_missing_config_file_fails_before_out_is_made(tmp_path, s
     assert not out.exists()
 
 
+def test_a_config_file_that_is_not_utf8_exits_2_naming_it(tmp_path, subject_files, capsys):
+    _, labels, mprage = subject_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"mild.p_low_field = \xff\n")
+    out = tmp_path / "o"
+    rc = main(["generate", str(labels), str(mprage), "--config", str(cfg),
+               "--seed", "3", "--out", str(out)])
+    assert rc == 2
+    assert f"error: {cfg}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 127), str(-(2 ** 127) - 1)])
+def test_a_seed_outside_128_bits_exits_64_before_out_is_made(tmp_path, subject_files, capsys,
+                                                             seed):
+    _, labels, mprage = subject_files
+    out = tmp_path / "o"
+    rc = main(["generate", str(labels), str(mprage), "--seed", seed, "--out", str(out)])
+    assert rc == 64
+    assert f"argument --seed: {seed!r} is outside [-{2 ** 127}, {2 ** 127 - 1}]" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2 ** 127 - 1, -(2 ** 127)])
+def test_the_end_seeds_of_128_bits_generate(tmp_path, subject_files, capsys, seed):
+    _, labels, mprage = subject_files
+    out = tmp_path / "o"
+    assert main(["generate", str(labels), str(mprage), "--n", "1", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+
 def test_a_repeated_config_key_exits_64_naming_both_lines(tmp_path, subject_files, capsys):
     # a later line would otherwise replace the earlier one; the inputs named
     # here do not exist, so the check runs before any is read

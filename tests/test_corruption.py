@@ -28,11 +28,14 @@ def _draw_stage(stage, v, rng, cfg):
     return sb.apply_corruption(v, sb.CorruptionRecord(cfg.level, **{stage: params})), params
 
 
-def _painted(n=32, seed=0):
+def _painted(n=32, seed=0, dtype=np.float64):
+    """A painted image; as a float64 copy by default, so that the stages are
+    checked against their float64 oracles (``paint`` itself gives float32)."""
     lm = sphere_labels(n, (0.42 * n, 0.3 * n, 0.17 * n))
     rng = np.random.default_rng(seed)
     params = sb.sample_contrast_params(rng, lm.label_set)
-    return sb.paint(lm, params, rng)
+    painted = sb.paint(lm, params, rng)
+    return painted if dtype == np.float32 else sb.Volume(painted.data)
 
 
 # -- presets ----------------------------------------------------------------------
@@ -672,3 +675,97 @@ def test_corruption_results_are_read_only_and_own_their_data():
     assert not full.data.flags.writeable
     assert not np.shares_memory(full.data, v.data)
     assert not v.data.flags.writeable and not record.bias_field(v).data.flags.writeable
+
+
+# -- float32 samples -----------------------------------------------------------------
+# paint gives float32 images, and every stage then works in float32; a float64
+# input (all the tests above) keeps float64 and its bytes
+
+def _constant32(dims, value):
+    """A float32 image of one value: a map without background, painted raw."""
+    lm = sb.LabelMap(np.ones(dims, dtype=np.int32))
+    out = sb.paint(lm, sb.ContrastParams({1: (value, 0.0)}), np.random.default_rng(0),
+                   normalize=False)
+    assert out.data.dtype == np.float32 and np.unique(out.data).size == 1
+    return out
+
+
+@pytest.mark.parametrize("stages", [("bias",), ("resolution",), ("noise",),
+                                    ("bias", "resolution", "noise")])
+@pytest.mark.parametrize("renormalized", [False, True])
+def test_a_float32_image_stays_float32_through_every_stage(stages, renormalized):
+    v = _painted(16, dtype=np.float32)
+    assert v.data.dtype == np.float32
+    full = _all_stages_record(v)
+    record = sb.CorruptionRecord("severe", renormalized=renormalized,
+                                 **{name: getattr(full, name) for name in stages})
+    assert sb.apply_corruption(v, record).data.dtype == np.float32
+    # the same record on the float64 copy stays float64
+    assert sb.apply_corruption(sb.Volume(v.data), record).data.dtype == np.float64
+    # the ground-truth field is float64 whatever the image
+    assert full.bias_field(v).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("stage", ["bias", "resolution"])
+def test_float32_stages_follow_the_float64_ones_to_float32_rounding(stage):
+    v32 = _painted(24, dtype=np.float32)
+    v64 = sb.Volume(v32.data)
+    for seed in range(4):
+        record = sb.CorruptionRecord("severe", **{stage: getattr(_all_stages_record(v64, seed),
+                                                                  stage)})
+        got = sb.apply_corruption(v32, record).data
+        want = sb.apply_corruption(v64, record).data
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-9, 0.01, 0.2])
+def test_float32_noise_adds_a_float32_normal_draw(sigma):
+    v = _painted(12, dtype=np.float32)
+    for seed in (0, 7, 2 ** 40):
+        got = sb.apply_corruption(v, _from_wire(noise={"sigma": sigma, "seed": seed})).data
+        z = np.random.default_rng(seed).standard_normal(v.dims, dtype=np.float32)
+        want = np.clip(z * np.float32(sigma) + np.float32(0.0) + v.data, 0.0, 1.0)
+        assert want.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def test_a_float32_record_replays_byte_identical_and_in_unit_range():
+    v = _painted(dtype=np.float32)
+    for seed in range(10):
+        out, record = sb.corrupt(v, np.random.default_rng(seed), SeverityConfig.severe())
+        back = sb.CorruptionRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == sb.apply_corruption(v, back).data.tobytes()
+        assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@example(dims=(20, 18, 16), value=0.25, log=0.3, coarse=(4, 4, 4), target=(3.0, 3.0, 3.0))
+@given(dims=st.tuples(*[st.integers(1, 24)] * 3),
+       value=st.floats(1e-9, 123.0),
+       log=st.floats(-1.0, 1.0),
+       coarse=st.tuples(*[st.integers(1, 8)] * 3),
+       target=st.one_of(st.none(), st.just((3.0, 3.0, 3.0)), st.just((1.0, 1.0, 5.5)),
+                        st.tuples(*[st.floats(0.5, 8.0)] * 3)))
+def test_a_float32_constant_image_renormalizes_to_zeros(dims, value, log, coarse, target):
+    # float32 rounding of the stages is not signal either: without the
+    # float32 eps, this renormalized into 0/1 speckle
+    v = _constant32(dims, value)
+    bias = {"mu": log, "sigma": 0.0, "coarse": np.full(coarse, log).tolist()}
+    resolution = None if target is None else {"target_spacing": list(target), "kind": "x"}
+    for stages in ({"bias": bias}, {"resolution": resolution}, {"bias": bias, "resolution": resolution}):
+        rec = sb.CorruptionRecord("custom", renormalized=True, **stages)
+        out = sb.apply_corruption(v, rec).data
+        assert out.tobytes() == np.zeros(dims, dtype=np.float32).tobytes()
+
+
+def test_float32_bias_replay_holds_one_float32_field_beyond_its_input():
+    v = _painted(64, dtype=np.float32)
+    record = sb.CorruptionRecord("severe", bias=_all_stages_record(v).bias)
+    tracemalloc.start()
+    try:
+        out = sb.apply_corruption(v, record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.dtype == np.float32
+    assert peak <= 1.25 * v.data.nbytes

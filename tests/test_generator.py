@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -329,7 +330,7 @@ def test_write_batch_writes_the_exported_tree(tmp_path, threads, case):
 
 def test_write_batch_memory_does_not_grow_with_the_batch(tmp_path):
     subject = make_subject(32, seed=1)
-    volume = 32 ** 3 * 8
+    volume = 32 ** 3 * 8  # one float64 grid, two float32 samples
 
     def peak(fn, n):
         tracemalloc.start()
@@ -345,6 +346,68 @@ def test_write_batch_memory_does_not_grow_with_the_batch(tmp_path):
     def in_memory(n, out):
         sb.generate_batch(subject, n, 3, threads=2)
 
-    # 20 more samples: the in-memory route holds each of them until it returns
-    assert peak(in_memory, 24) - peak(in_memory, 4) > 15 * volume
-    assert peak(streamed, 24) - peak(streamed, 4) < 3 * volume
+    # 50 more float32 samples: the in-memory route holds each of them until it returns
+    assert peak(in_memory, 54) - peak(in_memory, 4) > 15 * volume
+    assert peak(streamed, 54) - peak(streamed, 4) < 3 * volume
+
+
+# -- float32 samples ------------------------------------------------------------------
+
+def test_samples_are_float32_and_the_target_float64(subject32):
+    batch = sb.generate_batch(subject32, 3, base_seed=2)
+    assert batch.target.data.dtype == np.float64
+    for s in batch.samples:
+        assert s.image.data.dtype == np.float32 and not s.image.data.flags.writeable
+        assert s.image.data.min() >= 0.0 and s.image.data.max() <= 1.0
+
+
+def test_batch_loss_on_float32_samples_is_the_loss_on_their_float64_copies(subject32):
+    batch = sb.generate_batch(subject32, 3, base_seed=2)
+    preds = [s.image for s in batch.samples]
+    copies = [sb.Volume(p.data) for p in preds]
+    assert sb.batch_loss(batch, preds, lam=0.7) == sb.batch_loss(batch, copies, lam=0.7)
+    # a float32 target too: the loss is summed in float64 either way
+    as32 = dataclasses.replace(batch, target=preds[0])
+    as64 = dataclasses.replace(batch, target=copies[0])
+    assert sb.batch_loss(as32, preds, lam=0.7) == sb.batch_loss(as64, copies, lam=0.7)
+
+
+def test_one_sample_at_96_traces_at_most_two_and_a_quarter_float64_grids():
+    subject = make_subject(96, seed=0)
+    # each level with every stage drawn: low-field, then anisotropic, resolution
+    cfgs = [dataclasses.replace(SeverityConfig.by_name(level), p_low_field=p, p_anisotropic=1.0 - p)
+            for level in ("mild", "medium", "severe") for p in (1.0, 0.0)]
+    _, _, make_sample = generator._prepare(subject, 5, cfgs)
+    grid = 96 ** 3 * 8
+    for i, cfg in enumerate(cfgs):
+        tracemalloc.start()
+        try:
+            sample = make_sample(i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = sample.record
+        assert record.bias and record.resolution and record.noise, cfg
+        # these samples trace 1.59-1.78 grids (3.17-3.55 with float64 stages)
+        assert peak <= 2.25 * grid, (cfg.level, record.resolution["kind"], peak / grid)
+
+
+def test_a_sample_replays_bit_exactly_from_its_manifest_record(tmp_path, subject32):
+    manifest = json.loads(sb.write_batch(subject32, 4, 8, tmp_path, threads=2).read_text())
+    warped = sb.warp_labels(subject32.labels, sb.generate_batch(subject32, 1, 8).deformation)
+    for i, entry in enumerate(manifest["samples"]):
+        rng = sb.make_rng(manifest["seed"], manifest["subject"], i)
+        painted = sb.paint(warped, sb.sample_contrast_params(rng, warped.label_set), rng)
+        record = sb.CorruptionRecord.from_json_dict(entry["record"])
+        image = sb.apply_corruption(painted, record)
+        assert sb.write_nifti(image) == (tmp_path / entry["file"]).read_bytes()
+
+
+@pytest.mark.parametrize("seed", [2 ** 127, -(2 ** 127) - 1])
+def test_a_seed_outside_128_bits_is_rejected_before_anything_is_written(tmp_path, subject32, seed):
+    out = tmp_path / "batch"
+    with pytest.raises(ValueError, match="signed 128-bit"):
+        sb.write_batch(subject32, 1, seed, out)
+    assert not out.exists()
+    with pytest.raises(ValueError, match="signed 128-bit"):
+        sb.generate_batch(subject32, 1, seed)

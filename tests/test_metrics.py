@@ -501,3 +501,44 @@ def test_a_nan_in_a_report_is_refused_as_json():
     report = sb.MetricReport({"l1": (0.5, math.nan)})
     with pytest.raises(ValueError):
         report.to_json()
+
+
+# -- float32 samples -------------------------------------------------------------
+# generated samples are float32; every metric reads them as their float64 copy
+
+def _float32_samples(count=3):
+    """A 24³ batch's float32 samples, their float64 copies, and the batch."""
+    batch = sb.generate_batch(make_subject(24, seed=1), count, base_seed=3)
+    images = [s.image for s in batch.samples]
+    assert all(im.data.dtype == np.float32 for im in images)
+    return images, [sb.Volume(im.data) for im in images], batch
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_the_metrics_of_float32_samples_are_those_of_their_float64_copies(masked):
+    (a32, b32, c32), (a64, b64, c64), batch = _float32_samples()
+    mask = batch.target.data > 0.1 if masked else None
+    fns = [lambda a, b: sb.l1(a, b, mask=mask),
+           lambda a, b: sb.psnr(a, b, mask=mask),
+           lambda a, b: sb.ssim(a, b, mask=mask),
+           lambda a, b: sb.ms_ssim(a, b, scales=2, mask=mask),
+           lambda a, b: sb.norm_l2_bias(a, b, mask=mask)]
+    for fn in fns:
+        want = fn(a64, b64)
+        # both float32, and float32 against float64 (the batch's own target)
+        assert fn(a32, b32) == want and fn(a32, b64) == want and fn(a64, b32) == want
+        assert fn(c32, batch.target) == fn(c64, batch.target)
+
+
+@pytest.mark.parametrize("field", ["zero", "batch"])
+def test_the_protocol_scores_float32_samples_as_their_float64_copies(field):
+    images32, images64, batch = _float32_samples()
+    fld = (batch.deformation if field == "batch"
+           else sb.DeformationField(np.zeros(batch.target.dims + (3,))))
+    reports = []
+    for images in (images32, images64):
+        for reference in (sb.VolumeStack((images[0],)), sb.VolumeStack((images64[0],))):
+            candidates = [(sb.VolumeStack((im,)), fld) for im in images[1:]]
+            reports.append(sb.robustness_protocol(reference, candidates, mode="intra",
+                                                  scales=2).to_json())
+    assert len(set(reports)) == 1

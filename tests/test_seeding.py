@@ -37,3 +37,10 @@ def test_make_rng_reproducible():
 def test_rejects_unhashable_part_types():
     with pytest.raises(TypeError):
         derive_seed(1.5)
+
+
+def test_integer_parts_span_the_signed_128_bit_integers():
+    derive_seed(2 ** 127 - 1, "s", -(2 ** 127))
+    for part in (2 ** 127, -(2 ** 127) - 1, 2 ** 200):
+        with pytest.raises(ValueError, match=f"seed part {part} is outside the signed 128-bit"):
+            derive_seed(7, "s", part)

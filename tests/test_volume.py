@@ -470,3 +470,45 @@ def test_minmax_flattens_a_spread_of_rounding(value):
     # a spread well above rounding is signal
     signal = value * (1.0 + 1e-12 * np.array([0.0, 3.0, 7.0, 1.0]))
     assert volume._minmax(signal, np.empty(4)).max() == 1.0
+
+
+@pytest.mark.parametrize("value", [1e-9, 0.25, 7.0, -3.0, 1e6])
+def test_float32_minmax_flattens_a_spread_of_float32_rounding(value):
+    eps = float(np.finfo(np.float32).eps)
+    data = (value * (1.0 + eps * np.array([0.0, 3.0, 7.0, 1.0]))).astype(np.float32)
+    assert np.unique(data).size > 1
+    out = volume._minmax(data, data.copy())
+    assert out.dtype == np.float32 and out.tobytes() == np.zeros(4, np.float32).tobytes()
+    # a spread well above float32 rounding is signal
+    signal = (value * (1.0 + 1e-4 * np.array([0.0, 3.0, 7.0, 1.0]))).astype(np.float32)
+    assert volume._minmax(signal, signal.copy()).max() == 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.floats(-3.0, 3.0), st.floats(-12.0, 3.0))
+def test_float32_minmax_lands_exactly_on_unit_interval(seed, offset, log_scale):
+    data = offset + 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(64)
+    data = data.astype(np.float32)
+    out = volume._minmax(data, data.copy())
+    assert out.dtype == np.float32
+    assert out.min() == 0.0 or not out.any()
+    assert out.max() == 1.0 or not out.any()
+
+
+def test_a_float32_volume_is_kept_only_when_the_library_adopts_it():
+    data = np.random.default_rng(0).random((4, 5, 6)).astype(np.float32)
+    assert Volume(data).data.dtype == np.float64
+    assert Volume(data).with_data(data).data.dtype == np.float64
+    adopted = Volume._adopt(data)
+    assert adopted.data is data and not data.flags.writeable
+    # minmax_normalize reads it as its float64 copy
+    assert minmax_normalize(adopted).data.tobytes() == minmax_normalize(Volume(data)).data.tobytes()
+
+
+def test_the_gradient_of_a_float32_volume_is_that_of_its_float64_copy():
+    data = np.random.default_rng(1).random((6, 5, 4)).astype(np.float32)
+    spacing = (1.0, 1.5, 0.7)
+    got = spatial_gradient(Volume._adopt(data, spacing))
+    want = spatial_gradient(Volume(data, spacing))
+    for g, w in zip(got.channels, want.channels):
+        assert g.data.dtype == np.float64 and g.data.tobytes() == w.data.tobytes()
