@@ -77,16 +77,20 @@ _SCALES = _ranged(int, 1, len(metrics._MS_WEIGHTS))
 
 # -- config file -----------------------------------------------------------------
 
+def _read_utf8(path) -> str:
+    """The text of ``path``; a file that is not UTF-8 text is an I/O error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_config(path) -> dict[str, str]:
     """KEY=VALUE lines; blank lines and # comments ignored, a key set twice refused.
     A file that is not UTF-8 text is an I/O error naming it."""
     out: dict[str, str] = {}
     first: dict[str, int] = {}  # key -> the line that set it
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -189,8 +193,12 @@ def _cmd_generate(args) -> int:
 def _load_candidates(manifest_path, mode: str, atlas_map):
     """(stack reader, field) pairs from a candidates list or a generated-batch
     manifest. Each deformation file is read once; in inter mode only
-    ``atlas_map`` is used."""
-    doc = json.loads(Path(manifest_path).read_text())
+    ``atlas_map`` is used. A file that is not UTF-8 JSON is an I/O error naming it."""
+    text = _read_utf8(manifest_path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from None
     base = Path(manifest_path).parent
     if not isinstance(doc, dict) or not doc.keys() & {"candidates", "samples"}:
         raise _UsageError(f"{manifest_path}: neither 'candidates' nor 'samples' present")

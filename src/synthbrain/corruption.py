@@ -21,6 +21,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
 from .deformation import DeformationConfig
+from .seeding import _standard_normal
 from .volume import (
     Volume,
     _corner_aligned_weights,
@@ -165,11 +166,13 @@ def _apply_resolution(data: np.ndarray, spacing, target_spacing) -> np.ndarray:
 
 def _apply_noise(data: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """``data`` plus white noise of std ``sigma`` from the stream ``seed``,
-    clipped to [0, 1], as a fresh array of its dtype (float32 data draw float32
-    normals)."""
+    clipped to [0, 1], as a fresh array of its dtype. The normals are always
+    drawn in float32 (``seeding._standard_normal``); float64 data gets them
+    cast up."""
     # normal(0.0, sigma, dims) computes 0.0 + sigma * z; so does this, in place
-    # and from the cheaper standard draw (the + 0.0 turns a -0.0 into +0.0)
-    noisy = np.random.default_rng(int(seed)).standard_normal(data.shape, dtype=data.dtype)
+    # (the + 0.0 turns a -0.0 into +0.0)
+    noisy = _standard_normal(np.random.default_rng(int(seed)), data.size).reshape(
+        data.shape).astype(data.dtype, copy=False)
     noisy *= sigma
     noisy += 0.0
     noisy += data

@@ -1,4 +1,4 @@
-"""Stable, process-independent seed derivation.
+"""Stable, process-independent seed derivation, and the per-voxel normal draw.
 
 Python's builtin ``hash`` is salted per process, so reproducible pipelines
 derive sub-seeds by hashing a canonical byte encoding of the seed path
@@ -43,3 +43,37 @@ def derive_seed(*parts) -> int:
 def make_rng(*parts) -> np.random.Generator:
     """Generator seeded from a derived seed path."""
     return np.random.default_rng(derive_seed(*parts))
+
+
+# Box-Muller pairs transformed per pass, so that a pass's three float32 rows
+# (32 kB each) stay in cache
+_PAIRS = 8192
+
+
+def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` float32 standard normals by the Box-Muller transform.
+
+    Draws ``2 * m`` float32 uniforms, ``m = ceil(n / 2)``, and turns pair
+    ``i`` of the halves ``u1 = u[:m]``, ``u2 = u[m:]`` into
+    ``r * cos(theta)`` (slot ``i``) and ``r * sin(theta)`` (slot ``m + i``),
+    with ``r = sqrt(-2 * log1p(-u1))`` and ``theta = 2 * pi * u2``, all in
+    float32; the first ``n`` are returned. ``u1 < 1``, so every value is
+    finite. The uniforms' buffer is the result: the transform runs in place,
+    ``_PAIRS`` pairs at a time, with one pass-sized scratch row.
+    """
+    m = -(-n // 2)
+    z = rng.random(2 * m, dtype=np.float32)
+    cos = np.empty(min(m, _PAIRS), dtype=np.float32)
+    for lo in range(0, m, _PAIRS):
+        hi = min(lo + _PAIRS, m)
+        r, theta, c = z[lo:hi], z[m + lo:m + hi], cos[:hi - lo]
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= np.float32(-2.0)
+        np.sqrt(r, out=r)
+        theta *= np.float32(2.0 * np.pi)
+        np.cos(theta, out=c)
+        np.sin(theta, out=theta)
+        theta *= r
+        r *= c
+    return z[:n]

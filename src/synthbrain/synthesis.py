@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingLabelParams
+from .seeding import _standard_normal
 from .volume import LabelMap, Volume, _minmax
 
 __all__ = [
@@ -71,8 +72,9 @@ def paint(
     """Per-voxel intensities ~ N(mu_label, sigma_label), optionally normalized,
     as a float32 volume.
 
-    Only the foreground (label != 0) is drawn: one float64 standard normal
-    per foreground voxel, in C order. Background is exactly +0.0, whatever the
+    Only the foreground (label != 0) is drawn: one float32 standard normal
+    per foreground voxel, in C order, by ``seeding._standard_normal``
+    (Box-Muller on float32 uniforms). Background is exactly +0.0, whatever the
     table gives label 0, and an all-background map draws nothing.
     Normalization rescales the foreground to [0, 1]; a foreground constant
     up to rounding maps to all zeros. The values and their normalization are
@@ -92,9 +94,9 @@ def paint(
         return Volume._adopt(out, lm.spacing, lm.grid_to_world)
     mu, sigma = np.array([params.table[lab] if lab else (0.0, 0.0) for lab in present]).T
 
-    # mu + sigma * eps, worked out in the buffer of the fresh draw eps
-    vals = rng.standard_normal(index.size)
-    vals *= sigma[index]
+    # mu + sigma * z in float64, worked out in the buffer of the gathered sigmas
+    vals = sigma[index]
+    vals *= _standard_normal(rng, index.size)
     vals += mu[index]
     if normalize:
         _minmax(vals, vals)

@@ -413,6 +413,24 @@ def full_grid_resolution(data: np.ndarray, spacing, target) -> np.ndarray:
     return out
 
 
+# -- standard normals from uniform pairs ----------------------------------------------
+
+def box_muller_normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` float32 standard normals by the Box-Muller transform, out of place.
+
+    ``2 * m`` float32 uniforms (``m = ceil(n / 2)``) split into halves
+    ``u1, u2``; pair ``i`` gives ``sqrt(-2 ln(1 - u1)) * cos(2 pi u2)`` and
+    ``... * sin(2 pi u2)``. The ``m`` cosine values come first, then the ``m``
+    sine values, and the first ``n`` are kept.
+    """
+    m = -(-n // 2)
+    u = rng.random(2 * m, dtype=np.float32)
+    u1, u2 = u[:m], u[m:]
+    radius = np.sqrt(np.float32(-2.0) * np.log1p(-u1))
+    angle = np.float32(2.0 * np.pi) * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+
+
 # -- contrast painting with one draw per voxel --------------------------------------
 
 def inline_paint_minmax(vals: np.ndarray) -> np.ndarray:
@@ -432,11 +450,12 @@ def inline_paint_minmax(vals: np.ndarray) -> np.ndarray:
 
 def full_grid_paint(labels: np.ndarray, table: dict, rng: np.random.Generator,
                     normalize: bool = True) -> np.ndarray:
-    """A standard normal for every voxel of ``labels`` (C order), then
-    ``eps * sigma + mu`` per label; normalized, the foreground (label != 0) is
-    rescaled to [0, 1] and the background set to 0. The rule before only the
-    foreground was drawn: on a map without label 0 the bytes are the same."""
-    out = rng.standard_normal(labels.shape)
+    """A float32 standard normal (``box_muller_normal``) for every voxel of
+    ``labels`` (C order), then ``eps * sigma + mu`` per label in float64;
+    normalized, the foreground (label != 0) is rescaled to [0, 1] and the
+    background set to 0. The rule before only the foreground was drawn: on a
+    map without label 0 the bytes are the same."""
+    out = box_muller_normal(rng, labels.size).reshape(labels.shape).astype(np.float64)
     sigma = np.zeros(labels.shape)
     mu = np.zeros(labels.shape)
     for lab, (m, s) in table.items():

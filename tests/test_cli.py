@@ -207,6 +207,22 @@ def test_malformed_manifest_exits_64_naming_it(tmp_path, capsys, doc, message):
     assert f"{manifest}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blob, message", [
+    (b'{"samples": [{"file": "sample_000.nii"', "not valid JSON"),
+    (b'{"candidates": [{"features": "\xff.nii"}]}', "not UTF-8 text"),
+])
+def test_a_manifest_that_cannot_be_parsed_exits_2_naming_it(tmp_path, capsys, blob, message):
+    ref_path = tmp_path / "r.nii"
+    sb.write_nifti_file(ref_path, sb.VolumeStack((smooth_volume(8, 0),)), "float32")
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(blob)
+    rc = main(["evaluate", "--reference", str(ref_path), "--candidates", str(manifest),
+               "--out", str(tmp_path / "rep.json")])
+    assert rc == 2
+    assert f"error: {manifest}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--schedule", "severe,mild"], "non-decreasing"),
     (["--schedule", "mild,severe", "--n", "3"], "schedule length 2"),

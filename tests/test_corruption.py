@@ -17,9 +17,11 @@ from synthbrain.corruption import (
     _apply_resolution,
     sample_corruption_record,
 )
+from synthbrain.seeding import _PAIRS
 
 from conftest import smooth_volume, sphere_labels
-from reference_impls import apply_bias, bias_from_coarse, full_grid_resolution, gather_trilinear
+from reference_impls import (apply_bias, bias_from_coarse, box_muller_normal, full_grid_resolution,
+                             gather_trilinear)
 
 
 def _draw_stage(stage, v, rng, cfg):
@@ -304,6 +306,20 @@ def test_bias_replay_holds_one_field_beyond_its_input():
     assert np.array_equal(out.data, apply_bias(v.data, record.bias["coarse"]))
 
 
+def test_float32_noise_replay_holds_one_grid_and_one_pass_beyond_its_input():
+    v = _painted(64, dtype=np.float32)
+    record = _from_wire(noise={"sigma": 0.05, "seed": 3})
+    tracemalloc.start()
+    try:
+        sb.apply_corruption(v, record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the noisy grid, which is the draw's own buffer, plus the draw's
+    # pass-sized float32 scratch row and a few small arrays
+    assert peak <= v.data.nbytes + 4 * _PAIRS + 4096
+
+
 # sha256 of four successive records' JSON, as drawn by the earlier path that
 # built (and discarded) the full-resolution bias field at record time
 _RECORD_DIGESTS = {
@@ -572,7 +588,10 @@ def test_noise_replays_the_bytes_of_a_normal_draw(sigma):
         record = _from_wire(noise={"sigma": sigma, "seed": seed})
         for data in images:
             got = sb.apply_corruption(sb.Volume(data), record).data
-            want = np.clip(np.random.default_rng(seed).normal(0.0, sigma, dims) + data, 0.0, 1.0)
+            z = box_muller_normal(np.random.default_rng(seed), data.size).reshape(dims)
+            # normal(0.0, sigma) as numpy computes it: 0.0 + sigma * z, here
+            # with float32 normals cast up
+            want = np.clip(0.0 + sigma * z.astype(np.float64) + data, 0.0, 1.0)
             # tobytes, unlike ==, tells -0.0 from +0.0
             assert got.tobytes() == want.tobytes()
 
@@ -723,7 +742,7 @@ def test_float32_noise_adds_a_float32_normal_draw(sigma):
     v = _painted(12, dtype=np.float32)
     for seed in (0, 7, 2 ** 40):
         got = sb.apply_corruption(v, _from_wire(noise={"sigma": sigma, "seed": seed})).data
-        z = np.random.default_rng(seed).standard_normal(v.dims, dtype=np.float32)
+        z = box_muller_normal(np.random.default_rng(seed), v.data.size).reshape(v.dims)
         want = np.clip(z * np.float32(sigma) + np.float32(0.0) + v.data, 0.0, 1.0)
         assert want.dtype == np.float32 and got.tobytes() == want.tobytes()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import synthbrain as sb
 
 from conftest import sphere_labels
-from reference_impls import full_grid_paint
+from reference_impls import box_muller_normal, full_grid_paint
 
 
 def test_sampling_deterministic_under_seed():
@@ -118,12 +118,13 @@ def test_threads_painting_one_fresh_map_agree_with_a_sequential_run():
 
 
 def _paint_normalized_through_a_foreground_copy(lm, params, rng):
-    """``paint`` as first written, in float64: min and max of a copy of the
-    foreground values."""
+    """``paint`` as first written, in float64 from float32 normals: min and
+    max of a copy of the foreground values."""
     fg = lm.data != 0
     out = np.zeros(lm.dims)
     table = np.array([params.table.get(lab, (0.0, 0.0)) for lab in lm.data[fg]]).reshape(-1, 2)
-    out[fg] = rng.standard_normal(int(fg.sum())) * table[:, 1] + table[:, 0]
+    z = box_muller_normal(rng, int(fg.sum())).astype(np.float64)
+    out[fg] = z * table[:, 1] + table[:, 0]
     vals = out[fg]
     if not vals.size:
         return np.zeros(lm.dims)
@@ -154,10 +155,11 @@ def test_painted_bytes_match_the_foreground_copy_routine(case, seed):
 
 
 def _state_after(seed, labels, draws):
-    """A fresh generator's state after the contrast draws and ``draws`` normals."""
+    """A fresh generator's state after the contrast draws and ``draws`` normals,
+    which take ``draws`` float32 uniforms rounded up to an even count."""
     rng = np.random.default_rng(seed)
     params = sb.sample_contrast_params(rng, labels)
-    rng.standard_normal(draws)
+    rng.random(draws + draws % 2, dtype=np.float32)
     return params, rng.bit_generator.state
 
 
